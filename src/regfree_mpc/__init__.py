@@ -6,7 +6,7 @@ stage costs, the periodic input-memory augmentation, linear-system
 certificates and horizon bounds, and observer-based noisy error feedback.
 """
 
-from .augmentation import AugmentedPlant, augment_linear, build as build_augmented
+from .augmentation import AugmentedPlant, augment_linear
 from .augmentation import cyclic_matrices, step_memory, wrap_memory
 from .errors import (ConfigError, DegenerateSystemError, DetectabilityError,
                      DomainError, NumericalError, ObservabilityError,

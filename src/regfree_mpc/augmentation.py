@@ -62,12 +62,6 @@ class AugmentedPlant:
         x_p, xi = self.split(x_ap)
         return self.base.h(x_p, self.input_of(xi, u_a), w)
 
-    def lifted_input_ok(self, x_ap, u_a, slack=0.0):
-        """Constraint lift: the reconstructed physical input must sit in the box."""
-        _, xi = self.split(x_ap)
-        u = self.input_of(xi, u_a)
-        return bool(np.all(u >= self.base.input_lo - slack) and np.all(u <= self.base.input_hi + slack))
-
     def as_system_model(self):
         """The augmented plant as a SystemModel with unconstrained input."""
         base = self.base

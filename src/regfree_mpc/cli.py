@@ -11,14 +11,7 @@ from .errors import ConfigError, RegfreeMpcError
 from .linear_analysis import analyze_linear
 from .models import resolve_model
 from .mpc import assemble, solve
-from .simulation import metrics, run
-
-
-def _atomic_write(path, text):
-    tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+from .simulation import atomic_write, metrics, run
 
 
 def _resolve_seed(seed, default=None):
@@ -79,7 +72,7 @@ def cmd_analyze(args):
     rep = analyze_linear(model.linear, spec.T, spec.N, spec.Q, spec.R, gamma_s=spec.gamma_s)
     text = format_analysis(rep)
     if args.out:
-        _atomic_write(args.out, text)
+        atomic_write(args.out, text)
     sys.stdout.write(text)
     return 0
 
@@ -103,7 +96,7 @@ def cmd_solve(args):
         lines.append(f"u_{k}=" + " ".join(f"{v:.12g}" for v in u))
     text = "\n".join(lines) + "\n"
     if args.out:
-        _atomic_write(args.out, text)
+        atomic_write(args.out, text)
     sys.stdout.write(text)
     return 0
 

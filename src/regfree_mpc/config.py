@@ -6,11 +6,11 @@ stay diff-auditable.
 """
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ResonanceError
 from .estimation import ObserverConfig
 from .linear_analysis import solve_regulator
 from .models import SimNoiseSpec, cement_mill_regulator, resolve_model
@@ -23,9 +23,7 @@ _SCHEMA = {
     "model": {"name": "str"},
     "mpc": {
         "variant": "str", "N": "int", "Q": "vec", "R": "vec", "d": "int", "T": "int",
-        "max_iterations": "int", "gradient_tolerance": "float",
-        "armijo_initial_step": "float", "armijo_shrink": "float",
-        "armijo_slope": "float", "warm_start": "bool", "dense_bypass": "bool",
+        **{f.name: f.type.__name__ for f in fields(SolverSettings)},
     },
     "observer": {
         "kind": "str", "xhat0": "vec", "L": "vec", "sigma0": "float",
@@ -119,15 +117,9 @@ class AnalysisSpec:
 
 def build_mpc_config(sections) -> MpcConfig:
     variant = _need(sections, "mpc", "variant")
-    solver = SolverSettings(
-        max_iterations=_opt(sections, "mpc", "max_iterations", 200),
-        gradient_tolerance=_opt(sections, "mpc", "gradient_tolerance", 1e-8),
-        armijo_initial_step=_opt(sections, "mpc", "armijo_initial_step", 1.0),
-        armijo_shrink=_opt(sections, "mpc", "armijo_shrink", 0.5),
-        armijo_slope=_opt(sections, "mpc", "armijo_slope", 1e-4),
-        warm_start=_opt(sections, "mpc", "warm_start", True),
-        dense_bypass=_opt(sections, "mpc", "dense_bypass", True),
-    )
+    given = sections.get("mpc", {})
+    solver = SolverSettings(**{f.name: given[f.name][0] for f in fields(SolverSettings)
+                               if f.name in given})
     return MpcConfig(
         variant=variant,
         N=_need(sections, "mpc", "N"),
@@ -153,7 +145,7 @@ def _default_regulator(model):
     if model.linear is not None:
         try:
             return solve_regulator(model.linear)
-        except Exception:
+        except ResonanceError:
             return None
     return None
 
@@ -259,11 +251,10 @@ def render_scenario(spec: ScenarioSpec) -> str:
         lines.append(f"T = {cfg.T}")
     s = cfg.solver
     defaults = SolverSettings()
-    for key in ("max_iterations", "gradient_tolerance", "armijo_initial_step",
-                "armijo_shrink", "armijo_slope", "warm_start", "dense_bypass"):
-        val = getattr(s, key)
-        if val != getattr(defaults, key):
-            lines.append(f"{key} = {_fmt(val)}")
+    for f in fields(SolverSettings):
+        val = getattr(s, f.name)
+        if val != getattr(defaults, f.name):
+            lines.append(f"{f.name} = {_fmt(val)}")
     if spec.observer is not None:
         lines += ["", "[observer]"]
         ob = spec.observer
@@ -292,11 +283,6 @@ def render_scenario(spec: ScenarioSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def scenario_fingerprint(spec: ScenarioSpec):
-    """Comparable summary used by the round-trip tests."""
-    return render_scenario(spec)
-
-
 def preset_path(name):
     path = os.path.join(PRESET_DIR, f"{name}.cfg")
     if not os.path.exists(path):
@@ -315,5 +301,6 @@ def read_config_file(path):
             return fh.read()
     base = os.path.splitext(os.path.basename(path))[0]
     if base == path:
-        return open(preset_path(path)).read()
+        with open(preset_path(path)) as fh:
+            return fh.read()
     raise ConfigError(f"config file not found: {path}")

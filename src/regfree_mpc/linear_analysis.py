@@ -516,7 +516,6 @@ class AnalysisReport:
     augmented_detectable: bool
     augmented_predicted: bool
     sigma_metric: QuadraticCertificate
-    lqr_metric: QuadraticCertificate
     bounds: BoundsReport
     relative_degree: Optional[int] = None
     zeros: Optional[tuple] = None
@@ -534,8 +533,6 @@ def analyze_linear(sys: LinearSystem, T: int, N: int, Q, R,
     _, _, verdict, predicted = augmented_pair(sys, T)
     aug = augment_linear(sys, T)
     sigma_metric = sigma_metric_dare(aug, Q, R)
-    Mxx, Mxu, Muu = stage_cost_forms(aug, Q, R)
-    _, lqr_metric = lqr_gain(aug.A, aug.B, Mxx, Muu, S=Mxu)
     eps_o = epsilon_o_generalized_eig(aug, Q, R, sigma_metric)
     nu, c_o = smallest_observability_window(aug, Q, R, sigma_metric)
     bounds = horizon_bounds(gamma_s=gamma_s, gamma_Ybar=gamma_s, epsilon_o=eps_o,
@@ -551,6 +548,5 @@ def analyze_linear(sys: LinearSystem, T: int, N: int, Q, R,
                           residual_dynamics=r_dyn, residual_output=r_out,
                           detectable=det, stabilizable=stab, nonres=nonres,
                           augmented_detectable=verdict, augmented_predicted=predicted,
-                          sigma_metric=sigma_metric, lqr_metric=lqr_metric,
-                          bounds=bounds, relative_degree=rd, zeros=zeros,
-                          minimum_phase=minphase)
+                          sigma_metric=sigma_metric, bounds=bounds,
+                          relative_degree=rd, zeros=zeros, minimum_phase=minphase)

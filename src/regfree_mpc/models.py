@@ -60,7 +60,7 @@ class SystemModel:
 
     Jacobian callables are optional; central finite differences are used
     where they are absent.  `linear` tags models that are exactly linear,
-    enabling closed-form OCP solves.
+    enabling the closed-form reference `Ocp.dense_matrices`.
     """
 
     n_p: int

@@ -1,10 +1,11 @@
 """Finite-horizon OCP assembly and the receding-horizon control law.
 
 All four stage-cost variants share a single-shooting parameterization in the
-physical input sequence.  Exact-linear models solve through a stacked dense
-least-squares path; everything else runs a Gauss-Newton projected-descent
+physical input sequence and one residual form, J(u) = ||r(u)||^2, written once
+in `Ocp.residuals`.  Every model runs the same Gauss-Newton projected-descent
 solver (two-metric projection with Armijo backtracking) that reports the
-projected-gradient stationarity residual.
+projected-gradient stationarity residual.  `Ocp.dense_matrices` builds the
+residual of an exactly linear model in closed form, as an independent reference.
 """
 
 from dataclasses import dataclass, field
@@ -26,7 +27,6 @@ class SolverSettings:
     armijo_shrink: float = 0.5
     armijo_slope: float = 1e-4
     warm_start: bool = True
-    dense_bypass: bool = True    # closed-form solve for unconstrained linear OCPs
 
     def __post_init__(self):
         if self.gradient_tolerance <= 0 or not (0 < self.armijo_shrink < 1):
@@ -111,13 +111,22 @@ class Ocp:
             self.u_ref = None
         self.lo = model.input_lo
         self.hi = model.input_hi
+        self._sw = np.sqrt(self._output_weights())
+        self._Qh = _psd_sqrt(config.Q)
+        # input penalty E vec(u) - c: one R^1/2-weighted m-block per decision
+        N, m, Rh = self.N, self.m, _psd_sqrt(config.R)
+        if config.variant == "input_regularized":
+            self.E = np.kron(np.eye(N), Rh)
+            self.c = np.concatenate([Rh @ v for v in self.u_ref[:N]])
+        elif config.variant == "incremental_input":
+            # u_k - u_{k-T}, with u_{k-T} from the history while k < T
+            self.E = np.kron(np.eye(N) - np.eye(N, k=-config.T), Rh)
+            self.c = np.concatenate([Rh @ self.history[k] if k < config.T else np.zeros(m)
+                                     for k in range(N)])
+        else:
+            self.E, self.c = np.zeros((0, N * m)), np.zeros(0)
 
-    # -- helpers -----------------------------------------------------------
-
-    def _ref_increment(self, useq, k):
-        """u_{k-T} for the incremental penalty: decision or history."""
-        T = self.config.T
-        return useq[k - T] if k - T >= 0 else self.history[k]
+    # -- residual form -----------------------------------------------------
 
     def _extended_input(self, useq, j):
         return useq[j] if j < self.N else useq[self.N - 1]
@@ -132,31 +141,50 @@ class Ocp:
         return [np.atleast_1d(self.model.h(xs[j], self._extended_input(useq, j), self.w_traj[j]))
                 for j in range(self.H)]
 
-    def cost(self, useq, xs=None):
+    def residuals(self, useq, xs=None, jac=True):
+        """Stacked residual r(u) with J(u) = r @ r, its Jacobian J_r and the rollout.
+
+        r holds sqrt(w_k) Q^1/2 y_k for every output with weight w_k > 0
+        (look_ahead counts the overlap of its two windows twice), then the
+        variant's input penalty E vec(u) - c.  J_r comes from one forward
+        pass over the sensitivity S = dx_k/dvec(u); it is None unless jac.
+        """
         useq = np.asarray(useq, dtype=float).reshape(self.N, self.m)
         if xs is None:
             xs = self.rollout(useq)
         ys = self.outputs(useq, xs)
-        Q, R = self.config.Q, self.config.R
-        J = 0.0
-        v = self.config.variant
-        for k in range(self.N):
-            y = ys[k]
-            J += float(y @ Q @ y)
-            if v == "input_regularized":
-                du = useq[k] - self.u_ref[k]
-                J += float(du @ R @ du)
-            elif v == "incremental_input":
-                du = useq[k] - self._ref_increment(useq, k)
-                J += float(du @ R @ du)
-            elif v == "look_ahead":
-                ylook = ys[k + self.config.d + 1]
-                J += float(ylook @ Q @ ylook)
+        r = np.concatenate([w * (self._Qh @ y) for w, y in zip(self._sw, ys) if w > 0.0]
+                           + [self.E @ useq.ravel() - self.c])
+        if not jac:
+            return r, None, xs
+        N, m = self.N, self.m
+        S = np.zeros((self.model.n_p, N * m))
+        rows = []
+        for k in range(self.H):
+            j = min(k, N - 1)
+            blk = slice(j * m, (j + 1) * m)
+            if self._sw[k] > 0.0:
+                Hx, Hu, _ = self.model.jacobians_h(xs[k], useq[j], self.w_traj[k])
+                row = Hx @ S
+                row[:, blk] += Hu
+                rows.append(self._sw[k] * (self._Qh @ row))
+            if k + 1 < self.H:
+                Fx, Fu, _ = self.model.jacobians_f(xs[k], useq[j], self.w_traj[k])
+                S = Fx @ S
+                S[:, blk] += Fu
+        return r, np.vstack(rows + [self.E]), xs
+
+    def cost(self, useq, xs=None):
+        r, _, xs = self.residuals(useq, xs, jac=False)
+        J = float(r @ r)
         if not np.isfinite(J):
             raise NumericalError("non-finite OCP cost")
         return J, xs
 
-    # -- derivatives -------------------------------------------------------
+    def gradient(self, useq, xs=None):
+        """Exact cost gradient 2 J_r^T r."""
+        r, Jr, _ = self.residuals(useq, xs)
+        return (2.0 * Jr.T @ r).reshape(self.N, self.m)
 
     def _output_weights(self):
         """Per-rollout-step output weight: look_ahead counts tail outputs twice."""
@@ -168,96 +196,7 @@ class Ocp:
                 wts[k + d + 1] += 1.0
         return wts
 
-    def gradient(self, useq, xs=None):
-        """Exact cost gradient via one adjoint sweep over the rollout."""
-        useq = np.asarray(useq, dtype=float).reshape(self.N, self.m)
-        if xs is None:
-            xs = self.rollout(useq)
-        Q, R = self.config.Q, self.config.R
-        wts = self._output_weights()
-        g = np.zeros((self.N, self.m))
-        lam = np.zeros(self.model.n_p)
-        for j in range(self.H - 1, -1, -1):
-            u_j = self._extended_input(useq, j)
-            w_j = self.w_traj[j]
-            Fx, Fu, _ = self.model.jacobians_f(xs[j], u_j, w_j)
-            Hx, Hu, _ = self.model.jacobians_h(xs[j], u_j, w_j)
-            y = np.atleast_1d(self.model.h(xs[j], u_j, w_j))
-            cy = 2.0 * wts[j] * (Q @ y)
-            gu = Fu.T @ lam + Hu.T @ cy
-            g[min(j, self.N - 1)] += gu
-            lam = Fx.T @ lam + Hx.T @ cy
-        v = self.config.variant
-        if v == "input_regularized":
-            for k in range(self.N):
-                g[k] += 2.0 * R @ (useq[k] - self.u_ref[k])
-        elif v == "incremental_input":
-            T = self.config.T
-            for k in range(self.N):
-                du = useq[k] - self._ref_increment(useq, k)
-                g[k] += 2.0 * R @ du
-                if k + T < self.N:
-                    g[k] -= 2.0 * R @ (useq[k + T] - useq[k])
-        return g
-
-    def cost_gradient_hessian(self, useq):
-        """Gauss-Newton triple (J, g, H) from stacked output sensitivities."""
-        useq = np.asarray(useq, dtype=float).reshape(self.N, self.m)
-        xs = self.rollout(useq)
-        Q, R = self.config.Q, self.config.R
-        N, m, H = self.N, self.m, self.H
-        nv = N * m
-        wts = self._output_weights()
-        J = self.cost(useq, xs)[0]
-        g = np.zeros(nv)
-        Hm = np.zeros((nv, nv))
-        # forward sensitivities S[j] = dx_k/d(decision u_j) while scanning k
-        S = [None] * N
-        for k in range(H):
-            u_k = self._extended_input(useq, k)
-            w_k = self.w_traj[k]
-            Fx, Fu, _ = self.model.jacobians_f(xs[k], u_k, w_k)
-            Hx, Hu, _ = self.model.jacobians_h(xs[k], u_k, w_k)
-            y = np.atleast_1d(self.model.h(xs[k], u_k, w_k))
-            if wts[k] > 0.0:
-                rows = []
-                for j in range(N):
-                    Yu = Hx @ S[j] if S[j] is not None else np.zeros((self.model.p, m))
-                    if j == min(k, N - 1):
-                        Yu = Yu + Hu
-                    rows.append(Yu)
-                Yfull = np.hstack(rows)
-                Qy = 2.0 * wts[k] * (Q @ y)
-                g += Yfull.T @ Qy
-                Hm += 2.0 * wts[k] * (Yfull.T @ Q @ Yfull)
-            # advance sensitivities
-            jdec = min(k, N - 1)
-            for j in range(N):
-                if S[j] is not None:
-                    S[j] = Fx @ S[j]
-            S[jdec] = Fu.copy() if S[jdec] is None else S[jdec] + Fu
-        v = self.config.variant
-        if v == "input_regularized":
-            for k in range(N):
-                du = useq[k] - self.u_ref[k]
-                g[k * m:(k + 1) * m] += 2.0 * R @ du
-                Hm[k * m:(k + 1) * m, k * m:(k + 1) * m] += 2.0 * R
-        elif v == "incremental_input":
-            T = self.config.T
-            for k in range(N):
-                du = useq[k] - self._ref_increment(useq, k)
-                sk = slice(k * m, (k + 1) * m)
-                g[sk] += 2.0 * R @ du
-                Hm[sk, sk] += 2.0 * R
-                if k - T >= 0:
-                    sj = slice((k - T) * m, (k - T + 1) * m)
-                    g[sj] -= 2.0 * R @ du
-                    Hm[sj, sj] += 2.0 * R
-                    Hm[sk, sj] -= 2.0 * R
-                    Hm[sj, sk] -= 2.0 * R
-        return J, g, Hm.reshape(nv, nv)
-
-    # -- dense linear path ---------------------------------------------------
+    # -- closed-form reference for linear models ---------------------------
 
     def dense_matrices(self):
         """Stacked residual system: r(u) = Aml @ vec(u) - bml with J = ||r||^2."""
@@ -311,11 +250,6 @@ class Ocp:
                 rhs.append(Rh @ cst)
         return np.vstack(rows), np.concatenate(rhs)
 
-    def solve_dense(self):
-        Aml, bml = self.dense_matrices()
-        u, *_ = np.linalg.lstsq(Aml, bml, rcond=None)
-        return u.reshape(self.N, self.m)
-
 
 def _psd_sqrt(M):
     M = np.atleast_2d(np.asarray(M, dtype=float))
@@ -355,20 +289,19 @@ def _stationarity(u, g, lo, hi):
 def solve(ocp: Ocp, warm_start=None) -> OcpSolution:
     """Minimize the OCP over the input box.
 
-    Unconstrained exactly-linear instances go through the stacked
-    least-squares path; otherwise Gauss-Newton projected descent runs from
-    the (box-projected) warm start, seeded by the dense solution when the
-    model is linear.
+    Linear and nonlinear models take the same Gauss-Newton projected-descent
+    path from the (box-projected) warm start: g = 2 J_r^T r, H = 2 J_r^T J_r,
+    Armijo backtracking on J = r @ r.  Stationarity may stop the iteration
+    only after the first step, so an unconstrained linear OCP returns its
+    exact minimiser; `converged` is judged at the returned iterate.
     """
     settings = ocp.config.solver
     N, m = ocp.N, ocp.m
     lo = np.tile(ocp.lo, N)
     hi = np.tile(ocp.hi, N)
-    linear = ocp.model.linear is not None
-    box_active = ocp.model.constrained
 
     if warm_start is None:
-        if box_active:
+        if ocp.model.constrained:
             mid = np.where(np.isfinite(ocp.lo) & np.isfinite(ocp.hi),
                            0.5 * (ocp.lo + ocp.hi), 0.0)
             u0 = np.tile(mid, (N, 1))
@@ -377,45 +310,36 @@ def solve(ocp: Ocp, warm_start=None) -> OcpSolution:
     else:
         u0 = np.asarray(warm_start, dtype=float).reshape(N, m)
 
-    if linear and settings.dense_bypass:
-        u_dense = ocp.solve_dense()
-        if not box_active:
-            g = ocp.gradient(u_dense)
-            return _finish(ocp, u_dense, 0, True,
-                           _stationarity(u_dense.ravel(), g.ravel(), lo, hi))
-        u0 = np.clip(u_dense, ocp.lo, ocp.hi)
-
     u = np.clip(u0.ravel(), lo, hi)
-    J, xs = ocp.cost(u.reshape(N, m))
+    r, Jr, xs = ocp.residuals(u)
+    J = float(r @ r)
     if not np.isfinite(J):
         raise NumericalError("OCP cost not finite at the initial iterate")
     it = 0
-    converged = False
-    for it in range(settings.max_iterations):
-        Jc, g, H = ocp.cost_gradient_hessian(u.reshape(N, m))
-        J = Jc
+    while True:
+        g = 2.0 * Jr.T @ r
         stat = _stationarity(u, g, lo, hi)
-        if stat <= settings.gradient_tolerance:
-            converged = True
+        if (it > 0 and stat <= settings.gradient_tolerance) or it >= settings.max_iterations:
             break
-        d = _projected_newton_direction(u, g, H, lo, hi)
+        d = _projected_newton_direction(u, g, 2.0 * Jr.T @ Jr, lo, hi)
         t = settings.armijo_initial_step
-        accepted = False
         for _ in range(60):
             un = np.clip(u + t * d, lo, hi)
-            Jn, xsn = ocp.cost(un.reshape(N, m))
+            Jn, xsn = ocp.cost(un)
             dec = float(g @ (u - un))
             if Jn <= J - settings.armijo_slope * dec and Jn <= J + 1e-14 * max(1.0, abs(J)):
-                accepted = True
                 break
             t *= settings.armijo_shrink
-        if not accepted or np.max(np.abs(un - u)) < 1e-16 * max(1.0, np.max(np.abs(u))):
+        else:
             break
-        u, J, xs = un, Jn, xsn
-    g = ocp.gradient(u.reshape(N, m))
-    stat = _stationarity(u, g.ravel(), lo, hi)
-    converged = converged or stat <= settings.gradient_tolerance
-    return _finish(ocp, u.reshape(N, m), it, converged, stat)
+        if np.max(np.abs(un - u)) < 1e-16 * max(1.0, np.max(np.abs(u))):
+            break
+        u, J = un, Jn
+        r, Jr, xs = ocp.residuals(u, xsn)
+        it += 1
+    return OcpSolution(u_opt=u.reshape(N, m), x_pred=np.array(xs[:N + 1]), value=J,
+                       iterations=it, converged=bool(stat <= settings.gradient_tolerance),
+                       kkt_residual=stat)
 
 
 def _projected_newton_direction(u, g, H, lo, hi):
@@ -445,15 +369,6 @@ def _projected_newton_direction(u, g, H, lo, hi):
             d[free] = -gf
     d[act] = -g[act]
     return d
-
-
-def _finish(ocp, u, iterations, converged, kkt):
-    u = np.clip(u, ocp.lo, ocp.hi)
-    J, xs = ocp.cost(u)           # value re-evaluated on the returned input
-    x_pred = np.array(xs[:ocp.N + 1])
-    return OcpSolution(u_opt=u.copy(), x_pred=x_pred, value=float(J),
-                       iterations=int(iterations), converged=bool(converged),
-                       kkt_residual=float(kkt))
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,14 @@ class ScenarioSpec:
         object.__setattr__(self, "w0", np.asarray(self.w0, dtype=float).reshape(self.model.q))
 
 
+def atomic_write(path, text):
+    """Write through a temporary file so readers never see a partial file."""
+    tmp = f"{path}.tmp{os.getpid()}"
+    with open(tmp, "w") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
+
+
 @dataclass
 class SimTrace:
     x: Array           # (K, n_p)
@@ -66,11 +74,7 @@ class SimTrace:
         return self.x.shape[0]
 
     def write_csv(self, path):
-        text = self.to_csv()
-        tmp = f"{path}.tmp{os.getpid()}"
-        with open(tmp, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        atomic_write(path, self.to_csv())
 
     def to_csv(self):
         cols = ["t"]

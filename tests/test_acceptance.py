@@ -276,7 +276,7 @@ def test_acceptance_10_solver_correctness(rng):
             assert rel < 1e-4
     # (b) unconstrained LQ: iterative path matches the dense oracle
     from test_mpc import dense_lstsq_oracle
-    settings = SolverSettings(dense_bypass=False, gradient_tolerance=1e-10)
+    settings = SolverSettings(gradient_tolerance=1e-10)
     worst_lq = 0.0
     for _ in range(15):
         sys = random_linear(rng, n=int(rng.integers(1, 4)), m=int(rng.integers(1, 3)),

@@ -17,6 +17,16 @@ def parse_kv(text):
     return out
 
 
+def test_preset_read_by_name_closes_its_file():
+    import gc
+    import warnings
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        cfg.read_config_file("academic_analyze")
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
 def test_presets_all_parse():
     names = cfg.list_presets()
     assert "cement_mill_error_feedback" in names
@@ -173,6 +183,19 @@ def test_atomic_write_leaves_no_temp_files(tmp_path, capsys):
     assert main(["simulate", "--config", "academic_output_only", "--out", str(out)]) == 0
     leftovers = [f for f in os.listdir(tmp_path) if f.startswith("x.csv.tmp")]
     assert leftovers == []
+
+
+def test_resonant_linear_model_has_no_regulator(tmp_path):
+    """Resonance (S = 1.5 is a transmission zero) leaves the scenario without a regulator."""
+    from regfree_mpc.models import LinearSystem, dump_lti
+    sys_ = LinearSystem(A=[[0.5]], B=[[1.0]], C=[[1.0]], D=[[-1.0]],
+                        P_x=[[1.0]], P_y=[[1.0]], S=[[1.5]])
+    mfile = tmp_path / "plant.txt"
+    dump_lti(sys_, mfile)
+    spec = cfg.parse_config(f"[model]\nname = lti:{mfile}\n"
+                            "[mpc]\nvariant = output_only\nN = 4\nQ = 1\nR = 0\n"
+                            "[sim]\nsteps = 3\nx0 = 0\nw0 = 1\n")
+    assert spec.regulator is None
 
 
 def test_cli_lti_model_file_route(tmp_path, capsys):

@@ -5,8 +5,8 @@ from conftest import random_linear
 from regfree_mpc.errors import ConfigError
 from regfree_mpc.linear_analysis import solve_regulator
 from regfree_mpc.models import academic_example, cement_mill, cement_mill_regulator
-from regfree_mpc.mpc import (MpcConfig, MpcController, SolverSettings, assemble,
-                             solve)
+from regfree_mpc.mpc import (VARIANTS, MpcConfig, MpcController, SolverSettings,
+                             assemble, solve)
 
 
 def make_cfg(variant, N, p=1, m=1, **kw):
@@ -34,14 +34,60 @@ def test_assemble_requires_variant_inputs():
         assemble(model, make_cfg("incremental_input", 3, T=1), np.ones(1), np.zeros(0))
 
 
-def test_output_only_cost_matches_hand_expansion():
-    """Academic N = 2: J(u0,u1) = (1-u0)^2 + (0.5+u0-u1)^2."""
+class _ConstantFeedforward:
+    def pi_u(self, w):
+        return np.array([0.3])
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_cost_matches_hand_expansion(variant):
+    """Academic N = 3, x0 = 1, R = 0.25: y0 = 1 - u0, y1 = 0.5 + u0 - u1,
+    y2 = 0.25 + 0.5 u0 + u1 - u2, and y3 = x3 - u2 = 0.5 x2 beyond the horizon."""
     model = academic_example()
-    ocp = assemble(model, make_cfg("output_only", 2), np.array([1.0]), np.zeros(0))
-    for u0, u1 in ((0.0, 0.0), (1.0, 1.5), (-0.3, 0.8), (2.0, -1.0)):
-        J, _ = ocp.cost(np.array([[u0], [u1]]))
-        want = (1.0 - u0) ** 2 + (0.5 + u0 - u1) ** 2
+    kw, memory, reg = {}, None, None
+    if variant == "look_ahead":
+        kw["d"] = 0
+    elif variant == "incremental_input":
+        kw["T"] = 2
+        memory = np.array([0.7, -0.4])         # newest first: u_{-1}, u_{-2}
+    elif variant == "input_regularized":
+        reg = _ConstantFeedforward()
+    cfg = MpcConfig(variant=variant, N=3, Q=np.eye(1), R=0.25 * np.eye(1), **kw)
+    ocp = assemble(model, cfg, np.array([1.0]), np.zeros(0), memory=memory, regulator=reg)
+    for u0, u1, u2 in ((0.0, 0.0, 0.0), (1.0, 1.5, -0.5), (-0.3, 0.8, 0.2), (2.0, -1.0, 3.0)):
+        J, _ = ocp.cost(np.array([[u0], [u1], [u2]]))
+        x2 = 0.25 + 0.5 * u0 + u1
+        y = (1.0 - u0, 0.5 + u0 - u1, x2 - u2, 0.5 * x2)
+        want = y[0] ** 2 + y[1] ** 2 + y[2] ** 2
+        if variant == "look_ahead":         # y_{k+1} for k = 0, 1, 2
+            want += y[1] ** 2 + y[2] ** 2 + y[3] ** 2
+        elif variant == "incremental_input":  # u_k - u_{k-2}: two history terms, one decision
+            want += 0.25 * ((u0 + 0.4) ** 2 + (u1 - 0.7) ** 2 + (u2 - u0) ** 2)
+        elif variant == "input_regularized":
+            want += 0.25 * ((u0 - 0.3) ** 2 + (u1 - 0.3) ** 2 + (u2 - 0.3) ** 2)
         assert J == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_residuals_match_dense_reference(rng, variant):
+    """On a linear model r(u) = A vec(u) - b and J_r = A, with A, b from dense_matrices."""
+    sys = random_linear(rng, n=3, m=2, q=2, T=2)
+    kw, memory, reg = {}, None, None
+    if variant == "look_ahead":
+        kw["d"] = 1
+    elif variant == "incremental_input":
+        kw["T"] = 2
+        memory = rng.normal(size=4)
+    elif variant == "input_regularized":
+        reg = solve_regulator(sys)
+    cfg = MpcConfig(variant=variant, N=4, Q=np.diag([1.0, 0.5]), R=np.diag([0.3, 2.0]), **kw)
+    ocp = assemble(sys.to_system_model(), cfg, rng.normal(size=3), rng.normal(size=2),
+                   memory=memory, regulator=reg)
+    A, b = ocp.dense_matrices()
+    u = rng.normal(size=(4, 2))
+    r, Jr, _ = ocp.residuals(u)
+    assert np.allclose(Jr, A, rtol=1e-12, atol=1e-12)
+    assert np.allclose(r, A @ u.ravel() - b, rtol=1e-12, atol=1e-12)
 
 
 def test_output_only_gradient_matches_hand_expansion():
@@ -136,8 +182,8 @@ def dense_lstsq_oracle(ocp):
 
 
 def test_iterative_solver_matches_dense_oracle(rng):
-    """Gauss-Newton path (dense bypass off) vs the stacked least-squares oracle."""
-    settings = SolverSettings(dense_bypass=False, gradient_tolerance=1e-10)
+    """Gauss-Newton solve vs the stacked least-squares oracle."""
+    settings = SolverSettings(gradient_tolerance=1e-10)
     for _ in range(12):
         n = int(rng.integers(1, 4))
         m = int(rng.integers(1, 3))
