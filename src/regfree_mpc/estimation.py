@@ -79,17 +79,11 @@ def ekf_jacobians(model: SystemModel, xhat, u):
 
 def check_joint_detectability(model: SystemModel):
     """For linear models, gate observer construction on joint PBH detectability."""
-    lin = model.linear
-    if lin is None:
+    if model.linear is None:
         return True
     from .linear_analysis import pbh_detectable
-    n, q = lin.n_p, lin.q
-    Aj = np.zeros((n + q, n + q))
-    Aj[:n, :n] = lin.A
-    Aj[:n, n:] = lin.P_x
-    Aj[n:, n:] = lin.S
-    Cj = np.hstack([lin.C, -lin.P_y])
-    if not pbh_detectable(Aj, Cj):
+    F, H = ekf_jacobians(model, np.zeros(model.n_p + model.q), np.zeros(model.m))
+    if not pbh_detectable(F, H):
         raise DetectabilityError("joint (plant, exosystem) pair is not detectable")
     return True
 

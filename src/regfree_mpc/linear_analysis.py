@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .augmentation import augment_linear, cyclic_matrices
+from .augmentation import augment_linear
 from .errors import (DegenerateSystemError, DetectabilityError, DomainError,
                      NumericalError, ObservabilityError, ResonanceError,
                      ShapeError, StabilityError)
@@ -156,17 +156,13 @@ def pbh_stabilizable(A, B) -> bool:
 
 
 def augmented_pair(sys: LinearSystem, T: int):
-    """(A_a, C_a), PBH verdict, and the nonresonance-based prediction."""
+    """(A_a, C_a) of the T-memory augmentation, its PBH verdict and the nonresonance prediction."""
     if sys.m != sys.p:
         raise ShapeError("augmented-pair test needs a square system")
-    m = sys.m
-    E0, _, E2 = cyclic_matrices(m, T)
-    n, mT = sys.n_p, m * T
-    A_a = np.block([[sys.A, sys.B @ E2.T], [np.zeros((mT, n)), E0]])
-    C_a = np.block([[sys.C, sys.D @ E2.T], [np.zeros((sys.p, n)), np.zeros((sys.p, mT))]])
-    verdict = pbh_detectable(A_a, C_a)
+    aug = augment_linear(sys, T)
+    verdict = pbh_detectable(aug.A, aug.C)
     predicted = pbh_detectable(sys.A, sys.C) and nonresonance(sys, T).passed
-    return A_a, C_a, verdict, predicted
+    return aug.A, aug.C, verdict, predicted
 
 
 # ---------------------------------------------------------------------------
@@ -186,19 +182,27 @@ class QuadraticCertificate:
             raise DomainError(f"certificate matrix is not PSD (lambda_min = {lam_min})")
 
 
-def dare(A, B, Q, R, S=None, tol=1e-12, max_iter=100_000):
+_DARE_TOL = 1e-12
+_DARE_MAX_ITER = 100_000
+
+
+def dare(A, B, Q, R, S=None):
     """Stabilizing DARE solution by fixed-point iteration of the recursion.
 
     With the cross term S: P = Q + A'PA - (A'PB + S)(R + B'PB)^-1 (B'PA + S').
+    A pair (A, B) that is not stabilizable has no stabilizing solution and is
+    rejected before the recursion, which would otherwise grow without bound.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     R = np.atleast_2d(np.asarray(R, dtype=float))
+    if not pbh_stabilizable(A, B):
+        raise NumericalError("(A, B) is not stabilizable: no stabilizing Riccati solution")
     n, m = B.shape
     S = np.zeros((n, m)) if S is None else np.atleast_2d(np.asarray(S, dtype=float))
     P = Q.copy()
-    for _ in range(max_iter):
+    for _ in range(_DARE_MAX_ITER):
         G = R + B.T @ P @ B
         try:
             K = -np.linalg.solve(G, B.T @ P @ A + S.T)
@@ -208,15 +212,15 @@ def dare(A, B, Q, R, S=None, tol=1e-12, max_iter=100_000):
         P_next = 0.5 * (P_next + P_next.T)
         if not np.all(np.isfinite(P_next)):
             raise NumericalError("Riccati recursion diverged")
-        if np.max(np.abs(P_next - P)) <= tol * max(1.0, float(np.max(np.abs(P_next)))):
+        if np.max(np.abs(P_next - P)) <= _DARE_TOL * max(1.0, float(np.max(np.abs(P_next)))):
             return QuadraticCertificate(P=P_next, role="stabilizability_metric")
         P = P_next
-    raise NumericalError(f"Riccati recursion did not converge in {max_iter} iterations")
+    raise NumericalError(f"Riccati recursion did not converge in {_DARE_MAX_ITER} iterations")
 
 
-def lqr_gain(A, B, Q, R, S=None, **kw):
+def lqr_gain(A, B, Q, R, S=None):
     """(K, P) with u = Kx minimizing the (cross-term) quadratic cost."""
-    cert = dare(A, B, Q, R, S=S, **kw)
+    cert = dare(A, B, Q, R, S=S)
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     n, m = B.shape
@@ -244,9 +248,8 @@ def sigma_metric_dare(sys: LinearSystem, Q, R) -> QuadraticCertificate:
     the metric against which the reported suboptimality constants are
     normalized.
     """
-    Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    R = np.atleast_2d(np.asarray(R, dtype=float))
-    return dare(sys.A, sys.B, sys.C.T @ Q @ sys.C, R + sys.D.T @ Q @ sys.D)
+    Mxx, _, Muu = stage_cost_forms(sys, Q, R)
+    return dare(sys.A, sys.B, Mxx, Muu)
 
 
 def gen_eig_range(M, P):
@@ -340,10 +343,8 @@ def smallest_observability_window(sys: LinearSystem, Q, R,
 @dataclass(frozen=True)
 class BoundsReport:
     gamma_s: float
-    gamma_o: float
     epsilon_o: float
     gamma_Ybar: float
-    Ybar: float
     alpha_N: float
     N_1: float
     nu: Optional[int] = None
@@ -362,14 +363,14 @@ def alpha_s_of_horizon(gamma_s, gamma_Ybar_s, epsilon_o, c_o, nu, N):
     return 1.0 - (gamma_Ybar_s * gamma_s * c_o / epsilon_o) * (g / (g + 1.0)) ** N_nu
 
 
-def horizon_bounds(gamma_s, gamma_Ybar, epsilon_o, N, nu=None, c_o=None,
-                   gamma_o=0.0, Ybar=math.inf, delta_s=math.inf) -> BoundsReport:
+def horizon_bounds(gamma_s, gamma_Ybar, epsilon_o, N, nu=None, c_o=None) -> BoundsReport:
     """Suboptimality index and stabilizing-horizon thresholds.
 
     alpha_N = 1 - gamma_s gamma_Ybar / (eps_o^2 (N-1)) and
     N_1 = 1 + gamma_s gamma_Ybar / eps_o^2.  With an observability window
     (nu, c_o) the exponential variant alpha_{N,s} and its threshold
-    N_{Ybar,s} are added; the threshold is rounded outward so that every
+    N_{Ybar,s} are added, for an unbounded level set Ybar, where
+    gamma_{Ybar,s} = gamma_s.  The threshold is rounded outward so that every
     integer N above it has alpha_{N,s} > 0 despite the floor in N_nu.
     """
     if N <= 1:
@@ -383,18 +384,13 @@ def horizon_bounds(gamma_s, gamma_Ybar, epsilon_o, N, nu=None, c_o=None,
     if nu is not None and c_o is not None:
         if nu < 1 or c_o <= 0.0:
             raise DomainError("nu must be >= 1 and c_o positive")
-        ratio = Ybar / delta_s if math.isfinite(Ybar) and math.isfinite(delta_s) else 0.0
-        gamma_Ybar_s = max(gamma_s, ratio)
-        alpha_Ns = alpha_s_of_horizon(gamma_s, gamma_Ybar_s, epsilon_o, c_o, nu, N)
-        g = gamma_Ybar_s * c_o
-        terms = [math.log(gamma_Ybar_s * gamma_s * c_o / epsilon_o)]
-        if math.isfinite(Ybar) and math.isfinite(delta_s):
-            terms.append(math.log(c_o * Ybar / delta_s))
-        theta = max(terms) / (math.log(g + 1.0) - math.log(g))
+        alpha_Ns = alpha_s_of_horizon(gamma_s, gamma_s, epsilon_o, c_o, nu, N)
+        g = gamma_s * c_o
+        theta = math.log(gamma_s * gamma_s * c_o / epsilon_o) / (math.log(g + 1.0) - math.log(g))
         # floored N_nu needs N_nu >= floor(theta)+1, i.e. N >= nu*(floor(theta)+2)
         N_Ybar_s = nu * (math.floor(theta) + 1) + nu - 1 if theta >= 0.0 else 2 * nu - 1
-    return BoundsReport(gamma_s=gamma_s, gamma_o=gamma_o, epsilon_o=epsilon_o,
-                        gamma_Ybar=gamma_Ybar, Ybar=Ybar, alpha_N=alpha_N, N_1=N_1,
+    return BoundsReport(gamma_s=gamma_s, epsilon_o=epsilon_o,
+                        gamma_Ybar=gamma_Ybar, alpha_N=alpha_N, N_1=N_1,
                         nu=nu, c_o=c_o, alpha_Ns=alpha_Ns, N_Ybar_s=N_Ybar_s)
 
 

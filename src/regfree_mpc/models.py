@@ -35,7 +35,6 @@ class SimNoiseSpec:
     distribution: str = "none"          # "none" | "uniform"
     lo: Optional[Array] = None          # per-coordinate lower bounds
     hi: Optional[Array] = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.distribution not in ("none", "uniform"):

@@ -74,10 +74,14 @@ class OcpSolution:
 
 
 class Ocp:
-    """One horizon instance: frozen initial state, precomputed w trajectory."""
+    """One horizon instance: frozen initial state, precomputed w trajectory.
+
+    incremental_input needs the newest-first input `memory`; input_regularized
+    needs a `regulator` whose pi_u(w) is evaluated along the w trajectory.
+    """
 
     def __init__(self, model: SystemModel, config: MpcConfig, x0, w0,
-                 history=None, u_ref_traj=None):
+                 memory=None, regulator=None):
         self.model = model
         self.config = config
         self.x0 = np.asarray(x0, dtype=float).reshape(model.n_p)
@@ -91,24 +95,19 @@ class Ocp:
         for _ in range(self.H):
             ws.append(np.asarray(model.s(ws[-1]), dtype=float))
         self.w_traj = ws
+        self.history = self.u_ref = None
         if config.variant == "incremental_input":
-            T = config.T
-            if history is None:
-                raise ConfigError("incremental_input needs the applied-input history")
-            hist = [np.asarray(h, dtype=float).reshape(model.m) for h in history]
-            if len(hist) != T:
-                raise ConfigError(f"history must hold exactly T = {T} inputs")
-            self.history = hist            # oldest first: u_{t-T}, ..., u_{t-1}
-        else:
-            self.history = None
+            if memory is None:
+                raise ConfigError("incremental_input needs the memory of applied inputs")
+            xi = np.asarray(memory, dtype=float)
+            if xi.size != config.T * model.m:
+                raise ConfigError(f"memory must hold exactly T = {config.T} inputs")
+            self.history = xi.reshape(config.T, model.m)[::-1]   # u_{t-T}, ..., u_{t-1}
         if config.variant == "input_regularized":
-            if u_ref_traj is None:
-                raise ConfigError("input_regularized needs the feedforward pi_u(w) along the horizon")
-            self.u_ref = [np.asarray(v, dtype=float).reshape(model.m) for v in u_ref_traj]
-            if len(self.u_ref) < self.N:
-                raise ConfigError("feedforward trajectory shorter than the horizon")
-        else:
-            self.u_ref = None
+            if regulator is None:
+                raise ConfigError("input_regularized needs a regulator solution for pi_u")
+            self.u_ref = [np.atleast_1d(regulator.pi_u(w)).reshape(model.m)
+                          for w in self.w_traj[:self.N]]
         self.lo = model.input_lo
         self.hi = model.input_hi
         self._sw = np.sqrt(self._output_weights())
@@ -259,24 +258,15 @@ def _psd_sqrt(M):
 
 def assemble(model, config, current_state, current_w, memory=None, regulator=None) -> Ocp:
     """Build one OCP instance; the w trajectory is predicted up front."""
-    history = None
-    if config.variant == "incremental_input":
-        if memory is None:
-            raise ConfigError("incremental_input needs the memory of applied inputs")
-        xi = np.asarray(memory, dtype=float)
-        T, m = config.T, model.m
-        # memory is newest-first; the OCP wants history oldest-first
-        history = [xi[(T - 1 - j) * m:(T - j) * m] for j in range(T)]
-    u_ref_traj = None
-    if config.variant == "input_regularized":
-        if regulator is None:
-            raise ConfigError("input_regularized needs a regulator solution for pi_u")
-        w = np.asarray(current_w, dtype=float)
-        u_ref_traj = []
-        for _ in range(config.N):
-            u_ref_traj.append(np.atleast_1d(regulator.pi_u(w)))
-            w = np.asarray(model.s(w), dtype=float)
-    return Ocp(model, config, current_state, current_w, history=history, u_ref_traj=u_ref_traj)
+    return Ocp(model, config, current_state, current_w, memory=memory, regulator=regulator)
+
+
+def _box_centre(lo, hi):
+    """Centre of the input box, 0 on every coordinate with an infinite bound."""
+    mid = np.zeros_like(lo)
+    finite = np.isfinite(lo) & np.isfinite(hi)
+    mid[finite] = 0.5 * (lo[finite] + hi[finite])
+    return mid
 
 
 # ---------------------------------------------------------------------------
@@ -301,12 +291,7 @@ def solve(ocp: Ocp, warm_start=None) -> OcpSolution:
     hi = np.tile(ocp.hi, N)
 
     if warm_start is None:
-        if ocp.model.constrained:
-            mid = np.where(np.isfinite(ocp.lo) & np.isfinite(ocp.hi),
-                           0.5 * (ocp.lo + ocp.hi), 0.0)
-            u0 = np.tile(mid, (N, 1))
-        else:
-            u0 = np.zeros((N, m))
+        u0 = np.tile(_box_centre(ocp.lo, ocp.hi), (N, 1))
     else:
         u0 = np.asarray(warm_start, dtype=float).reshape(N, m)
 
@@ -321,7 +306,7 @@ def solve(ocp: Ocp, warm_start=None) -> OcpSolution:
         stat = _stationarity(u, g, lo, hi)
         if (it > 0 and stat <= settings.gradient_tolerance) or it >= settings.max_iterations:
             break
-        d = _projected_newton_direction(u, g, 2.0 * Jr.T @ Jr, lo, hi)
+        d = _projected_newton_direction(u, g, 2.0 * Jr.T @ Jr, lo, hi, stat)
         t = settings.armijo_initial_step
         for _ in range(60):
             un = np.clip(u + t * d, lo, hi)
@@ -342,9 +327,9 @@ def solve(ocp: Ocp, warm_start=None) -> OcpSolution:
                        kkt_residual=stat)
 
 
-def _projected_newton_direction(u, g, H, lo, hi):
+def _projected_newton_direction(u, g, H, lo, hi, stat):
     """Two-metric projection: Newton on the free set, gradient on the active set."""
-    eps_a = min(1e-6, max(1e-12, _stationarity(u, g, lo, hi)))
+    eps_a = min(1e-6, max(1e-12, stat))
     at_lo = (u - lo <= eps_a) & (g > 0)
     at_hi = (hi - u <= eps_a) & (g < 0)
     act = at_lo | at_hi
@@ -356,9 +341,10 @@ def _projected_newton_direction(u, g, H, lo, hi):
         lam = 0.0
         trace = max(1.0, float(np.trace(Hff)) / Hff.shape[0])
         for _ in range(12):
+            Hreg = Hff + lam * np.eye(Hff.shape[0])
             try:
-                L = np.linalg.cholesky(Hff + lam * np.eye(Hff.shape[0]))
-                df = -np.linalg.solve(Hff + lam * np.eye(Hff.shape[0]), gf)
+                np.linalg.cholesky(Hreg)   # raises unless Hreg is positive definite
+                df = -np.linalg.solve(Hreg, gf)
                 if df @ gf < 0.0:
                     d[free] = df
                     break
@@ -407,10 +393,7 @@ class MpcController:
     def _cold_input(self):
         if self._last_u is not None:
             return self._last_u
-        if self.model.constrained:
-            return np.where(np.isfinite(self.model.input_lo) & np.isfinite(self.model.input_hi),
-                            0.5 * (self.model.input_lo + self.model.input_hi), 0.0)
-        return np.zeros(self.model.m)
+        return _box_centre(self.model.input_lo, self.model.input_hi)
 
     def step(self, x_p, w):
         """Solve from the measured or estimated state and apply the first input."""

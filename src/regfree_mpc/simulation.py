@@ -142,7 +142,6 @@ def run(spec: ScenarioSpec) -> SimTrace:
 
     x = spec.x0.copy()
     w = spec.w0.copy()
-    failed_at = None
     for t in range(K):
         if observing:
             XH[t] = obs_state.xhat
@@ -152,8 +151,6 @@ def run(spec: ScenarioSpec) -> SimTrace:
         if MEM is not None:
             MEM[t] = controller.memory
         u, diag = controller.step(x_ctrl, w_ctrl)
-        if diag.failed:
-            failed_at = t
         lo_ok = np.all(u >= model.input_lo - 1e-12) and np.all(u <= model.input_hi + 1e-12)
         if not lo_ok:
             raise NumericalError(f"applied input {u} violates the box at t={t}")
@@ -167,20 +164,17 @@ def run(spec: ScenarioSpec) -> SimTrace:
             eta = spec.noise.sample(rng, p)
             ETA[t] = eta
             obs_state = observer_step(obs_state, u, y + eta, model, spec.observer)
-        if failed_at is not None:
-            # truncate after recording the failure step
-            sl = slice(0, t + 1)
-            return SimTrace(x=X[sl], w=W[sl], u=U[sl], y=Y[sl],
-                            xhat=XH[sl] if observing else None,
-                            eta=ETA[sl] if observing else None,
-                            value=V[sl], sigma=SIG[sl], iterations=IT[sl],
-                            converged=CV[sl],
-                            memory=MEM[sl] if MEM is not None else None,
-                            failed_at=failed_at)
+        if diag.failed:
+            break   # the trace ends with the failure step
         x = model.step(x, u, w)
         w = np.atleast_1d(model.s(w))
-    return SimTrace(x=X, w=W, u=U, y=Y, xhat=XH, eta=ETA, value=V, sigma=SIG,
-                    iterations=IT, converged=CV, memory=MEM, failed_at=None)
+
+    def cut(a):
+        return None if a is None else a[:t + 1]
+
+    return SimTrace(x=cut(X), w=cut(W), u=cut(U), y=cut(Y), xhat=cut(XH), eta=cut(ETA),
+                    value=cut(V), sigma=cut(SIG), iterations=cut(IT), converged=cut(CV),
+                    memory=cut(MEM), failed_at=t if diag.failed else None)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import linalg as sla
@@ -5,8 +7,8 @@ from scipy import linalg as sla
 from conftest import random_linear
 from regfree_mpc.augmentation import augment_linear
 from regfree_mpc.errors import (DegenerateSystemError, DetectabilityError,
-                                DomainError, ResonanceError, ShapeError,
-                                StabilityError)
+                                DomainError, NumericalError, ResonanceError,
+                                ShapeError, StabilityError)
 from regfree_mpc.linear_analysis import (alpha_s_of_horizon, augmented_pair,
                                          classical_regulator_feedback, dare,
                                          epsilon_o_generalized_eig,
@@ -117,7 +119,7 @@ def test_pbh_examples():
 
 def test_augmented_pair_academic():
     A_a, C_a, verdict, predicted = augmented_pair(academic_example().linear, T=1)
-    assert A_a.shape == (2, 2) and C_a.shape == (2, 2)
+    assert A_a.shape == (2, 2) and C_a.shape == (1, 2)   # (p, n + m*T)
     assert verdict and predicted
 
 
@@ -163,6 +165,15 @@ def test_dare_trivial_cases():
     # no usable control: Lyapunov limit 1/(1 - 0.25)
     P = dare([[0.5]], [[0.0]], [[1.0]], [[1.0]]).P
     assert np.allclose(P, [[4.0 / 3.0]], rtol=1e-10)
+
+
+def test_dare_rejects_unstabilizable_pair_at_once():
+    """No stabilizing solution exists: raise before the recursion grows or overflows."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for A in ([[1.0]], [[2.0]]):
+            with pytest.raises(NumericalError):
+                dare(A, [[0.0]], [[1.0]], [[1.0]])
 
 
 def test_dare_matches_scipy_oracle(rng):

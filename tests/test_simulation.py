@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from regfree_mpc import config as cfg
-from regfree_mpc.errors import ConfigError
+from regfree_mpc.errors import ConfigError, NumericalError
 from regfree_mpc.linear_analysis import solve_regulator
 from regfree_mpc.models import academic_example, cement_mill, cement_mill_regulator
 from regfree_mpc.mpc import MpcConfig
@@ -179,6 +179,32 @@ def test_trace_csv_roundtrip_format(tmp_path):
     # values reparse to the stored doubles exactly (17 significant digits)
     first = lines[1].split(",")
     assert float(first[1]) == trace.x[0, 0]
+
+
+def test_failed_solve_ends_the_trace(monkeypatch, tmp_path):
+    """A solve that raises on its k-th call ends the trace with step k recorded."""
+    from regfree_mpc import mpc
+    k, calls, real_solve = 3, [], mpc.solve
+
+    def failing_solve(ocp, warm_start=None):
+        calls.append(ocp)
+        if len(calls) == k + 1:
+            raise NumericalError("injected solver failure")
+        return real_solve(ocp, warm_start=warm_start)
+
+    monkeypatch.setattr(mpc, "solve", failing_solve)
+    trace = run(cfg.parse_config(cfg.read_config_file("cement_mill_error_feedback")))
+    assert trace.failed_at == k and trace.steps == k + 1
+    for arr in (trace.w, trace.u, trace.y, trace.xhat, trace.eta, trace.value,
+                trace.sigma, trace.iterations, trace.converged, trace.memory):
+        assert len(arr) == k + 1
+    # the failed step repeats the last input and reports no value
+    assert np.array_equal(trace.u[k], trace.u[k - 1])
+    assert np.isnan(trace.value[k]) and not trace.converged[k]
+    path = tmp_path / "trace.csv"
+    trace.write_csv(path)
+    rows = path.read_text().splitlines()[1:]
+    assert len(rows) == k + 1 and rows[-1].startswith(f"{k},")
 
 
 def test_error_feedback_trace_has_estimates():
