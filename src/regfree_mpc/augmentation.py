@@ -7,12 +7,10 @@ permutation driving the memory, E1 injects the increment and E2 reads the
 oldest block back out.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .models import LinearSystem, SystemModel
+from .models import LinearSystem
 
 
 def cyclic_matrices(m, T):
@@ -29,82 +27,6 @@ def cyclic_matrices(m, T):
     E2 = np.zeros((mT, m))
     E2[(T - 1) * m:, :] = np.eye(m)
     return E0, E1, E2
-
-
-@dataclass(frozen=True)
-class AugmentedPlant:
-    base: SystemModel
-    T: int
-    E0: np.ndarray
-    E1: np.ndarray
-    E2: np.ndarray
-
-    @property
-    def m(self):
-        return self.base.m
-
-    def split(self, x_ap):
-        n = self.base.n_p
-        return x_ap[:n], x_ap[n:]
-
-    def join(self, x_p, xi):
-        return np.concatenate([np.asarray(x_p, float), np.asarray(xi, float)])
-
-    def input_of(self, xi, u_a):
-        return self.E2.T @ xi + u_a
-
-    def f_ap(self, x_ap, u_a, w):
-        x_p, xi = self.split(x_ap)
-        u = self.input_of(xi, u_a)
-        return np.concatenate([self.base.f_p(x_p, u, w), self.E0 @ xi + self.E1 @ u_a])
-
-    def h_a(self, x_ap, u_a, w):
-        x_p, xi = self.split(x_ap)
-        return self.base.h(x_p, self.input_of(xi, u_a), w)
-
-    def as_system_model(self):
-        """The augmented plant as a SystemModel with unconstrained input."""
-        base = self.base
-        n, m, mT = base.n_p, base.m, base.m * self.T
-        E0, E1, E2 = self.E0, self.E1, self.E2
-
-        jac_f = None
-        if base.jac_f is not None:
-            def jac_f(x_ap, u_a, w):
-                x_p, xi = self.split(x_ap)
-                u = self.input_of(xi, u_a)
-                Fx, Fu, Fw = base.jac_f(x_p, u, w)
-                Fxa = np.block([[Fx, Fu @ E2.T], [np.zeros((mT, n)), E0]])
-                Fua = np.vstack([Fu, E1])
-                Fwa = np.vstack([Fw, np.zeros((mT, base.q))])
-                return Fxa, Fua, Fwa
-
-        jac_h = None
-        if base.jac_h is not None:
-            def jac_h(x_ap, u_a, w):
-                x_p, xi = self.split(x_ap)
-                u = self.input_of(xi, u_a)
-                Hx, Hu, Hw = base.jac_h(x_p, u, w)
-                return np.hstack([Hx, Hu @ E2.T]), Hu, Hw
-
-        linear = None
-        if base.linear is not None:
-            linear = augment_linear(base.linear, self.T)
-
-        return SystemModel(
-            n_p=n + mT, m=m, q=base.q, p=base.p,
-            f_p=self.f_ap, s=base.s, h=self.h_a,
-            jac_f=jac_f, jac_h=jac_h, jac_s=base.jac_s,
-            linear=linear, name=f"{base.name}+mem{self.T}",
-        )
-
-
-def build(base, T):
-    """Augment a SystemModel with a T-step input memory."""
-    if T < 1:
-        raise DomainError("period T must be >= 1")
-    E0, E1, E2 = cyclic_matrices(base.m, T)
-    return AugmentedPlant(base=base, T=int(T), E0=E0, E1=E1, E2=E2)
 
 
 def augment_linear(sys: LinearSystem, T: int) -> LinearSystem:

@@ -4,13 +4,11 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import config as cfg
 from .errors import ConfigError, RegfreeMpcError
 from .linear_analysis import analyze_linear
 from .models import resolve_model
-from .mpc import assemble, solve
+from .mpc import MpcController, assemble, solve
 from .simulation import atomic_write, metrics, run
 
 
@@ -81,10 +79,7 @@ def cmd_solve(args):
     spec = cfg.parse_config(cfg.read_config_file(args.config), seed_override=_resolve_seed(args.seed))
     if isinstance(spec, cfg.AnalysisSpec):
         raise ConfigError("solve needs a scenario config with a [sim] section")
-    memory = None
-    if spec.mpc.variant == "incremental_input":
-        u0 = spec.u_init if spec.u_init is not None else np.zeros(spec.model.m)
-        memory = np.tile(spec.model.clip_input(np.asarray(u0, dtype=float)), spec.mpc.T)
+    memory = MpcController(spec.model, spec.mpc, initial_input=spec.u_init).memory
     ocp = assemble(spec.model, spec.mpc, spec.x0, spec.w0,
                    memory=memory, regulator=spec.regulator)
     sol = solve(ocp)

@@ -6,7 +6,7 @@ stay diff-auditable.
 """
 
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,7 @@ _SCHEMA = {
     "model": {"name": "str"},
     "mpc": {
         "variant": "str", "N": "int", "Q": "vec", "R": "vec", "d": "int", "T": "int",
-        **{f.name: f.type.__name__ for f in fields(SolverSettings)},
+        "gradient_tolerance": "float",
     },
     "observer": {
         "kind": "str", "xhat0": "vec", "L": "vec", "sigma0": "float",
@@ -43,12 +43,6 @@ def _parse_value(kind, raw, line):
             return int(raw)
         if kind == "float":
             return float(raw)
-        if kind == "bool":
-            if raw.lower() in ("1", "true", "yes", "on"):
-                return True
-            if raw.lower() in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
         if kind == "vec":
             return np.array([float(tok) for tok in raw.split()], dtype=float)
     except ValueError as exc:
@@ -117,9 +111,8 @@ class AnalysisSpec:
 
 def build_mpc_config(sections) -> MpcConfig:
     variant = _need(sections, "mpc", "variant")
-    given = sections.get("mpc", {})
-    solver = SolverSettings(**{f.name: given[f.name][0] for f in fields(SolverSettings)
-                               if f.name in given})
+    tol = _opt(sections, "mpc", "gradient_tolerance")
+    solver = SolverSettings() if tol is None else SolverSettings(gradient_tolerance=tol)
     return MpcConfig(
         variant=variant,
         N=_need(sections, "mpc", "N"),
@@ -227,8 +220,6 @@ def parse_config(text, seed_override=None):
 # rendering (presets are written in exactly this canonical form)
 
 def _fmt(v):
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, float):
         return repr(v)
     if isinstance(v, (int, np.integer)):
@@ -249,12 +240,8 @@ def render_scenario(spec: ScenarioSpec) -> str:
         lines.append(f"d = {cfg.d}")
     if cfg.T is not None:
         lines.append(f"T = {cfg.T}")
-    s = cfg.solver
-    defaults = SolverSettings()
-    for f in fields(SolverSettings):
-        val = getattr(s, f.name)
-        if val != getattr(defaults, f.name):
-            lines.append(f"{f.name} = {_fmt(val)}")
+    if cfg.solver != SolverSettings():
+        lines.append(f"gradient_tolerance = {_fmt(cfg.solver.gradient_tolerance)}")
     if spec.observer is not None:
         lines += ["", "[observer]"]
         ob = spec.observer

@@ -156,13 +156,13 @@ def pbh_stabilizable(A, B) -> bool:
 
 
 def augmented_pair(sys: LinearSystem, T: int):
-    """(A_a, C_a) of the T-memory augmentation, its PBH verdict and the nonresonance prediction."""
+    """The T-memory augmented system, its PBH detectability verdict and the nonresonance prediction."""
     if sys.m != sys.p:
         raise ShapeError("augmented-pair test needs a square system")
     aug = augment_linear(sys, T)
     verdict = pbh_detectable(aug.A, aug.C)
     predicted = pbh_detectable(sys.A, sys.C) and nonresonance(sys, T).passed
-    return aug.A, aug.C, verdict, predicted
+    return aug, verdict, predicted
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +171,6 @@ def augmented_pair(sys: LinearSystem, T: int):
 @dataclass(frozen=True)
 class QuadraticCertificate:
     P: Array
-    role: str   # detectability_W | stabilizability_metric | ioss
 
     def __post_init__(self):
         P = np.atleast_2d(np.asarray(self.P, dtype=float))
@@ -213,7 +212,7 @@ def dare(A, B, Q, R, S=None):
         if not np.all(np.isfinite(P_next)):
             raise NumericalError("Riccati recursion diverged")
         if np.max(np.abs(P_next - P)) <= _DARE_TOL * max(1.0, float(np.max(np.abs(P_next)))):
-            return QuadraticCertificate(P=P_next, role="stabilizability_metric")
+            return QuadraticCertificate(P=P_next)
         P = P_next
     raise NumericalError(f"Riccati recursion did not converge in {_DARE_MAX_ITER} iterations")
 
@@ -470,7 +469,7 @@ def linear_ioss_certificate(A, C, B=None, D=None):
     c_o2 = boost * float(np.linalg.eigvalsh(L.T @ P @ L)[-1])
     BLD = B - L @ D
     c_o1 = boost * float(np.linalg.eigvalsh(BLD.T @ P @ BLD)[-1])
-    return QuadraticCertificate(P=P, role="ioss"), rho_o, c_o1, c_o2
+    return QuadraticCertificate(P=P), rho_o, c_o1, c_o2
 
 
 class RegulatorFeedback:
@@ -526,8 +525,7 @@ def analyze_linear(sys: LinearSystem, T: int, N: int, Q, R,
     det = pbh_detectable(sys.A, sys.C)
     stab = pbh_stabilizable(sys.A, sys.B)
     nonres = nonresonance(sys, T)
-    _, _, verdict, predicted = augmented_pair(sys, T)
-    aug = augment_linear(sys, T)
+    aug, verdict, predicted = augmented_pair(sys, T)
     sigma_metric = sigma_metric_dare(aug, Q, R)
     eps_o = epsilon_o_generalized_eig(aug, Q, R, sigma_metric)
     nu, c_o = smallest_observability_window(aug, Q, R, sigma_metric)

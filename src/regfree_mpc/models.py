@@ -87,10 +87,6 @@ class SystemModel:
         object.__setattr__(self, "input_lo", lo)
         object.__setattr__(self, "input_hi", hi)
 
-    @property
-    def constrained(self):
-        return bool(np.any(np.isfinite(self.input_lo)) or np.any(np.isfinite(self.input_hi)))
-
     def clip_input(self, u):
         return np.clip(u, self.input_lo, self.input_hi)
 

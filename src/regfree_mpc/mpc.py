@@ -18,19 +18,18 @@ from .models import SystemModel
 
 VARIANTS = ("input_regularized", "output_only", "look_ahead", "incremental_input")
 
+_MAX_ITERATIONS = 200
+_ARMIJO_SHRINK = 0.5
+_ARMIJO_SLOPE = 1e-4
+
 
 @dataclass(frozen=True)
 class SolverSettings:
-    max_iterations: int = 200
     gradient_tolerance: float = 1e-8
-    armijo_initial_step: float = 1.0
-    armijo_shrink: float = 0.5
-    armijo_slope: float = 1e-4
-    warm_start: bool = True
 
     def __post_init__(self):
-        if self.gradient_tolerance <= 0 or not (0 < self.armijo_shrink < 1):
-            raise DomainError("solver tolerances must be positive, shrink in (0,1)")
+        if self.gradient_tolerance <= 0:
+            raise DomainError("gradient_tolerance must be positive")
 
 
 @dataclass(frozen=True)
@@ -285,7 +284,7 @@ def solve(ocp: Ocp, warm_start=None) -> OcpSolution:
     only after the first step, so an unconstrained linear OCP returns its
     exact minimiser; `converged` is judged at the returned iterate.
     """
-    settings = ocp.config.solver
+    tol = ocp.config.solver.gradient_tolerance
     N, m = ocp.N, ocp.m
     lo = np.tile(ocp.lo, N)
     hi = np.tile(ocp.hi, N)
@@ -304,17 +303,17 @@ def solve(ocp: Ocp, warm_start=None) -> OcpSolution:
     while True:
         g = 2.0 * Jr.T @ r
         stat = _stationarity(u, g, lo, hi)
-        if (it > 0 and stat <= settings.gradient_tolerance) or it >= settings.max_iterations:
+        if (it > 0 and stat <= tol) or it >= _MAX_ITERATIONS:
             break
         d = _projected_newton_direction(u, g, 2.0 * Jr.T @ Jr, lo, hi, stat)
-        t = settings.armijo_initial_step
+        t = 1.0
         for _ in range(60):
             un = np.clip(u + t * d, lo, hi)
             Jn, xsn = ocp.cost(un)
             dec = float(g @ (u - un))
-            if Jn <= J - settings.armijo_slope * dec and Jn <= J + 1e-14 * max(1.0, abs(J)):
+            if Jn <= J - _ARMIJO_SLOPE * dec and Jn <= J + 1e-14 * max(1.0, abs(J)):
                 break
-            t *= settings.armijo_shrink
+            t *= _ARMIJO_SHRINK
         else:
             break
         if np.max(np.abs(un - u)) < 1e-16 * max(1.0, np.max(np.abs(u))):
@@ -323,7 +322,7 @@ def solve(ocp: Ocp, warm_start=None) -> OcpSolution:
         r, Jr, xs = ocp.residuals(u, xsn)
         it += 1
     return OcpSolution(u_opt=u.reshape(N, m), x_pred=np.array(xs[:N + 1]), value=J,
-                       iterations=it, converged=bool(stat <= settings.gradient_tolerance),
+                       iterations=it, converged=bool(stat <= tol),
                        kkt_residual=stat)
 
 
@@ -399,7 +398,7 @@ class MpcController:
         """Solve from the measured or estimated state and apply the first input."""
         ocp = assemble(self.model, self.config, x_p, w,
                        memory=self.memory, regulator=self.regulator)
-        warm = self._warm if self.config.solver.warm_start else None
+        warm = self._warm
         if warm is None:
             warm = np.tile(self._cold_input(), (self.config.N, 1))
         try:

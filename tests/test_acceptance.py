@@ -72,7 +72,7 @@ def test_acceptance_3_improved_bound(academic_analysis):
 
 def test_acceptance_4_non_minimum_phase_degeneracy():
     t0 = time.perf_counter()
-    spec = cfg.parse_config(open(cfg.preset_path("academic_output_only")).read())
+    spec = cfg.parse_config(cfg.read_config_file("academic_output_only"))
     trace = run(spec)
     assert np.max(np.abs(trace.y)) < 1e-9
     for t in range(trace.steps - 1):
@@ -85,7 +85,7 @@ def test_acceptance_4_non_minimum_phase_degeneracy():
 
 def test_acceptance_5_incremental_stabilization():
     t0 = time.perf_counter()
-    spec = cfg.parse_config(open(cfg.preset_path("academic_incremental")).read())
+    spec = cfg.parse_config(cfg.read_config_file("academic_incremental"))
     trace = run(spec)
     sig = trace.sigma
     assert all(b < a for a, b in zip(sig[1:-1], sig[2:]))
@@ -94,7 +94,7 @@ def test_acceptance_5_incremental_stabilization():
     model = academic_example()
     N = 12
     mpc12 = MpcConfig(variant="incremental_input", N=N, Q=np.eye(1), R=np.eye(1), T=1)
-    spec12 = cfg.parse_config(open(cfg.preset_path("academic_incremental")).read())
+    spec12 = cfg.parse_config(cfg.read_config_file("academic_incremental"))
     from regfree_mpc.simulation import ScenarioSpec
     spec12 = ScenarioSpec(model=model, mpc=mpc12, x0=[1.0], w0=np.zeros(0),
                           steps=40, regulator=spec12.regulator, u_init=[0.0])
@@ -172,7 +172,7 @@ def test_acceptance_7_augmented_detectability_equivalence(rng):
         T = int(rng.integers(1, 7))
         sys = random_linear(rng, n=n, m=m, q=0, T=1,
                             spectral=float(rng.uniform(0.3, 1.5)))
-        _, _, verdict, predicted = augmented_pair(sys, T)
+        _, verdict, predicted = augmented_pair(sys, T)
         assert verdict == predicted
         checked += 1
         if not verdict:
@@ -181,7 +181,7 @@ def test_acceptance_7_augmented_detectability_equivalence(rng):
     for lam, T in ((1.0, 1), (-1.0, 2)):
         sys = _doctored_zero_at(lam, rng)
         assert not nonresonance(sys, T).passed
-        _, _, verdict, predicted = augmented_pair(sys, T)
+        _, verdict, predicted = augmented_pair(sys, T)
         assert verdict == predicted == False
         checked += 1
         flipped += 1
@@ -189,7 +189,7 @@ def test_acceptance_7_augmented_detectability_equivalence(rng):
     for T in (1, 3):
         sys = _undetectable_system(rng)
         assert not pbh_detectable(sys.A, sys.C)
-        _, _, verdict, predicted = augmented_pair(sys, T)
+        _, verdict, predicted = augmented_pair(sys, T)
         assert verdict == predicted == False
         checked += 1
         flipped += 1
@@ -202,7 +202,7 @@ def test_acceptance_7_augmented_detectability_equivalence(rng):
 
 def test_acceptance_8_cement_mill_nominal():
     t0 = time.perf_counter()
-    spec = cfg.parse_config(open(cfg.preset_path("cement_mill_nominal")).read())
+    spec = cfg.parse_config(cfg.read_config_file("cement_mill_nominal"))
     trace = run(spec)
     assert np.all(trace.u >= spec.model.input_lo)
     assert np.all(trace.u <= spec.model.input_hi)
@@ -221,7 +221,7 @@ def test_acceptance_8_cement_mill_nominal():
 
 def test_acceptance_9_error_feedback_robustness():
     t0 = time.perf_counter()
-    text = open(cfg.preset_path("cement_mill_error_feedback")).read()
+    text = cfg.read_config_file("cement_mill_error_feedback")
     sups, ratios = [], []
     for seed in range(10):
         spec = cfg.parse_config(text, seed_override=seed)
@@ -292,7 +292,7 @@ def test_acceptance_10_solver_correctness(rng):
         worst_lq = max(worst_lq, dev)
         assert dev < 1e-6
     # (c) warm-start re-solve never increases the value
-    spec = cfg.parse_config(open(cfg.preset_path("cement_mill_nominal")).read())
+    spec = cfg.parse_config(cfg.read_config_file("cement_mill_nominal"))
     x = spec.x0.copy()
     w = spec.w0.copy()
     mem = np.array([115.0, 172.5])

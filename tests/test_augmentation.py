@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import random_linear
-from regfree_mpc.augmentation import (augment_linear, build, cyclic_matrices,
-                                      memory_reference, step_memory, wrap_memory)
+from regfree_mpc.augmentation import (augment_linear, cyclic_matrices, memory_reference,
+                                      step_memory, wrap_memory)
 from regfree_mpc.errors import DomainError, ShapeError
 from regfree_mpc.linear_analysis import solve_regulator
 from regfree_mpc.models import academic_example
@@ -43,7 +43,7 @@ def test_cyclic_identities():
 
 def test_build_rejects_bad_period():
     with pytest.raises(DomainError):
-        build(academic_example(), 0)
+        augment_linear(academic_example().linear, 0)
 
 
 def test_memory_window_semantics():
@@ -54,10 +54,10 @@ def test_memory_window_semantics():
 
 
 def test_memory_constant_input_zero_increment():
-    plant = build(academic_example(), T=1)
+    _, _, E2 = cyclic_matrices(1, 1)
     xi = wrap_memory([np.array([0.7])])
     u = np.array([0.7])
-    u_a = u - plant.E2.T @ xi
+    u_a = u - E2.T @ xi
     assert u_a == pytest.approx([0.0])
     assert np.array_equal(step_memory(xi, u, m=1), xi)
 
@@ -84,31 +84,32 @@ def test_memory_shape_errors():
 def test_periodic_input_gives_zero_increment(rng):
     """For a T-periodic input stream, u^a = u_t - u_{t-T} vanishes past warm-up."""
     m, T = 2, 3
-    plant = build(random_linear(rng, n=2, m=m, q=0).to_system_model(), T)
+    _, _, E2 = cyclic_matrices(m, T)
     pattern = [rng.normal(size=m) for _ in range(T)]
     xi = wrap_memory([pattern[(T - 1 - j) % T] for j in range(T)])
     for t in range(12):
         u = pattern[t % T]
-        u_a = u - plant.E2.T @ xi
+        u_a = u - E2.T @ xi
         assert np.allclose(u_a, 0.0, atol=1e-14)
         xi = step_memory(xi, u, m)
 
 
 def test_augmented_dynamics_match_blocks(rng):
-    sys = random_linear(rng, n=3, m=2, q=2, T=2)
-    model = sys.to_system_model()
-    plant = build(model, T=2)
-    aug_model = plant.as_system_model()
-    lin = augment_linear(sys, 2)
-    x = rng.normal(size=3)
-    xi = rng.normal(size=4)
-    u_a = rng.normal(size=2)
-    w = rng.normal(size=2)
-    xa = plant.join(x, xi)
-    assert np.allclose(aug_model.f_p(xa, u_a, w), lin.A @ xa + lin.B @ u_a + lin.P_x @ w)
-    assert np.allclose(aug_model.h(xa, u_a, w), lin.C @ xa + lin.D @ u_a - lin.P_y @ w)
-    Fx, Fu, Fw = aug_model.jacobians_f(xa, u_a, w)
-    assert np.allclose(Fx, lin.A) and np.allclose(Fu, lin.B) and np.allclose(Fw, lin.P_x)
+    """The augmented blocks act on [x; xi] as the plant plus the sliding window."""
+    m = 2
+    for T in (1, 2, 3):
+        sys = random_linear(rng, n=3, m=m, q=2, T=2)
+        lin = augment_linear(sys, T)
+        x = rng.normal(size=3)
+        xi = rng.normal(size=m * T)
+        u_a = rng.normal(size=m)
+        w = rng.normal(size=2)
+        u = xi[-m:] + u_a                    # E2^T xi reads the oldest input
+        xa = np.concatenate([x, xi])
+        want = np.concatenate([sys.A @ x + sys.B @ u + sys.P_x @ w, step_memory(xi, u, m)])
+        assert np.allclose(lin.A @ xa + lin.B @ u_a + lin.P_x @ w, want)
+        assert np.allclose(lin.C @ xa + lin.D @ u_a - lin.P_y @ w,
+                           sys.C @ x + sys.D @ u - sys.P_y @ w)
 
 
 def test_augmented_regulator_is_zero_increment(rng):
@@ -134,10 +135,8 @@ def incremental_value(model, T, N, x0, w0, history):
 
 
 def augmented_value(model, T, N, x0, w0, history):
-    plant = build(model, T)
-    aug = plant.as_system_model()
-    xi = wrap_memory(history[::-1])
-    x0a = plant.join(x0, xi)
+    aug = augment_linear(model.linear, T).to_system_model()
+    x0a = np.concatenate([x0, wrap_memory(history[::-1])])
     # stage cost ||y||_Q^2 + ||u^a||_R^2 is the input-regularized cost at zero
     zero_reg = RegulatorSolution(Pi=np.zeros((aug.n_p, model.q)),
                                  Gamma=np.zeros((model.m, model.q)))

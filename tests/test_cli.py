@@ -6,6 +6,7 @@ import pytest
 from regfree_mpc import config as cfg
 from regfree_mpc.cli import main
 from regfree_mpc.errors import ConfigError
+from regfree_mpc.simulation import run
 
 
 def parse_kv(text):
@@ -31,13 +32,13 @@ def test_presets_all_parse():
     names = cfg.list_presets()
     assert "cement_mill_error_feedback" in names
     for name in names:
-        text = open(cfg.preset_path(name)).read()
+        text = cfg.read_config_file(name)
         spec = cfg.parse_config(text)
         assert spec is not None
 
 
 def test_error_feedback_preset_settings():
-    spec = cfg.parse_config(open(cfg.preset_path("cement_mill_error_feedback")).read())
+    spec = cfg.parse_config(cfg.read_config_file("cement_mill_error_feedback"))
     assert spec.mpc.N == 6
     assert np.allclose(spec.mpc.Q, np.eye(2))
     assert np.allclose(spec.mpc.R, 1e-2 * np.eye(2))
@@ -56,7 +57,7 @@ def test_error_feedback_preset_settings():
 
 def test_roundtrip_render_parse_fixed_point():
     for name in cfg.list_presets():
-        text = open(cfg.preset_path(name)).read()
+        text = cfg.read_config_file(name)
         spec = cfg.parse_config(text)
         if isinstance(spec, cfg.AnalysisSpec):
             continue
@@ -69,11 +70,14 @@ def test_roundtrip_render_parse_fixed_point():
 
 
 def test_unknown_key_reports_line_number():
-    text = "[model]\nname = academic\nbogus = 3\n"
-    with pytest.raises(ConfigError) as err:
-        cfg.parse_sections(text)
-    assert "line 3" in str(err.value)
-    assert "bogus" in str(err.value)
+    # bogus keys and the retired solver knobs alike
+    for known, unknown in (("[model]\nname = academic", "bogus = 3"),
+                           ("[mpc]\nvariant = output_only", "armijo_shrink = 0.5"),
+                           ("[mpc]\nvariant = output_only", "warm_start = false")):
+        with pytest.raises(ConfigError) as err:
+            cfg.parse_sections(f"{known}\n{unknown}\n")
+        assert "line 3" in str(err.value)
+        assert repr(unknown.split(" = ")[0]) in str(err.value)
 
 
 def test_unknown_section_and_syntax_errors():
@@ -167,6 +171,18 @@ def test_cli_solve_reports_solution(capsys):
     assert float(kv["value"]) >= 0.0
     u0 = [float(tok) for tok in kv["u_0"].split()]
     assert 80.0 <= u0[0] <= 150.0 and 165.0 <= u0[1] <= 180.0
+
+
+def test_cli_solve_seeds_memory_like_the_controller(tmp_path, capsys):
+    """Without u_init, `solve` and the first closed-loop step solve the same OCP."""
+    text = "".join(line for line in cfg.read_config_file("cement_mill_nominal").splitlines(True)
+                   if not line.startswith("u_init"))
+    text = text.replace("steps = 300", "steps = 1")
+    path = tmp_path / "no_u_init.cfg"
+    path.write_text(text)
+    assert main(["solve", "--config", str(path)]) == 0
+    value = float(parse_kv(capsys.readouterr().out)["value"])
+    assert value == pytest.approx(run(cfg.parse_config(text)).value[0], rel=1e-11)
 
 
 def test_cli_seed_sweep(tmp_path, capsys):

@@ -118,8 +118,8 @@ def test_pbh_examples():
 
 
 def test_augmented_pair_academic():
-    A_a, C_a, verdict, predicted = augmented_pair(academic_example().linear, T=1)
-    assert A_a.shape == (2, 2) and C_a.shape == (1, 2)   # (p, n + m*T)
+    aug, verdict, predicted = augmented_pair(academic_example().linear, T=1)
+    assert aug.A.shape == (2, 2) and aug.C.shape == (1, 2)   # (p, n + m*T)
     assert verdict and predicted
 
 
@@ -138,7 +138,7 @@ def test_augmented_pair_flips_on_resonant_zero():
     sys = zero_at_one_system()
     rep = nonresonance(sys, T=1)
     assert not rep.passed
-    _, _, verdict, predicted = augmented_pair(sys, T=1)
+    _, verdict, predicted = augmented_pair(sys, T=1)
     assert not verdict and not predicted
 
 
@@ -151,7 +151,7 @@ def test_augmented_pair_equivalence_random(rng):
         T = int(rng.integers(1, 7))
         sys = random_linear(rng, n=n, m=m, q=0, T=1,
                             spectral=float(rng.uniform(0.3, 1.4)))
-        _, _, verdict, predicted = augmented_pair(sys, T)
+        _, verdict, predicted = augmented_pair(sys, T)
         assert verdict == predicted
         agree += 1
     assert agree == 120
@@ -249,7 +249,7 @@ def test_epsilon_o_sigma_matched_cost():
                        S=np.zeros((0, 0)))
     from regfree_mpc.linear_analysis import QuadraticCertificate
     eps = epsilon_o_generalized_eig(sys, np.eye(2), np.zeros((0, 0)),
-                                    QuadraticCertificate(P=P, role="stabilizability_metric"))
+                                    QuadraticCertificate(P=P))
     assert eps == pytest.approx(1.0, rel=1e-10)
 
 
@@ -259,7 +259,7 @@ def test_epsilon_o_homogeneity(academic_augmented):
     doubled = epsilon_o_generalized_eig(aug, 2.0 * Q, 2.0 * R, metric)
     assert doubled == pytest.approx(2.0 * base, rel=1e-10)
     from regfree_mpc.linear_analysis import QuadraticCertificate
-    half_metric = QuadraticCertificate(P=0.5 * metric.P, role=metric.role)
+    half_metric = QuadraticCertificate(P=0.5 * metric.P)
     assert epsilon_o_generalized_eig(aug, Q, R, half_metric) == pytest.approx(2.0 * base, rel=1e-10)
 
 
@@ -280,7 +280,7 @@ def test_observability_constant_pointwise_cost():
     sys = LinearSystem(A=A, B=B, C=C, D=[[0.0]], P_x=np.zeros((1, 0)),
                        P_y=np.zeros((1, 0)), S=np.zeros((0, 0)))
     from regfree_mpc.linear_analysis import QuadraticCertificate
-    metric = QuadraticCertificate(P=np.eye(1), role="stabilizability_metric")
+    metric = QuadraticCertificate(P=np.eye(1))
     c_o = observability_constant(sys, np.eye(1), np.eye(1), metric, nu=1)
     assert c_o <= 1.0 + 1e-12
 
@@ -290,7 +290,7 @@ def test_observability_constant_homogeneity(academic_augmented):
     from regfree_mpc.linear_analysis import QuadraticCertificate
     c1 = observability_constant(aug, Q, R, metric, nu=2)
     c2 = observability_constant(aug, Q, R,
-                                QuadraticCertificate(P=2.0 * metric.P, role=metric.role), nu=2)
+                                QuadraticCertificate(P=2.0 * metric.P), nu=2)
     assert c2 == pytest.approx(2.0 * c1, rel=1e-10)
 
 

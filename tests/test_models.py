@@ -78,7 +78,7 @@ def test_academic_dynamics_and_output():
     assert m.h(np.array([1.0]), np.array([1.0]), w) == pytest.approx([0.0])
     assert m.h(np.array([1.0]), np.array([0.0]), w) == pytest.approx([1.0])
     assert (m.n_p, m.m, m.q, m.p) == (1, 1, 0, 1)
-    assert not m.constrained
+    assert np.all(np.isneginf(m.input_lo)) and np.all(np.isposinf(m.input_hi))
 
 
 def test_mill_phi_values_and_clamp():

@@ -74,7 +74,7 @@ def test_manifold_invariance_all_variants():
 
 
 def test_determinism_bit_identical():
-    text = open(cfg.preset_path("cement_mill_error_feedback")).read()
+    text = cfg.read_config_file("cement_mill_error_feedback")
     spec1 = cfg.parse_config(text)
     spec2 = cfg.parse_config(text)
     t1 = run(spec1)
@@ -83,7 +83,7 @@ def test_determinism_bit_identical():
 
 
 def test_seed_changes_noise_not_structure():
-    text = open(cfg.preset_path("cement_mill_error_feedback")).read()
+    text = cfg.read_config_file("cement_mill_error_feedback")
     t1 = run(cfg.parse_config(text, seed_override=1))
     t2 = run(cfg.parse_config(text, seed_override=2))
     assert t1.to_csv() != t2.to_csv()
@@ -91,7 +91,7 @@ def test_seed_changes_noise_not_structure():
 
 
 def test_constraint_satisfaction_hard():
-    spec = cfg.parse_config(open(cfg.preset_path("cement_mill_nominal")).read())
+    spec = cfg.parse_config(cfg.read_config_file("cement_mill_nominal"))
     trace = run(spec)
     rep = metrics(trace, spec)
     assert rep.max_constraint_violation == 0.0
@@ -208,7 +208,7 @@ def test_failed_solve_ends_the_trace(monkeypatch, tmp_path):
 
 
 def test_error_feedback_trace_has_estimates():
-    spec = cfg.parse_config(open(cfg.preset_path("cement_mill_error_feedback")).read())
+    spec = cfg.parse_config(cfg.read_config_file("cement_mill_error_feedback"))
     trace = run(spec)
     assert trace.xhat is not None and trace.xhat.shape == (300, 5)
     assert trace.eta is not None
