@@ -6,7 +6,7 @@ stage costs, the periodic input-memory augmentation, linear-system
 certificates and horizon bounds, and observer-based noisy error feedback.
 """
 
-from .augmentation import augment_linear, cyclic_matrices, step_memory, wrap_memory
+from .augmentation import augment_linear, cyclic_matrices, step_memory
 from .errors import (ConfigError, DegenerateSystemError, DetectabilityError,
                      DomainError, NumericalError, ObservabilityError,
                      RegfreeMpcError, ResonanceError, ShapeError, StabilityError)

@@ -41,16 +41,6 @@ def augment_linear(sys: LinearSystem, T: int) -> LinearSystem:
     return LinearSystem(A=A_a, B=B_a, C=C_a, D=sys.D, P_x=P_xa, P_y=sys.P_y, S=sys.S)
 
 
-def wrap_memory(u_history, m=None):
-    """Pack the last T applied inputs, newest first, into the memory vector."""
-    hist = [np.atleast_1d(np.asarray(u, dtype=float)) for u in u_history]
-    if not hist:
-        raise ShapeError("memory history must contain at least one input")
-    if m is not None and hist[0].size != m:
-        raise ShapeError(f"history entries have dimension {hist[0].size}, expected {m}")
-    return np.concatenate(hist)
-
-
 def step_memory(xi, u_applied, m):
     """Slide the window: the applied input enters slot one, the oldest drops."""
     xi = np.asarray(xi, dtype=float)

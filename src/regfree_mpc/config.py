@@ -1,8 +1,8 @@
 """Sectioned key=value scenario configs, shipped presets, and spec rendering.
 
-The format is INI-like: `[section]` headers and `key = value` lines, `#` or
-`;` comments.  Unknown keys are rejected with their line number so presets
-stay diff-auditable.
+The format is INI-like: `[section]` headers and `key = value` lines; `#`
+starts a comment anywhere on a line, `;` only at its start.  Unknown keys
+are rejected with their line number so presets stay diff-auditable.
 """
 
 import os
@@ -55,8 +55,8 @@ def parse_sections(text):
     sections = {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#") or line.startswith(";"):
+        line = raw.partition("#")[0].strip()
+        if not line or line.startswith(";"):
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()

@@ -61,20 +61,29 @@ def joint_output(model: SystemModel, xj, u):
     return np.atleast_1d(model.h(xj[:n], u, xj[n:]))
 
 
-def ekf_jacobians(model: SystemModel, xhat, u):
-    """Joint linearization: F = [[Fx, Fw], [0, Sw]], H = [Hx, Hw]."""
-    xhat = np.asarray(xhat, dtype=float)
+def joint_state_jacobian(model: SystemModel, xhat, u):
+    """F = [[Fx, Fw], [0, Sw]] of the joint dynamics."""
     n, q = model.n_p, model.q
     x_p, w = xhat[:n], xhat[n:]
     Fx, _, Fw = model.jacobians_f(x_p, u, w)
-    Sw = model.jacobian_s(w)
-    Hx, _, Hw = model.jacobians_h(x_p, u, w)
     F = np.zeros((n + q, n + q))
     F[:n, :n] = Fx
     F[:n, n:] = Fw
-    F[n:, n:] = Sw
-    H = np.hstack([Hx, Hw])
-    return F, H
+    F[n:, n:] = model.jacobian_s(w)
+    return F
+
+
+def joint_output_jacobian(model: SystemModel, xhat, u):
+    """H = [Hx, Hw] of the joint output."""
+    n = model.n_p
+    Hx, _, Hw = model.jacobians_h(xhat[:n], u, xhat[n:])
+    return np.hstack([Hx, Hw])
+
+
+def ekf_jacobians(model: SystemModel, xhat, u):
+    """Joint linearization (F, H) at one point."""
+    xhat = np.asarray(xhat, dtype=float)
+    return joint_state_jacobian(model, xhat, u), joint_output_jacobian(model, xhat, u)
 
 
 def check_joint_detectability(model: SystemModel):
@@ -102,7 +111,7 @@ def observer_step(state: ObserverState, u_applied, y_measured,
         return ObserverState(xhat=xnext, Sigma=None)
     # EKF: measurement update with Joseph covariance, then predict
     Sigma = state.Sigma
-    F, H = ekf_jacobians(model, xhat, u)
+    H = joint_output_jacobian(model, xhat, u)
     nj = xhat.size
     R = config.Rmeas if config.Rmeas is not None else np.eye(y.size)
     Qp = config.Qproc if config.Qproc is not None else np.eye(nj)
@@ -115,7 +124,7 @@ def observer_step(state: ObserverState, u_applied, y_measured,
     x_upd = xhat + K @ innov
     IKH = np.eye(nj) - K @ H
     Sigma_upd = IKH @ Sigma @ IKH.T + K @ R @ K.T
-    F_upd, _ = ekf_jacobians(model, x_upd, u)
+    F_upd = joint_state_jacobian(model, x_upd, u)
     x_next = joint_step(model, x_upd, u)
     Sigma_next = F_upd @ Sigma_upd @ F_upd.T + Qp
     Sigma_next = 0.5 * (Sigma_next + Sigma_next.T)

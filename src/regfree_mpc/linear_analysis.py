@@ -159,10 +159,13 @@ def augmented_pair(sys: LinearSystem, T: int):
     """The T-memory augmented system, its PBH detectability verdict and the nonresonance prediction."""
     if sys.m != sys.p:
         raise ShapeError("augmented-pair test needs a square system")
+    return _augmented_pair(sys, T, pbh_detectable(sys.A, sys.C), nonresonance(sys, T))
+
+
+def _augmented_pair(sys, T, detectable, nonres):
+    """augmented_pair from the base pair's detectability and nonresonance report."""
     aug = augment_linear(sys, T)
-    verdict = pbh_detectable(aug.A, aug.C)
-    predicted = pbh_detectable(sys.A, sys.C) and nonresonance(sys, T).passed
-    return aug, verdict, predicted
+    return aug, pbh_detectable(aug.A, aug.C), detectable and nonres.passed
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +528,7 @@ def analyze_linear(sys: LinearSystem, T: int, N: int, Q, R,
     det = pbh_detectable(sys.A, sys.C)
     stab = pbh_stabilizable(sys.A, sys.B)
     nonres = nonresonance(sys, T)
-    aug, verdict, predicted = augmented_pair(sys, T)
+    aug, verdict, predicted = _augmented_pair(sys, T, det, nonres)
     sigma_metric = sigma_metric_dare(aug, Q, R)
     eps_o = epsilon_o_generalized_eig(aug, Q, R, sigma_metric)
     nu, c_o = smallest_observability_window(aug, Q, R, sigma_metric)

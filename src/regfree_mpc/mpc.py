@@ -283,6 +283,10 @@ def solve(ocp: Ocp, warm_start=None) -> OcpSolution:
     Armijo backtracking on J = r @ r.  Stationarity may stop the iteration
     only after the first step, so an unconstrained linear OCP returns its
     exact minimiser; `converged` is judged at the returned iterate.
+
+    The minimiser is canonical: trailing input blocks whose J_r columns are
+    all zero take the value of the last block the cost sees, unless that
+    raises the cost.
     """
     tol = ocp.config.solver.gradient_tolerance
     N, m = ocp.N, ocp.m
@@ -321,6 +325,13 @@ def solve(ocp: Ocp, warm_start=None) -> OcpSolution:
         u, J = un, Jn
         r, Jr, xs = ocp.residuals(u, xsn)
         it += 1
+    seen = np.flatnonzero(np.any(Jr, axis=0).reshape(N, m).any(axis=1))
+    if seen.size and seen[-1] < N - 1:
+        tail = u.reshape(N, m).copy()
+        tail[seen[-1] + 1:] = tail[seen[-1]]
+        Jt, xst = ocp.cost(tail)
+        if Jt <= J:     # a zero column at one point need not mean the cost never sees it
+            u, J, xs = tail, Jt, xst
     return OcpSolution(u_opt=u.reshape(N, m), x_pred=np.array(xs[:N + 1]), value=J,
                        iterations=it, converged=bool(stat <= tol),
                        kkt_residual=stat)

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import random_linear
 from regfree_mpc.augmentation import (augment_linear, cyclic_matrices, memory_reference,
-                                      step_memory, wrap_memory)
+                                      step_memory)
 from regfree_mpc.errors import DomainError, ShapeError
 from regfree_mpc.linear_analysis import solve_regulator
 from regfree_mpc.models import academic_example
@@ -48,14 +48,14 @@ def test_build_rejects_bad_period():
 
 def test_memory_window_semantics():
     # history (a, b, c) newest first, apply d -> (d, a, b)
-    xi = wrap_memory([np.array([1.0]), np.array([2.0]), np.array([3.0])])
+    xi = np.array([1.0, 2.0, 3.0])
     out = step_memory(xi, np.array([4.0]), m=1)
     assert np.array_equal(out, [4.0, 1.0, 2.0])
 
 
 def test_memory_constant_input_zero_increment():
     _, _, E2 = cyclic_matrices(1, 1)
-    xi = wrap_memory([np.array([0.7])])
+    xi = np.array([0.7])
     u = np.array([0.7])
     u_a = u - E2.T @ xi
     assert u_a == pytest.approx([0.0])
@@ -86,7 +86,7 @@ def test_periodic_input_gives_zero_increment(rng):
     m, T = 2, 3
     _, _, E2 = cyclic_matrices(m, T)
     pattern = [rng.normal(size=m) for _ in range(T)]
-    xi = wrap_memory([pattern[(T - 1 - j) % T] for j in range(T)])
+    xi = np.concatenate([pattern[(T - 1 - j) % T] for j in range(T)])
     for t in range(12):
         u = pattern[t % T]
         u_a = u - E2.T @ xi
@@ -129,14 +129,14 @@ def test_augmented_regulator_is_zero_increment(rng):
 def incremental_value(model, T, N, x0, w0, history):
     cfg = MpcConfig(variant="incremental_input", N=N, Q=np.eye(model.p),
                     R=np.eye(model.m), T=T)
-    xi = wrap_memory(history[::-1])          # newest first
+    xi = np.concatenate(history[::-1])       # newest first
     ocp = assemble(model, cfg, x0, w0, memory=xi)
     return solve(ocp).value
 
 
 def augmented_value(model, T, N, x0, w0, history):
     aug = augment_linear(model.linear, T).to_system_model()
-    x0a = np.concatenate([x0, wrap_memory(history[::-1])])
+    x0a = np.concatenate([x0, *history[::-1]])
     # stage cost ||y||_Q^2 + ||u^a||_R^2 is the input-regularized cost at zero
     zero_reg = RegulatorSolution(Pi=np.zeros((aug.n_p, model.q)),
                                  Gamma=np.zeros((model.m, model.q)))

@@ -37,6 +37,18 @@ def test_presets_all_parse():
         assert spec is not None
 
 
+def test_readme_config_example_parses():
+    """The README's "Config files" block, inline comments included, is a valid config."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        section = fh.read().split("Config files are sectioned", 1)[1]
+    block = section.split("```", 2)[1]
+    spec = cfg.parse_config(block)
+    assert spec.mpc.variant == "incremental_input"
+    assert np.array_equal(np.diag(spec.mpc.Q), [1.0, 1.0])
+    assert spec.feedback == "error_feedback"
+    assert spec.observer.kind == "ekf"
+
+
 def test_error_feedback_preset_settings():
     spec = cfg.parse_config(cfg.read_config_file("cement_mill_error_feedback"))
     assert spec.mpc.N == 6

@@ -7,7 +7,7 @@ from regfree_mpc.estimation import (ObserverConfig, ObserverState,
                                     check_joint_detectability, ekf_jacobians,
                                     joint_output, joint_step,
                                     make_observer_state, observer_step)
-from regfree_mpc.models import LinearSystem, cement_mill
+from regfree_mpc.models import LinearSystem, SystemModel, cement_mill
 
 
 def tracking_lti(rng):
@@ -40,6 +40,21 @@ def test_ekf_jacobians_mill_match_fd(rng):
             colH = (joint_output(mill, xj + d, u) - joint_output(mill, xj - d, u)) / (2 * d[i])
             assert np.allclose(F[:, i], colF, rtol=1e-4, atol=1e-7)
             assert np.allclose(H[:, i], colH, rtol=1e-4, atol=1e-9)
+
+
+def test_ekf_step_linearises_once_per_use(monkeypatch):
+    """One EKF step needs H at the prior and F at the update: one call each."""
+    mill = cement_mill()
+    calls = {"jacobians_f": 0, "jacobians_h": 0}
+    for name in calls:
+        def counted(self, *args, _name=name, _orig=getattr(SystemModel, name)):
+            calls[_name] += 1
+            return _orig(self, *args)
+        monkeypatch.setattr(SystemModel, name, counted)
+    cfg = ObserverConfig(kind="ekf", xhat0=np.array([120.0, 55.0, 450.0, 110.0, 425.0]))
+    state = make_observer_state(mill, cfg)
+    observer_step(state, np.array([115.0, 172.5]), np.array([120.0, 55.0]), mill, cfg)
+    assert calls == {"jacobians_f": 1, "jacobians_h": 1}
 
 
 def test_mill_jacobian_continuous_on_operating_band():

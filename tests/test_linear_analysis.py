@@ -157,6 +157,21 @@ def test_augmented_pair_equivalence_random(rng):
     assert agree == 120
 
 
+def test_analyze_linear_tests_the_base_pair_once(monkeypatch):
+    """Base detectability and nonresonance feed the report and the prediction alike."""
+    import regfree_mpc.linear_analysis as la
+    calls = []
+    for name in ("nonresonance", "pbh_detectable"):
+        def counted(*args, _name=name, _orig=getattr(la, name)):
+            calls.append(_name)
+            return _orig(*args)
+        monkeypatch.setattr(la, name, counted)
+    rep = la.analyze_linear(academic_example().linear, T=1, N=12, Q=np.eye(1), R=np.eye(1))
+    assert calls.count("nonresonance") == 1
+    assert calls.count("pbh_detectable") == 2      # the base pair and the augmented pair
+    assert rep.augmented_predicted == (rep.detectable and rep.nonres.passed)
+
+
 # ---------------------------------------------------------------------------
 # Riccati
 

@@ -227,6 +227,35 @@ def test_solution_invariants_box_and_value(rng):
     assert sol.value == pytest.approx(J, rel=1e-10)
 
 
+def test_output_only_solution_ignores_the_invisible_tail():
+    """Without feedthrough u_{N-1} reaches no output, so the warm start's last row cannot matter."""
+    mill = cement_mill()
+    cfg = MpcConfig(variant="output_only", N=6, Q=np.eye(2), R=np.zeros((2, 2)))
+    ocp = assemble(mill, cfg, np.array([120.0, 55.0, 450.0]), np.array([110.0, 425.0]))
+    warm = np.tile([115.0, 172.5], (cfg.N, 1))
+    other = warm.copy()
+    other[-1] = [90.0, 168.0]
+    a, b = solve(ocp, warm_start=warm), solve(ocp, warm_start=other)
+    assert np.array_equal(a.u_opt, b.u_opt)
+    assert a.value == b.value
+    for sol in (a, b):
+        assert sol.value == ocp.cost(sol.u_opt)[0]
+        assert np.array_equal(sol.x_pred, np.array(ocp.rollout(sol.u_opt)[:cfg.N + 1]))
+
+
+def test_canonical_tail_never_raises_the_value():
+    """A J_r column that is zero only at the iterate keeps its input: x+ = x + u^2 at u = 0."""
+    from regfree_mpc.models import SystemModel
+    model = SystemModel(n_p=1, m=1, q=0, p=1,
+                        f_p=lambda x, u, w: x + u ** 2, s=lambda w: w, h=lambda x, u, w: x,
+                        jac_f=lambda x, u, w: (np.eye(1), 2.0 * u.reshape(1, 1), np.zeros((1, 0))),
+                        jac_h=lambda x, u, w: (np.eye(1), np.zeros((1, 1)), np.zeros((1, 0))))
+    ocp = assemble(model, make_cfg("output_only", 3), np.array([-1.0]), np.zeros(0))
+    sol = solve(ocp, warm_start=np.array([[1.0], [0.0], [0.7]]))
+    assert sol.value == ocp.cost(sol.u_opt)[0] == 1.0
+    assert sol.u_opt[1, 0] == 0.0
+
+
 def test_warm_start_resolve_never_increases_value(rng):
     mill = cement_mill()
     cfg = MpcConfig(variant="incremental_input", N=5, Q=np.eye(2),

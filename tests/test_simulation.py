@@ -207,6 +207,18 @@ def test_failed_solve_ends_the_trace(monkeypatch, tmp_path):
     assert len(rows) == k + 1 and rows[-1].startswith(f"{k},")
 
 
+def test_output_only_mill_iteration_budget():
+    """Deterministic work guard: the canonical tail keeps the shifted warm start optimal.
+
+    The bound is a third of the 1040 GN iterations the preset needs when every
+    step re-solves the warm start's invisible last input.
+    """
+    spec = cfg.parse_config(cfg.read_config_file("cement_mill_output_only"))
+    trace = run(spec)
+    assert trace.failed_at is None
+    assert int(np.sum(trace.iterations)) < 347
+
+
 def test_error_feedback_trace_has_estimates():
     spec = cfg.parse_config(cfg.read_config_file("cement_mill_error_feedback"))
     trace = run(spec)
