@@ -118,6 +118,17 @@ def _seeded_out(path, seed):
     return f"{stem}_seed{seed}{ext or '.csv'}"
 
 
+def _seed_range(seed_arg):
+    """Seeds of a sweep a:b, i.e. range(a, b); an empty or malformed range is an error."""
+    try:
+        a, b = (int(tok) for tok in seed_arg.split(":"))
+    except ValueError:
+        raise ConfigError(f"seed sweep must be a:b with integers a < b, got {seed_arg!r}") from None
+    if b <= a:
+        raise ConfigError(f"seed sweep {seed_arg!r} is empty; it needs a < b")
+    return range(a, b)
+
+
 def _run_sweep_entry(packed):
     text, seed, out_path = packed
     spec = cfg.parse_config(text, seed_override=seed)
@@ -129,12 +140,12 @@ def _run_sweep_entry(packed):
 def cmd_simulate(args):
     text = cfg.read_config_file(args.config)
     seed_arg = args.seed
-    if seed_arg is not None and ":" in str(seed_arg):
-        a, b = (int(tok) for tok in str(seed_arg).split(":"))
+    if isinstance(seed_arg, str) and ":" in seed_arg:
+        seeds = _seed_range(seed_arg)
         if args.out is None:
             raise ConfigError("seed sweeps need --out for the per-seed trace files")
-        jobs = max(1, args.jobs)
-        work = [(text, s, _seeded_out(args.out, s)) for s in range(a, b)]
+        jobs = max(1, min(args.jobs, len(seeds)))
+        work = [(text, s, _seeded_out(args.out, s)) for s in seeds]
         if jobs == 1:
             results = [_run_sweep_entry(wk) for wk in work]
         else:
@@ -145,8 +156,7 @@ def cmd_simulate(args):
             if args.verbose:
                 sys.stderr.write(f"seed {seed}: {'failed at ' + str(failed) if failed is not None else 'ok'}\n")
         return 0
-    seed = int(seed_arg) if seed_arg is not None else None
-    spec = cfg.parse_config(text, seed_override=_resolve_seed(seed))
+    spec = cfg.parse_config(text, seed_override=_resolve_seed(seed_arg))
     if isinstance(spec, cfg.AnalysisSpec):
         raise ConfigError("simulate needs a scenario config with a [sim] section")
     _simulate_one(spec, args.out, args.verbose)
@@ -174,11 +184,11 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command != "simulate" and args.seed is not None:
+    if args.seed is not None and (args.command != "simulate" or ":" not in args.seed):
         try:
             args.seed = int(args.seed)
         except ValueError:
-            parser.error("--seed must be an integer here")
+            parser.error("--seed must be an integer, or a:b for a simulate sweep")
     try:
         return args.fn(args)
     except ConfigError as exc:

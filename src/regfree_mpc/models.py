@@ -28,6 +28,34 @@ def fd_jacobian(fun, x, h_rel=1e-6):
     return J
 
 
+def _fd_jacobians(fun, rows, x, u, w):
+    """Central-difference (Jx, Ju, Jw) of fun(x, u, w) at one point."""
+    Jx = fd_jacobian(lambda z: fun(z, u, w), x)
+    Ju = fd_jacobian(lambda z: fun(x, z, w), u) if u.size else np.zeros((rows, 0))
+    Jw = fd_jacobian(lambda z: fun(x, u, z), w) if w.size else np.zeros((rows, 0))
+    return Jx, Ju, Jw
+
+
+def _constant_jacobians(*blocks):
+    """jac_f/jac_h callable that returns the same matrices at every point of a stack."""
+    return lambda x, u, w: tuple(np.broadcast_to(M, (len(x),) + M.shape) for M in blocks)
+
+
+def _jacobians(jac, fun, rows, x, u, w):
+    """Stacked Jacobians of fun; a 1-D point is evaluated as a stack of one."""
+    x, u, w = (np.asarray(a, dtype=float) for a in (x, u, w))
+    one = x.ndim == 1
+    if one:
+        x, u, w = x[None], u[None], w[None]
+    if jac is not None:
+        out = jac(x, u, w)
+    else:
+        pts = [_fd_jacobians(fun, rows, *pt) for pt in zip(x, u, w)]
+        out = tuple(np.array([pt[i] for pt in pts]).reshape(len(x), rows, a.shape[1])
+                    for i, a in enumerate((x, u, w)))
+    return tuple(J[0] for J in out) if one else out
+
+
 @dataclass(frozen=True)
 class SimNoiseSpec:
     """Additive measurement-noise description (applied to the output only)."""
@@ -58,8 +86,10 @@ class SystemModel:
     """Discrete-time model x+ = f_p(x,u,w), w+ = s(w), y = h(x,u,w).
 
     Jacobian callables are optional; central finite differences are used
-    where they are absent.  `linear` tags models that are exactly linear,
-    enabling the closed-form reference `Ocp.dense_matrices`.
+    where they are absent.  `jac_f` and `jac_h` take stacks of K points,
+    (K, n_p), (K, m), (K, q), and return (K, ...) arrays.  `linear` tags
+    models that are exactly linear, enabling the closed-form reference
+    `Ocp.dense_matrices`.
     """
 
     n_p: int
@@ -71,8 +101,8 @@ class SystemModel:
     h: Callable[[Array, Array, Array], Array]
     input_lo: Array = None
     input_hi: Array = None
-    jac_f: Optional[Callable] = None    # (x,u,w) -> (Fx, Fu, Fw)
-    jac_h: Optional[Callable] = None    # (x,u,w) -> (Hx, Hu, Hw)
+    jac_f: Optional[Callable] = None    # stacked (x,u,w) -> (Fx, Fu, Fw)
+    jac_h: Optional[Callable] = None    # stacked (x,u,w) -> (Hx, Hu, Hw)
     jac_s: Optional[Callable] = None    # (w) -> Sw
     linear: Optional["LinearSystem"] = None
     name: str = "model"
@@ -97,20 +127,12 @@ class SystemModel:
         return xn
 
     def jacobians_f(self, x, u, w):
-        if self.jac_f is not None:
-            return self.jac_f(x, u, w)
-        Fx = fd_jacobian(lambda z: self.f_p(z, u, w), x)
-        Fu = fd_jacobian(lambda z: self.f_p(x, z, w), u) if self.m else np.zeros((self.n_p, 0))
-        Fw = fd_jacobian(lambda z: self.f_p(x, u, z), w) if self.q else np.zeros((self.n_p, 0))
-        return Fx, Fu, Fw
+        """(Fx, Fu, Fw) at one point, or (K, ...) stacks at a stack of K points."""
+        return _jacobians(self.jac_f, self.f_p, self.n_p, x, u, w)
 
     def jacobians_h(self, x, u, w):
-        if self.jac_h is not None:
-            return self.jac_h(x, u, w)
-        Hx = fd_jacobian(lambda z: self.h(z, u, w), x)
-        Hu = fd_jacobian(lambda z: self.h(x, z, w), u) if self.m else np.zeros((self.p, 0))
-        Hw = fd_jacobian(lambda z: self.h(x, u, z), w) if self.q else np.zeros((self.p, 0))
-        return Hx, Hu, Hw
+        """(Hx, Hu, Hw) at one point, or (K, ...) stacks at a stack of K points."""
+        return _jacobians(self.jac_h, self.h, self.p, x, u, w)
 
     def jacobian_s(self, w):
         if self.jac_s is not None:
@@ -175,8 +197,8 @@ class LinearSystem:
             n_p=self.n_p, m=self.m, q=self.q, p=self.p,
             f_p=f_p, s=s, h=h,
             input_lo=input_lo, input_hi=input_hi,
-            jac_f=lambda x, u, w: (A, B, P_x),
-            jac_h=lambda x, u, w: (C, D, -P_y),
+            jac_f=_constant_jacobians(A, B, P_x),
+            jac_h=_constant_jacobians(C, D, -P_y),
             jac_s=lambda w: S,
             linear=self, name=name,
         )
@@ -195,25 +217,27 @@ def rk4_step(ode, x, u, w, dt):
 
 
 def rk4_step_jacobians(ode_jac, ode, x, u, w, dt):
-    """(Fx, Fu) of the RK4 map, chained through the four stages."""
-    n = x.size
+    """(Fx, Fu) of the RK4 map at a stack of K points, chained through the four stages.
+
+    x, u, w are (K, n), (K, m), (K, q); `ode` broadcasts over the leading
+    axis and `ode_jac` is evaluated once, on the 4K stacked stage points.
+    """
+    K, n = x.shape
     I = np.eye(n)
-    x1 = x
-    k1 = ode(x1, u, w)
-    A1, B1 = ode_jac(x1, u, w)
-    K1x, K1u = A1, B1
+    k1 = ode(x, u, w)
     x2 = x + 0.5 * dt * k1
     k2 = ode(x2, u, w)
-    A2, B2 = ode_jac(x2, u, w)
-    K2x = A2 @ (I + 0.5 * dt * K1x)
-    K2u = A2 @ (0.5 * dt * K1u) + B2
     x3 = x + 0.5 * dt * k2
     k3 = ode(x3, u, w)
-    A3, B3 = ode_jac(x3, u, w)
+    x4 = x + dt * k3
+    A, B = ode_jac(np.concatenate([x, x2, x3, x4]), np.tile(u, (4, 1)), np.tile(w, (4, 1)))
+    A1, A2, A3, A4 = A.reshape(4, K, n, n)
+    B1, B2, B3, B4 = B.reshape(4, K, n, u.shape[1])
+    K1x, K1u = A1, B1
+    K2x = A2 @ (I + 0.5 * dt * K1x)
+    K2u = A2 @ (0.5 * dt * K1u) + B2
     K3x = A3 @ (I + 0.5 * dt * K2x)
     K3u = A3 @ (0.5 * dt * K2u) + B3
-    x4 = x + dt * k3
-    A4, B4 = ode_jac(x4, u, w)
     K4x = A4 @ (I + dt * K3x)
     K4u = A4 @ (dt * K3u) + B4
     Fx = I + dt / 6.0 * (K1x + 2.0 * K2x + 2.0 * K3x + K4x)
@@ -228,6 +252,8 @@ def rk4_discretize(ode, dt, *, n_p, m, q, p, h, s=None, input_lo=None,
 
     `scale` divides each right-hand-side coordinate before integration, for
     models written in singularly perturbed form diag(scale) x' = g(x,u).
+    `ode` and `ode_jac` take one point or a (K, ·) stack along the leading
+    axis; `jac_h`, if given, takes stacks (see `SystemModel`).
     """
     if dt <= 0:
         raise DomainError("dt must be positive")
@@ -254,8 +280,8 @@ def rk4_discretize(ode, dt, *, n_p, m, q, p, h, s=None, input_lo=None,
     jac_f = None
     if scaled_jac is not None:
         def jac_f(x, u, w):
-            Fx, Fu = rk4_step_jacobians(scaled_jac, scaled_ode, np.asarray(x, dtype=float), u, w, dt)
-            return Fx, Fu, np.zeros((n_p, q))
+            Fx, Fu = rk4_step_jacobians(scaled_jac, scaled_ode, x, u, w, dt)
+            return Fx, Fu, np.zeros((len(x), n_p, q))
 
     if s is None:
         s = lambda w: w
@@ -287,51 +313,78 @@ MILL_INPUT_LO = np.array([80.0, 165.0])
 MILL_INPUT_HI = np.array([150.0, 180.0])
 
 
+def _pow(v, e):
+    """v ** e by the scalar C-library pow, elementwise on arrays.
+
+    numpy's array ** may round the last bit differently; one pow for both
+    keeps a stacked evaluation bitwise equal to its per-point evaluations.
+    """
+    if isinstance(v, np.ndarray):
+        return np.array([t ** e for t in v.ravel().tolist()]).reshape(v.shape)
+    return v ** e
+
+
+# The mill functions take a point or a (K, ·) stack: x.T[i] is coordinate i
+# of either.  The clamp v * (v > 0) works on both and, unlike np.maximum,
+# adds no call overhead to the per-point rollout.
+
 def mill_phi(x2):
     """Grinding-rate curve, clamped at zero."""
-    return max(0.0, MILL_PHI_A * x2 * x2 + MILL_PHI_B * x2)
+    v = MILL_PHI_A * x2 * x2 + MILL_PHI_B * x2
+    return v * (v > 0.0)
 
 
 def mill_alpha(x2, u2):
     """Separator recycle fraction, in (0,1) for positive phi and u2."""
-    g = mill_phi(x2) ** 0.8 * u2 ** 4
+    return _recycle(mill_phi(x2), u2)
+
+
+def _recycle(p, u2):
+    """mill_alpha at grinding rate p = mill_phi(x2)."""
+    g = _pow(p, 0.8) * _pow(u2, 4)
     return g / (MILL_ALPHA_C + g)
 
 
 def _mill_ode(x, u, w):
-    p = mill_phi(x[1])
-    a = mill_alpha(x[1], u[1])
+    xt, ut = x.T, u.T
+    x3 = xt[2]
+    p = mill_phi(xt[1])
+    a = _recycle(p, ut[1])
     return np.array([
-        -x[0] + (1.0 - a) * p,
-        -p + u[0] + x[2],
-        -x[2] + a * p,
-    ])
+        -xt[0] + (1.0 - a) * p,
+        -p + ut[0] + x3,
+        -x3 + a * p,
+    ]).T
 
 
 def _mill_ode_jac(x, u, w):
-    x2, u2 = x[1], u[1]
+    x2, u2 = x.T[1], u.T[1]
     parg = MILL_PHI_A * x2 * x2 + MILL_PHI_B * x2
-    p = parg if parg > 0.0 else 0.0
-    dp = (2.0 * MILL_PHI_A * x2 + MILL_PHI_B) if parg > 0.0 else 0.0
-    g = p ** 0.8 * u2 ** 4
+    on = parg > 0.0
+    p = np.where(on, parg, 0.0)
+    dp = np.where(on, 2.0 * MILL_PHI_A * x2 + MILL_PHI_B, 0.0)
+    p08, u24 = _pow(p, 0.8), _pow(u2, 4)
+    g = p08 * u24
     den = MILL_ALPHA_C + g
     a = g / den
-    # d(alpha)/dx2 appears only in products with phi, which stay bounded at the clamp
-    dg_dx2 = 0.8 * p ** 0.8 * dp * u2 ** 4 / p if p > 0.0 else 0.0
-    dg_du2 = 4.0 * p ** 0.8 * u2 ** 3
-    da_dx2 = MILL_ALPHA_C / den ** 2 * dg_dx2
-    da_du2 = MILL_ALPHA_C / den ** 2 * dg_du2
-    Gx = np.zeros((3, 3))
-    Gu = np.zeros((3, 2))
-    Gx[0, 0] = -1.0
-    Gx[0, 1] = (1.0 - a) * dp - p * da_dx2
-    Gu[0, 1] = -p * da_du2
-    Gx[1, 1] = -dp
-    Gx[1, 2] = 1.0
-    Gu[1, 0] = 1.0
-    Gx[2, 1] = a * dp + p * da_dx2
-    Gx[2, 2] = -1.0
-    Gu[2, 1] = p * da_du2
+    # d(alpha)/dx2 appears only in products with phi, which stay bounded at the
+    # clamp; there dp = 0 zeroes the numerator, so divide by 1 and not by 0
+    dg_dx2 = 0.8 * p08 * dp * u24 / np.where(on, p, 1.0)
+    dg_du2 = 4.0 * p08 * _pow(u2, 3)
+    den2 = _pow(den, 2)
+    da_dx2 = MILL_ALPHA_C / den2 * dg_dx2
+    da_du2 = MILL_ALPHA_C / den2 * dg_du2
+    Gx = np.zeros(x.shape[:-1] + (3, 3))
+    Gu = np.zeros(x.shape[:-1] + (3, 2))
+    Gx[..., 0, 0] = -1.0
+    Gx[..., 0, 1] = (1.0 - a) * dp - p * da_dx2
+    Gu[..., 0, 1] = -p * da_du2
+    Gx[..., 1, 1] = -dp
+    Gx[..., 1, 2] = 1.0
+    Gu[..., 1, 0] = 1.0
+    Gx[..., 2, 1] = a * dp + p * da_dx2
+    Gx[..., 2, 2] = -1.0
+    Gu[..., 2, 1] = p * da_du2
     return Gx, Gu
 
 
@@ -349,7 +402,7 @@ def cement_mill():
         h=_mill_h, s=lambda w: w,
         input_lo=MILL_INPUT_LO, input_hi=MILL_INPUT_HI,
         scale=MILL_SCALE, ode_jac=_mill_ode_jac,
-        jac_h=lambda x, u, w: (_MILL_HX, np.zeros((2, 2)), -np.eye(2)),
+        jac_h=_constant_jacobians(_MILL_HX, np.zeros((2, 2)), -np.eye(2)),
         jac_s=lambda w: np.eye(2),
         name="cement_mill",
     )

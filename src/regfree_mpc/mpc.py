@@ -94,6 +94,8 @@ class Ocp:
         for _ in range(self.H):
             ws.append(np.asarray(model.s(ws[-1]), dtype=float))
         self.w_traj = ws
+        self._W = np.array(ws[:self.H])
+        self._j = np.minimum(np.arange(self.H), self.N - 1)   # input block of step k
         self.history = self.u_ref = None
         if config.variant == "incremental_input":
             if memory is None:
@@ -145,7 +147,8 @@ class Ocp:
         r holds sqrt(w_k) Q^1/2 y_k for every output with weight w_k > 0
         (look_ahead counts the overlap of its two windows twice), then the
         variant's input penalty E vec(u) - c.  J_r comes from one forward
-        pass over the sensitivity S = dx_k/dvec(u); it is None unless jac.
+        pass over the sensitivity S = dx_k/dvec(u), after one stacked
+        Jacobian call each for f and h along the rollout; it is None unless jac.
         """
         useq = np.asarray(useq, dtype=float).reshape(self.N, self.m)
         if xs is None:
@@ -155,21 +158,22 @@ class Ocp:
                            + [self.E @ useq.ravel() - self.c])
         if not jac:
             return r, None, xs
-        N, m = self.N, self.m
+        N, m, H = self.N, self.m, self.H
+        X, U = np.array(xs[:H]), useq[self._j]
+        Hx, Hu, _ = self.model.jacobians_h(X, U, self._W)
+        Fx, Fu, _ = self.model.jacobians_f(X[:H - 1], U[:H - 1], self._W[:H - 1])
         S = np.zeros((self.model.n_p, N * m))
         rows = []
-        for k in range(self.H):
+        for k in range(H):
             j = min(k, N - 1)
             blk = slice(j * m, (j + 1) * m)
             if self._sw[k] > 0.0:
-                Hx, Hu, _ = self.model.jacobians_h(xs[k], useq[j], self.w_traj[k])
-                row = Hx @ S
-                row[:, blk] += Hu
+                row = Hx[k] @ S
+                row[:, blk] += Hu[k]
                 rows.append(self._sw[k] * (self._Qh @ row))
-            if k + 1 < self.H:
-                Fx, Fu, _ = self.model.jacobians_f(xs[k], useq[j], self.w_traj[k])
-                S = Fx @ S
-                S[:, blk] += Fu
+            if k + 1 < H:
+                S = Fx[k] @ S
+                S[:, blk] += Fu[k]
         return r, np.vstack(rows + [self.E]), xs
 
     def cost(self, useq, xs=None):

@@ -246,7 +246,7 @@ def test_acceptance_10_solver_correctness(rng):
     t0 = time.perf_counter()
     mill = cement_mill()
     academic = academic_example()
-    # (a) adjoint gradient vs central differences, 50 points per model
+    # (a) residual-pass gradient 2 J_r^T r vs central differences, 50 points per model
     worst = 0.0
     for model, make in ((academic, lambda: (np.zeros(0), rng.normal(size=(5, 1)),
                                             rng.normal(size=1))),

@@ -206,6 +206,41 @@ def test_cli_seed_sweep(tmp_path, capsys):
         assert (tmp_path / f"sweep_seed{s}.csv").exists()
 
 
+@pytest.mark.parametrize("seed", ["5:5", "3:1", "1:2:3", "a:b", ":"])
+def test_cli_seed_sweep_rejects_empty_or_malformed_range(tmp_path, capsys, seed):
+    out = tmp_path / "sweep.csv"
+    assert main(["simulate", "--config", "academic_incremental",
+                 "--seed", seed, "--out", str(out)]) == 1
+    assert "config error:" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_cli_seed_sweep_pool_no_larger_than_the_sweep(tmp_path, monkeypatch):
+    import multiprocessing
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, work):
+            return [(seed, None) for _, seed, _ in work]
+
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    out = str(tmp_path / "sweep.csv")
+    assert main(["simulate", "--config", "academic_incremental",
+                 "--seed", "0:2", "--out", out, "--jobs", "8"]) == 0
+    assert main(["simulate", "--config", "academic_incremental",
+                 "--seed", "0:5", "--out", out, "--jobs", "3"]) == 0
+    assert sizes == [2, 3]
+
+
 def test_atomic_write_leaves_no_temp_files(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert main(["simulate", "--config", "academic_output_only", "--out", str(out)]) == 0

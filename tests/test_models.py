@@ -144,10 +144,12 @@ def test_model_maps_finite_on_samples(rng):
 
 def test_mill_jacobians_match_finite_differences(rng):
     mill = cement_mill()
+    pts = []
     for _ in range(10):
         x = rng.uniform([90.0, 42.0, 380.0], [140.0, 60.0, 480.0])
         u = rng.uniform(mill.input_lo, mill.input_hi)
         w = np.array([110.0, 425.0])
+        pts.append((x, u, w))
         Fx, Fu, Fw = mill.jacobians_f(x, u, w)
         eps = 1e-6
         for i in range(3):
@@ -159,6 +161,31 @@ def test_mill_jacobians_match_finite_differences(rng):
             col = (mill.f_p(x, u + d, w) - mill.f_p(x, u - d, w)) / (2 * d[i])
             assert np.allclose(Fu[:, i], col, rtol=1e-5, atol=1e-7)
         assert np.allclose(Fw, 0.0)
+    # a stack gives the per-point results bitwise, on the clamped branch phi = 0 too
+    u, w = np.array([110.0, 170.0]), np.array([110.0, 425.0])
+    pts += [(np.array([110.0, x2, 425.0]), u, w) for x2 in (-5.0, 0.0, 150.0, 160.0)]
+    assert mill_phi(-5.0) == mill_phi(160.0) == 0.0
+    assert_stack_matches_points(mill, pts)
+
+
+def assert_stack_matches_points(model, pts):
+    X, U, W = (np.array(a) for a in zip(*pts))
+    for method in (model.jacobians_f, model.jacobians_h):
+        stacked = method(X, U, W)
+        for J in stacked:
+            assert J.shape[0] == len(pts)
+        for k, (x, u, w) in enumerate(pts):
+            for J, Jk in zip(stacked, method(x, u, w)):
+                assert np.array_equal(J[k], Jk)
+
+
+def test_finite_difference_jacobians_stack(rng):
+    """Without jac_f/jac_h the central differences run per point inside the stacked call."""
+    model = rk4_discretize(lambda x, u, w: np.array([-x[0] * x[1] + u[0], np.sin(x[0]) - w[0]]),
+                           dt=0.1, n_p=2, m=1, q=1, p=1, h=lambda x, u, w: x[:1] * u + w)
+    assert model.jac_f is None and model.jac_h is None
+    pts = [(rng.normal(size=2), rng.normal(size=1), rng.normal(size=1)) for _ in range(5)]
+    assert_stack_matches_points(model, pts)
 
 
 def test_linear_system_roundtrip_through_file(tmp_path, rng):
@@ -187,3 +214,8 @@ def test_linear_to_system_model_consistency(rng):
     assert model.h(x, u, w) == pytest.approx(sys.C @ x + sys.D @ u - sys.P_y @ w)
     Fx, Fu, Fw = model.jacobians_f(x, u, w)
     assert np.array_equal(Fx, sys.A) and np.array_equal(Fu, sys.B) and np.array_equal(Fw, sys.P_x)
+    X, U, W = rng.normal(size=(4, 2)), rng.normal(size=(4, 1)), rng.normal(size=(4, 2))
+    for got, want in zip(model.jacobians_f(X, U, W) + model.jacobians_h(X, U, W),
+                         (sys.A, sys.B, sys.P_x, sys.C, sys.D, -sys.P_y)):
+        assert got.shape == (4,) + want.shape
+        assert all(np.array_equal(G, want) for G in got)

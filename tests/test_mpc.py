@@ -4,7 +4,7 @@ import pytest
 from conftest import random_linear
 from regfree_mpc.errors import ConfigError
 from regfree_mpc.linear_analysis import solve_regulator
-from regfree_mpc.models import academic_example, cement_mill, cement_mill_regulator
+from regfree_mpc.models import SystemModel, academic_example, cement_mill, cement_mill_regulator
 from regfree_mpc.mpc import (VARIANTS, MpcConfig, MpcController, SolverSettings,
                              assemble, solve)
 
@@ -125,7 +125,7 @@ def test_incremental_zero_on_manifold_mill():
 
 
 def test_gradient_matches_finite_differences(rng):
-    """Adjoint gradient vs central differences on both built-in models."""
+    """Gradient 2 J_r^T r of the residual pass vs central differences on both built-in models."""
     mill = cement_mill()
     academic = academic_example()
     cases = [
@@ -133,6 +133,7 @@ def test_gradient_matches_finite_differences(rng):
         (academic, make_cfg("incremental_input", 5, T=1), np.zeros(0),
          np.array([0.3]), None),
         (academic, make_cfg("look_ahead", 4, d=0), np.zeros(0), None, None),
+        (academic, make_cfg("output_only", 1), np.zeros(0), None, None),
         (mill, MpcConfig(variant="incremental_input", N=4, Q=np.eye(2),
                          R=1e-2 * np.eye(2), T=1), np.array([110.0, 425.0]),
          np.array([110.0, 170.0]), None),
@@ -161,6 +162,35 @@ def test_gradient_matches_finite_differences(rng):
             scale = max(1.0, float(np.max(np.abs(gfd))))
             worst = max(worst, float(np.max(np.abs(g - gfd))) / scale)
     assert worst < 1e-4
+
+
+@pytest.mark.parametrize("variant,N", [("incremental_input", 48), ("output_only", 1)])
+def test_residuals_linearise_the_horizon_in_one_stacked_call(monkeypatch, variant, N):
+    """One residual pass makes one jacobians_f and one jacobians_h call, equal to the per-point ones.
+
+    At N = 1 without look-ahead the rollout has one step, so the f stack is empty.
+    """
+    mill = cement_mill()
+    calls = {"jacobians_f": [], "jacobians_h": []}
+    for name in calls:
+        def recorded(self, x, u, w, _name=name, _orig=getattr(SystemModel, name)):
+            out = _orig(self, x, u, w)
+            calls[_name].append(((x, u, w), out, _orig))
+            return out
+        monkeypatch.setattr(SystemModel, name, recorded)
+    w = np.array([110.0, 425.0])
+    x_ref, u_ref = cement_mill_regulator(w)
+    cfg = MpcConfig(variant=variant, N=N, Q=np.eye(2), R=1e-2 * np.eye(2), T=1)
+    ocp = assemble(mill, cfg, x_ref + np.array([2.0, 1.0, 3.0]), w, memory=u_ref)
+    ocp.residuals(np.tile(u_ref, (N, 1)) + np.linspace(-3.0, 3.0, 2 * N).reshape(N, 2))
+    assert [len(c) for c in calls.values()] == [1, 1]
+    (fargs, fout, forig), = calls["jacobians_f"]
+    (hargs, hout, horig), = calls["jacobians_h"]
+    assert [len(J) for J in fout] == [ocp.H - 1] * 3
+    assert [len(J) for J in hout] == [ocp.H] * 3
+    for args, out, orig in ((fargs, fout, forig), (hargs, hout, horig)):
+        for k, pt in enumerate(zip(*args)):
+            assert all(np.array_equal(J[k], Jk) for J, Jk in zip(out, orig(mill, *pt)))
 
 
 def test_gradient_zero_at_unconstrained_optimum(rng):
@@ -245,11 +275,12 @@ def test_output_only_solution_ignores_the_invisible_tail():
 
 def test_canonical_tail_never_raises_the_value():
     """A J_r column that is zero only at the iterate keeps its input: x+ = x + u^2 at u = 0."""
-    from regfree_mpc.models import SystemModel
     model = SystemModel(n_p=1, m=1, q=0, p=1,
                         f_p=lambda x, u, w: x + u ** 2, s=lambda w: w, h=lambda x, u, w: x,
-                        jac_f=lambda x, u, w: (np.eye(1), 2.0 * u.reshape(1, 1), np.zeros((1, 0))),
-                        jac_h=lambda x, u, w: (np.eye(1), np.zeros((1, 1)), np.zeros((1, 0))))
+                        jac_f=lambda x, u, w: (np.ones((len(x), 1, 1)), 2.0 * u.reshape(-1, 1, 1),
+                                               np.zeros((len(x), 1, 0))),
+                        jac_h=lambda x, u, w: (np.ones((len(x), 1, 1)), np.zeros((len(x), 1, 1)),
+                                               np.zeros((len(x), 1, 0))))
     ocp = assemble(model, make_cfg("output_only", 3), np.array([-1.0]), np.zeros(0))
     sol = solve(ocp, warm_start=np.array([[1.0], [0.0], [0.7]]))
     assert sol.value == ocp.cost(sol.u_opt)[0] == 1.0
