@@ -12,8 +12,8 @@ from .mpc import MpcController, assemble, solve
 from .simulation import atomic_write, metrics, run
 
 
-def _resolve_seed(seed, default=None):
-    """Precedence: --seed flag, then REGFREE_MPC_SEED, then the config file."""
+def _resolve_seed(seed):
+    """Precedence: --seed flag, then REGFREE_MPC_SEED, then the config file (None)."""
     if seed is not None:
         return seed
     env = os.environ.get("REGFREE_MPC_SEED")
@@ -22,7 +22,7 @@ def _resolve_seed(seed, default=None):
             return int(env)
         except ValueError as exc:
             raise ConfigError(f"REGFREE_MPC_SEED is not an integer: {env!r}") from exc
-    return default
+    return None
 
 
 def format_analysis(rep):
@@ -76,7 +76,7 @@ def cmd_analyze(args):
 
 
 def cmd_solve(args):
-    spec = cfg.parse_config(cfg.read_config_file(args.config), seed_override=_resolve_seed(args.seed))
+    spec = cfg.parse_config(cfg.read_config_file(args.config))
     if isinstance(spec, cfg.AnalysisSpec):
         raise ConfigError("solve needs a scenario config with a [sim] section")
     memory = MpcController(spec.model, spec.mpc, initial_input=spec.u_init).memory
@@ -110,7 +110,6 @@ def _simulate_one(spec, out_path, verbose):
             f"seed={spec.seed} sup|y|={rep.sup_output:.6g} "
             f"second_half={rep.sup_output_second_half:.6g} "
             f"violation={rep.max_constraint_violation:.3g}\n")
-    return trace
 
 
 def _seeded_out(path, seed):
@@ -140,7 +139,7 @@ def _run_sweep_entry(packed):
 def cmd_simulate(args):
     text = cfg.read_config_file(args.config)
     seed_arg = args.seed
-    if isinstance(seed_arg, str) and ":" in seed_arg:
+    if isinstance(seed_arg, str):
         seeds = _seed_range(seed_arg)
         if args.out is None:
             raise ConfigError("seed sweeps need --out for the per-seed trace files")
@@ -163,6 +162,16 @@ def cmd_simulate(args):
     return 0
 
 
+def _seed_arg(text):
+    """--seed value: an integer, or a sweep a:b kept as text for `_seed_range`."""
+    if ":" in text:
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("must be an integer, or a:b for a sweep") from None
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="regfree-mpc",
@@ -173,22 +182,17 @@ def build_parser():
         sp.add_argument("--config", required=True,
                         help="config file path or shipped preset name")
         sp.add_argument("--out", default=None, help="output file (written atomically)")
-        sp.add_argument("--seed", default=None,
-                        help="seed override, or a:b for a sweep (simulate only)")
-        sp.add_argument("--jobs", type=int, default=1, help="parallel workers for sweeps")
-        sp.add_argument("--verbose", action="store_true")
         sp.set_defaults(fn=fn)
+    # the loop ends on simulate, the one subcommand that reads a seed
+    sp.add_argument("--seed", type=_seed_arg, default=None,
+                    help="seed override, or a:b for a sweep")
+    sp.add_argument("--jobs", type=int, default=1, help="parallel workers for sweeps")
+    sp.add_argument("--verbose", action="store_true")
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.seed is not None and (args.command != "simulate" or ":" not in args.seed):
-        try:
-            args.seed = int(args.seed)
-        except ValueError:
-            parser.error("--seed must be an integer, or a:b for a simulate sweep")
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except ConfigError as exc:

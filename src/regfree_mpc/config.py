@@ -1,4 +1,4 @@
-"""Sectioned key=value scenario configs, shipped presets, and spec rendering.
+"""Sectioned key=value scenario configs and shipped presets.
 
 The format is INI-like: `[section]` headers and `key = value` lines; `#`
 starts a comment anywhere on a line, `;` only at its start.  Unknown keys
@@ -214,60 +214,6 @@ def parse_config(text, seed_override=None):
     if "analyze" in sections:
         return build_analysis(sections)
     raise ConfigError("config needs a [sim] or an [analyze] section")
-
-
-# ---------------------------------------------------------------------------
-# rendering (presets are written in exactly this canonical form)
-
-def _fmt(v):
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, np.ndarray):
-        return " ".join(repr(float(x)) for x in np.atleast_1d(v))
-    return str(v)
-
-
-def render_scenario(spec: ScenarioSpec) -> str:
-    lines = ["[model]", f"name = {spec.model.name}", "", "[mpc]"]
-    cfg = spec.mpc
-    lines.append(f"variant = {cfg.variant}")
-    lines.append(f"N = {cfg.N}")
-    lines.append(f"Q = {_fmt(np.diag(cfg.Q))}")
-    lines.append(f"R = {_fmt(np.diag(cfg.R))}")
-    if cfg.d is not None:
-        lines.append(f"d = {cfg.d}")
-    if cfg.T is not None:
-        lines.append(f"T = {cfg.T}")
-    if cfg.solver != SolverSettings():
-        lines.append(f"gradient_tolerance = {_fmt(cfg.solver.gradient_tolerance)}")
-    if spec.observer is not None:
-        lines += ["", "[observer]"]
-        ob = spec.observer
-        lines.append(f"kind = {ob.kind}")
-        lines.append(f"xhat0 = {_fmt(ob.xhat0)}")
-        if ob.L is not None:
-            lines.append(f"L = {_fmt(ob.L.ravel())}")
-        if ob.Sigma0 is not None:
-            lines.append(f"sigma0 = {_fmt(float(ob.Sigma0[0, 0]))}")
-        if ob.Qproc is not None:
-            lines.append(f"process_noise = {_fmt(float(ob.Qproc[0, 0]))}")
-        if ob.Rmeas is not None:
-            lines.append(f"measurement_noise = {_fmt(float(ob.Rmeas[0, 0]))}")
-        if spec.noise.distribution == "uniform":
-            lines.append("noise = uniform")
-            lines.append(f"noise_lo = {_fmt(spec.noise.lo)}")
-            lines.append(f"noise_hi = {_fmt(spec.noise.hi)}")
-    lines += ["", "[sim]"]
-    lines.append(f"steps = {spec.steps}")
-    lines.append(f"x0 = {_fmt(spec.x0)}")
-    if spec.w0.size:
-        lines.append(f"w0 = {_fmt(spec.w0)}")
-    lines.append(f"seed = {spec.seed}")
-    if spec.u_init is not None:
-        lines.append(f"u_init = {_fmt(np.asarray(spec.u_init))}")
-    return "\n".join(lines) + "\n"
 
 
 def preset_path(name):

@@ -52,7 +52,7 @@ class ObserverState:
 def joint_step(model: SystemModel, xj, u):
     """One step of the joint dynamics ((x,w) -> (f_p, s))."""
     n = model.n_p
-    return np.concatenate([np.atleast_1d(model.f_p(xj[:n], u, xj[n:])),
+    return np.concatenate([np.atleast_1d(model.step(xj[:n], u, xj[n:])),
                            np.atleast_1d(model.s(xj[n:]))])
 
 

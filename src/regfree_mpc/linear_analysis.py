@@ -327,16 +327,18 @@ def observability_constant(sys: LinearSystem, Q, R,
     return hi
 
 
+_NU_MAX = 12
+
+
 def smallest_observability_window(sys: LinearSystem, Q, R,
-                                  sigma_metric: QuadraticCertificate,
-                                  nu_max: int = 12):
-    """Smallest nu with a finite c_o, and that c_o."""
-    for nu in range(1, nu_max + 1):
+                                  sigma_metric: QuadraticCertificate):
+    """Smallest nu up to _NU_MAX with a finite c_o, and that c_o."""
+    for nu in range(1, _NU_MAX + 1):
         try:
             return nu, observability_constant(sys, Q, R, sigma_metric, nu)
         except ObservabilityError:
             continue
-    raise ObservabilityError(f"no finite observability constant up to nu = {nu_max}")
+    raise ObservabilityError(f"no finite observability constant up to nu = {_NU_MAX}")
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,16 @@ from .errors import DomainError, NumericalError, ShapeError
 Array = np.ndarray
 
 
-def fd_jacobian(fun, x, h_rel=1e-6):
+_FD_H_REL = 1e-6
+
+
+def fd_jacobian(fun, x):
     """Central-difference Jacobian of fun at x with per-coordinate step."""
     x = np.asarray(x, dtype=float)
     f0 = np.atleast_1d(np.asarray(fun(x), dtype=float))
     J = np.zeros((f0.size, x.size))
     for i in range(x.size):
-        step = h_rel * (1.0 + abs(x[i]))
+        step = _FD_H_REL * (1.0 + abs(x[i]))
         xp = x.copy(); xp[i] += step
         xm = x.copy(); xm[i] -= step
         J[:, i] = (np.atleast_1d(fun(xp)) - np.atleast_1d(fun(xm))) / (2.0 * step)
@@ -210,10 +213,7 @@ def rk4_step(ode, x, u, w, dt):
     k2 = ode(x + 0.5 * dt * k1, u, w)
     k3 = ode(x + 0.5 * dt * k2, u, w)
     k4 = ode(x + dt * k3, u, w)
-    xn = x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(xn)):
-        raise NumericalError(f"non-finite RK4 stage at x={x}")
-    return xn
+    return x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def rk4_step_jacobians(ode_jac, ode, x, u, w, dt):
@@ -246,41 +246,23 @@ def rk4_step_jacobians(ode_jac, ode, x, u, w, dt):
 
 
 def rk4_discretize(ode, dt, *, n_p, m, q, p, h, s=None, input_lo=None,
-                   input_hi=None, scale=None, ode_jac=None, jac_h=None,
-                   jac_s=None, name="rk4"):
-    """SystemModel whose f_p is one RK4 step of ode (optionally scale-divided).
+                   input_hi=None, ode_jac=None, jac_h=None, jac_s=None, name="rk4"):
+    """SystemModel whose f_p is one RK4 step of ode.
 
-    `scale` divides each right-hand-side coordinate before integration, for
-    models written in singularly perturbed form diag(scale) x' = g(x,u).
     `ode` and `ode_jac` take one point or a (K, ·) stack along the leading
-    axis; `jac_h`, if given, takes stacks (see `SystemModel`).
+    axis; `jac_h`, if given, takes stacks (see `SystemModel`).  Without `s`
+    the exosystem is constant, w+ = w.
     """
     if dt <= 0:
         raise DomainError("dt must be positive")
-    scale_arr = None if scale is None else np.asarray(scale, dtype=float)
-
-    if scale_arr is None:
-        scaled_ode = ode
-    else:
-        def scaled_ode(x, u, w):
-            return np.asarray(ode(x, u, w), dtype=float) / scale_arr
-
-    if ode_jac is None:
-        scaled_jac = None
-    elif scale_arr is None:
-        scaled_jac = ode_jac
-    else:
-        def scaled_jac(x, u, w):
-            Gx, Gu = ode_jac(x, u, w)
-            return Gx / scale_arr[:, None], Gu / scale_arr[:, None]
 
     def f_p(x, u, w):
-        return rk4_step(scaled_ode, np.asarray(x, dtype=float), u, w, dt)
+        return rk4_step(ode, np.asarray(x, dtype=float), u, w, dt)
 
     jac_f = None
-    if scaled_jac is not None:
+    if ode_jac is not None:
         def jac_f(x, u, w):
-            Fx, Fu = rk4_step_jacobians(scaled_jac, scaled_ode, x, u, w, dt)
+            Fx, Fu = rk4_step_jacobians(ode_jac, ode, x, u, w, dt)
             return Fx, Fu, np.zeros((len(x), n_p, q))
 
     if s is None:
@@ -345,6 +327,9 @@ def _recycle(p, u2):
     return g / (MILL_ALPHA_C + g)
 
 
+# The right-hand sides are divided by MILL_SCALE: the circuit is written in
+# the singularly perturbed form diag(MILL_SCALE) x' = g(x, u).
+
 def _mill_ode(x, u, w):
     xt, ut = x.T, u.T
     x3 = xt[2]
@@ -354,7 +339,7 @@ def _mill_ode(x, u, w):
         -xt[0] + (1.0 - a) * p,
         -p + ut[0] + x3,
         -x3 + a * p,
-    ]).T
+    ]).T / MILL_SCALE
 
 
 def _mill_ode_jac(x, u, w):
@@ -385,7 +370,7 @@ def _mill_ode_jac(x, u, w):
     Gx[..., 2, 1] = a * dp + p * da_dx2
     Gx[..., 2, 2] = -1.0
     Gu[..., 2, 1] = p * da_du2
-    return Gx, Gu
+    return Gx / MILL_SCALE[:, None], Gu / MILL_SCALE[:, None]
 
 
 def _mill_h(x, u, w):
@@ -399,11 +384,9 @@ def cement_mill():
     """RK4 discretization of the milling circuit at a one-minute sample."""
     return rk4_discretize(
         _mill_ode, MILL_DT, n_p=3, m=2, q=2, p=2,
-        h=_mill_h, s=lambda w: w,
-        input_lo=MILL_INPUT_LO, input_hi=MILL_INPUT_HI,
-        scale=MILL_SCALE, ode_jac=_mill_ode_jac,
+        h=_mill_h, input_lo=MILL_INPUT_LO, input_hi=MILL_INPUT_HI,
+        ode_jac=_mill_ode_jac,
         jac_h=_constant_jacobians(_MILL_HX, np.zeros((2, 2)), -np.eye(2)),
-        jac_s=lambda w: np.eye(2),
         name="cement_mill",
     )
 

@@ -221,9 +221,12 @@ def metrics(trace: SimTrace, spec: ScenarioSpec) -> MetricsReport:
                          sup_output_second_half=float(ynorm[half:].max(initial=0.0)))
 
 
-def _fit_decay(sigma, floor=1e-14):
+_DECAY_FLOOR = 1e-14
+
+
+def _fit_decay(sigma):
     """Least-squares geometric rate of the sigma series (NaN when degenerate)."""
-    mask = sigma > floor
+    mask = sigma > _DECAY_FLOOR
     ts = np.nonzero(mask)[0]
     if ts.size < 3:
         return float("nan")

@@ -1,10 +1,12 @@
+import argparse
 import os
+import shlex
 
 import numpy as np
 import pytest
 
 from regfree_mpc import config as cfg
-from regfree_mpc.cli import main
+from regfree_mpc.cli import build_parser, main
 from regfree_mpc.errors import ConfigError
 from regfree_mpc.simulation import run
 
@@ -49,6 +51,27 @@ def test_readme_config_example_parses():
     assert spec.observer.kind == "ekf"
 
 
+def test_readme_cli_commands_parse():
+    """Every command of the README's "CLI" block parses, so no documented flag is refused."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        section = fh.read().split("## CLI", 1)[1]
+    block = section.split("```", 2)[1].replace("\\\n", " ")
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()
+                if line.startswith("regfree-mpc ")]
+    assert {argv[1] for argv in commands} == {"analyze", "solve", "simulate"}
+    for argv in commands:
+        build_parser().parse_args(argv[1:])
+
+
+def test_only_simulate_takes_seed_jobs_verbose():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {name: {opt for a in sp._actions for opt in a.option_strings} - {"-h", "--help"}
+             for name, sp in sub.choices.items()}
+    assert flags == {"analyze": {"--config", "--out"},
+                     "solve": {"--config", "--out"},
+                     "simulate": {"--config", "--out", "--seed", "--jobs", "--verbose"}}
+
+
 def test_error_feedback_preset_settings():
     spec = cfg.parse_config(cfg.read_config_file("cement_mill_error_feedback"))
     assert spec.mpc.N == 6
@@ -65,20 +88,6 @@ def test_error_feedback_preset_settings():
     assert np.allclose(spec.noise.hi, [1.0, 1.0])
     assert np.allclose(spec.x0, [120.0, 55.0, 450.0])
     assert np.allclose(spec.w0, [110.0, 425.0])
-
-
-def test_roundtrip_render_parse_fixed_point():
-    for name in cfg.list_presets():
-        text = cfg.read_config_file(name)
-        spec = cfg.parse_config(text)
-        if isinstance(spec, cfg.AnalysisSpec):
-            continue
-        rendered = cfg.render_scenario(spec)
-        spec2 = cfg.parse_config(rendered)
-        assert cfg.render_scenario(spec2) == rendered
-        assert spec2.steps == spec.steps and spec2.seed == spec.seed
-        assert np.array_equal(spec2.x0, spec.x0)
-        assert np.array_equal(np.diag(spec2.mpc.Q), np.diag(spec.mpc.Q))
 
 
 def test_unknown_key_reports_line_number():
@@ -162,6 +171,21 @@ def test_cli_seed_override_and_env(tmp_path, capsys, monkeypatch):
                  "--seed", "8", "--out", str(out3)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     assert out1.read_bytes() != out3.read_bytes()
+
+
+def test_cli_solve_ignores_seed_env(capsys, monkeypatch):
+    """`solve` runs no noise generator, so REGFREE_MPC_SEED cannot affect it."""
+    assert main(["solve", "--config", "cement_mill_nominal"]) == 0
+    plain = capsys.readouterr().out
+    monkeypatch.setenv("REGFREE_MPC_SEED", "abc")
+    assert main(["solve", "--config", "cement_mill_nominal"]) == 0
+    assert capsys.readouterr().out == plain
+
+
+def test_cli_analyze_refuses_seed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--config", "academic_analyze", "--seed", "1"])
+    assert exc.value.code == 2
 
 
 def test_cli_bad_path_exit_code(capsys):

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import random_linear
-from regfree_mpc.errors import DetectabilityError
+from regfree_mpc.errors import DetectabilityError, NumericalError
 from regfree_mpc.estimation import (ObserverConfig, ObserverState,
                                     check_joint_detectability, ekf_jacobians,
                                     joint_output, joint_step,
                                     make_observer_state, observer_step)
-from regfree_mpc.models import LinearSystem, SystemModel, cement_mill
+from regfree_mpc.models import LinearSystem, SystemModel, academic_example, cement_mill
 
 
 def tracking_lti(rng):
@@ -68,6 +68,16 @@ def test_mill_jacobian_continuous_on_operating_band():
         if prev is not None:
             assert np.max(np.abs(Fx - prev)) < 0.15
         prev = Fx
+
+
+def test_observer_prediction_rejects_non_finite_state():
+    """The prediction runs through SystemModel.step, so an LTI model raises like the mill."""
+    model = academic_example()
+    for config in (ObserverConfig(kind="ekf", xhat0=[1.0]),
+                   ObserverConfig(kind="luenberger", xhat0=[1.0], L=[[0.5]])):
+        state = make_observer_state(model, config)
+        with pytest.raises(NumericalError):
+            observer_step(state, np.array([np.nan]), np.array([1.0]), model, config)
 
 
 def luenberger_config(sys, L, xhat0):

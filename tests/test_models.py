@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from regfree_mpc.errors import DomainError, ShapeError
-from regfree_mpc.models import (MILL_DT, MILL_SCALE, academic_example, cement_mill,
+from regfree_mpc.models import (MILL_DT, _mill_ode, academic_example, cement_mill,
                                 cement_mill_regulator, dump_lti, load_lti,
                                 mill_alpha, mill_phi, rk4_discretize, rk4_step)
 
@@ -38,16 +38,12 @@ def test_rk4_order_on_mill_model():
     w = np.array([110.0, 425.0])
 
     def one_step(dt):
-        from regfree_mpc.models import _mill_ode
-        scaled = lambda x, uu, ww: _mill_ode(x, uu, ww) / MILL_SCALE
-        return rk4_step(scaled, x0, u, w, dt)
+        return rk4_step(_mill_ode, x0, u, w, dt)
 
     def reference(span, substeps=512):
-        from regfree_mpc.models import _mill_ode
-        scaled = lambda x, uu, ww: _mill_ode(x, uu, ww) / MILL_SCALE
         x = x0
         for _ in range(substeps):
-            x = rk4_step(scaled, x, u, w, span / substeps)
+            x = rk4_step(_mill_ode, x, u, w, span / substeps)
         return x
 
     # the fast mode makes the full sample step non-asymptotic; probe below it
@@ -63,11 +59,9 @@ def test_rk4_substep_insensitivity():
     The sampling recipe is one step per sample; this documents how far that
     sits from a refined integration on the operating region.
     """
-    from regfree_mpc.models import _mill_ode
-    scaled = lambda x, u, w: _mill_ode(x, u, w) / MILL_SCALE
     x0, u, w = np.array([115.0, 50.0, 430.0]), np.array([110.0, 170.0]), np.zeros(2)
-    one = rk4_step(scaled, x0, u, w, MILL_DT)
-    two = rk4_step(scaled, rk4_step(scaled, x0, u, w, MILL_DT / 2), u, w, MILL_DT / 2)
+    one = rk4_step(_mill_ode, x0, u, w, MILL_DT)
+    two = rk4_step(_mill_ode, rk4_step(_mill_ode, x0, u, w, MILL_DT / 2), u, w, MILL_DT / 2)
     assert np.linalg.norm(one - two) < 5e-2 * np.linalg.norm(one)
 
 
