@@ -118,13 +118,15 @@ def _seeded_out(path, seed):
 
 
 def _seed_range(seed_arg):
-    """Seeds of a sweep a:b, i.e. range(a, b); an empty or malformed range is an error."""
+    """Seeds of a sweep a:b, i.e. range(a, b); an empty, malformed or negative range is an error."""
     try:
         a, b = (int(tok) for tok in seed_arg.split(":"))
     except ValueError:
         raise ConfigError(f"seed sweep must be a:b with integers a < b, got {seed_arg!r}") from None
     if b <= a:
         raise ConfigError(f"seed sweep {seed_arg!r} is empty; it needs a < b")
+    if a < 0:
+        raise ConfigError("seed must be nonnegative")
     return range(a, b)
 
 

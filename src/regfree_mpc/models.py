@@ -89,8 +89,9 @@ class SystemModel:
     """Discrete-time model x+ = f_p(x,u,w), w+ = s(w), y = h(x,u,w).
 
     Jacobian callables are optional; central finite differences are used
-    where they are absent.  `jac_f` and `jac_h` take stacks of K points,
-    (K, n_p), (K, m), (K, q), and return (K, ...) arrays.  `linear` tags
+    where they are absent.  `h` takes one point or a stack of K points,
+    (K, n_p), (K, m), (K, q), and returns (p,) or (K, p); `jac_f` and `jac_h`
+    take such stacks and return (K, ...) arrays.  `linear` tags
     models that are exactly linear, enabling the closed-form reference
     `Ocp.dense_matrices`.
     """
@@ -125,7 +126,7 @@ class SystemModel:
 
     def step(self, x, u, w):
         xn = np.asarray(self.f_p(x, u, w), dtype=float)
-        if not np.all(np.isfinite(xn)):
+        if not np.isfinite(xn).all():
             raise NumericalError(f"non-finite state update at x={x}, u={u}")
         return xn
 
@@ -194,7 +195,7 @@ class LinearSystem:
             return S @ w
 
         def h(x, u, w):
-            return C @ x + D @ u - P_y @ w
+            return x @ C.T + u @ D.T - w @ P_y.T
 
         return SystemModel(
             n_p=self.n_p, m=self.m, q=self.q, p=self.p,
@@ -374,7 +375,8 @@ def _mill_ode_jac(x, u, w):
 
 
 def _mill_h(x, u, w):
-    return np.array([x[0] - w[0], x[2] - w[1]])
+    xt, wt = x.T, w.T
+    return np.array([xt[0] - wt[0], xt[2] - wt[1]]).T
 
 
 _MILL_HX = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])

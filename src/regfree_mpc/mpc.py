@@ -112,6 +112,7 @@ class Ocp:
         self.lo = model.input_lo
         self.hi = model.input_hi
         self._sw = np.sqrt(self._output_weights())
+        self._out = np.flatnonzero(self._sw > 0.0)   # steps with output weight w_k > 0
         self._Qh = _psd_sqrt(config.Q)
         # input penalty E vec(u) - c: one R^1/2-weighted m-block per decision
         N, m, Rh = self.N, self.m, _psd_sqrt(config.R)
@@ -128,53 +129,47 @@ class Ocp:
 
     # -- residual form -----------------------------------------------------
 
-    def _extended_input(self, useq, j):
-        return useq[j] if j < self.N else useq[self.N - 1]
-
     def rollout(self, useq):
         xs = [self.x0]
         for j in range(self.H):
-            xs.append(self.model.step(xs[-1], self._extended_input(useq, j), self.w_traj[j]))
+            xs.append(self.model.step(xs[-1], useq[min(j, self.N - 1)], self.w_traj[j]))
         return xs
 
     def outputs(self, useq, xs):
-        return [np.atleast_1d(self.model.h(xs[j], self._extended_input(useq, j), self.w_traj[j]))
-                for j in range(self.H)]
+        """Outputs y_0..y_{H-1} along the rollout xs as (H, p), from one stacked h call."""
+        return self.model.h(np.array(xs[:self.H]), useq[self._j], self._W)
 
     def residuals(self, useq, xs=None, jac=True):
         """Stacked residual r(u) with J(u) = r @ r, its Jacobian J_r and the rollout.
 
         r holds sqrt(w_k) Q^1/2 y_k for every output with weight w_k > 0
         (look_ahead counts the overlap of its two windows twice), then the
-        variant's input penalty E vec(u) - c.  J_r comes from one forward
-        pass over the sensitivity S = dx_k/dvec(u), after one stacked
-        Jacobian call each for f and h along the rollout; it is None unless jac.
+        variant's input penalty E vec(u) - c.  h and the Jacobians of f and h
+        are each evaluated once on the stacked rollout; a forward pass carries
+        the sensitivity S_k = dx_k/dvec(u), and J_r's output rows come from one
+        batched product Hx_k S_k.  J_r is None unless jac.
         """
         useq = np.asarray(useq, dtype=float).reshape(self.N, self.m)
         if xs is None:
             xs = self.rollout(useq)
-        ys = self.outputs(useq, xs)
-        r = np.concatenate([w * (self._Qh @ y) for w, y in zip(self._sw, ys) if w > 0.0]
-                           + [self.E @ useq.ravel() - self.c])
+        N, m, H, k = self.N, self.m, self.H, self._out
+        X = np.array(xs[:H])
+        Y = self.outputs(useq, X)
+        r = np.concatenate([((Y[k] @ self._Qh.T) * self._sw[k, None]).ravel(),
+                            self.E @ useq.ravel() - self.c])
         if not jac:
             return r, None, xs
-        N, m, H = self.N, self.m, self.H
-        X, U = np.array(xs[:H]), useq[self._j]
+        U = useq[self._j]
         Hx, Hu, _ = self.model.jacobians_h(X, U, self._W)
         Fx, Fu, _ = self.model.jacobians_f(X[:H - 1], U[:H - 1], self._W[:H - 1])
-        S = np.zeros((self.model.n_p, N * m))
-        rows = []
-        for k in range(H):
-            j = min(k, N - 1)
-            blk = slice(j * m, (j + 1) * m)
-            if self._sw[k] > 0.0:
-                row = Hx[k] @ S
-                row[:, blk] += Hu[k]
-                rows.append(self._sw[k] * (self._Qh @ row))
-            if k + 1 < H:
-                S = Fx[k] @ S
-                S[:, blk] += Fu[k]
-        return r, np.vstack(rows + [self.E]), xs
+        S = np.zeros((H, self.model.n_p, N * m))
+        for i, j in enumerate(self._j[:H - 1].tolist()):
+            np.matmul(Fx[i], S[i], out=S[i + 1])
+            S[i + 1, :, j * m:(j + 1) * m] += Fu[i]
+        rows = Hx[k] @ S[k]
+        rows.reshape(len(k), self.model.p, N, m)[np.arange(len(k)), :, self._j[k]] += Hu[k]
+        rows = (self._Qh @ rows) * self._sw[k, None, None]
+        return r, np.vstack([rows.reshape(-1, N * m), self.E]), xs
 
     def cost(self, useq, xs=None):
         r, _, xs = self.residuals(useq, xs, jac=False)

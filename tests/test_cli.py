@@ -239,6 +239,15 @@ def test_cli_seed_sweep_rejects_empty_or_malformed_range(tmp_path, capsys, seed)
     assert os.listdir(tmp_path) == []
 
 
+def test_cli_seed_sweep_rejects_negative_start_before_writing(tmp_path, capsys):
+    """A sweep from a negative seed is refused before any worker writes its trace."""
+    out = tmp_path / "s.csv"
+    assert main(["simulate", "--config", "academic_incremental",
+                 "--seed=-2:1", "--out", str(out), "--jobs", "2"]) == 1
+    assert "seed must be nonnegative" in capsys.readouterr().err
+    assert list(tmp_path.glob("s_seed*.csv")) == []
+
+
 def test_cli_seed_sweep_pool_no_larger_than_the_sweep(tmp_path, monkeypatch):
     import multiprocessing
     sizes = []

@@ -176,7 +176,7 @@ def assert_stack_matches_points(model, pts):
 def test_finite_difference_jacobians_stack(rng):
     """Without jac_f/jac_h the central differences run per point inside the stacked call."""
     model = rk4_discretize(lambda x, u, w: np.array([-x[0] * x[1] + u[0], np.sin(x[0]) - w[0]]),
-                           dt=0.1, n_p=2, m=1, q=1, p=1, h=lambda x, u, w: x[:1] * u + w)
+                           dt=0.1, n_p=2, m=1, q=1, p=1, h=lambda x, u, w: x[..., :1] * u + w)
     assert model.jac_f is None and model.jac_h is None
     pts = [(rng.normal(size=2), rng.normal(size=1), rng.normal(size=1)) for _ in range(5)]
     assert_stack_matches_points(model, pts)
@@ -213,3 +213,7 @@ def test_linear_to_system_model_consistency(rng):
                          (sys.A, sys.B, sys.P_x, sys.C, sys.D, -sys.P_y)):
         assert got.shape == (4,) + want.shape
         assert all(np.array_equal(G, want) for G in got)
+    Y = model.h(X, U, W)
+    assert Y.shape == (4, sys.p)
+    for y, x, u, w in zip(Y, X, U, W):
+        assert y == pytest.approx(sys.C @ x + sys.D @ u - sys.P_y @ w)

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_linear
 from regfree_mpc.errors import ConfigError
-from regfree_mpc.linear_analysis import solve_regulator
+from regfree_mpc.linear_analysis import RegulatorSolution, solve_regulator
 from regfree_mpc.models import SystemModel, academic_example, cement_mill, cement_mill_regulator
 from regfree_mpc.mpc import (VARIANTS, MpcConfig, MpcController, SolverSettings,
                              assemble, solve)
@@ -85,6 +88,38 @@ def test_residuals_match_dense_reference(rng, variant):
                    memory=memory, regulator=reg)
     A, b = ocp.dense_matrices()
     u = rng.normal(size=(4, 2))
+    r, Jr, _ = ocp.residuals(u)
+    assert np.allclose(Jr, A, rtol=1e-12, atol=1e-12)
+    assert np.allclose(r, A @ u.ravel() - b, rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), variant=st.sampled_from(VARIANTS),
+       n=st.integers(1, 4), m=st.integers(1, 3), p=st.integers(1, 3), q=st.integers(0, 3),
+       N=st.integers(1, 6), extra=st.integers(0, 3))
+def test_residuals_match_dense_reference_on_random_systems(seed, variant, n, m, p, q, N, extra):
+    """Property: r = Aml u - bml and J_r = Aml for random LTI systems, boxes and every variant.
+
+    `extra` is d for look_ahead and T - 1 for incremental_input.  The feedforward
+    pi_u(w) = Gamma w of input_regularized is random: both sides read the same one.
+    """
+    rng = np.random.default_rng(seed)
+    sys = random_linear(rng, n=n, m=m, p=p, q=q, T=2)
+    lo, hi = -rng.uniform(0.1, 3.0, m), rng.uniform(0.1, 3.0, m)
+    kw, memory, reg = {}, None, None
+    if variant == "look_ahead":
+        kw["d"] = extra
+    elif variant == "incremental_input":
+        kw["T"] = extra + 1
+        memory = rng.normal(size=(extra + 1) * m)
+    elif variant == "input_regularized":
+        reg = RegulatorSolution(Pi=rng.normal(size=(n, q)), Gamma=rng.normal(size=(m, q)))
+    cfg = MpcConfig(variant=variant, N=N, Q=np.diag(rng.uniform(0.1, 2.0, p)),
+                    R=np.diag(rng.uniform(0.1, 2.0, m)), **kw)
+    ocp = assemble(sys.to_system_model(input_lo=lo, input_hi=hi), cfg, rng.normal(size=n),
+                   rng.normal(size=q), memory=memory, regulator=reg)
+    A, b = ocp.dense_matrices()
+    u = rng.uniform(lo, hi, size=(N, m))
     r, Jr, _ = ocp.residuals(u)
     assert np.allclose(Jr, A, rtol=1e-12, atol=1e-12)
     assert np.allclose(r, A @ u.ravel() - b, rtol=1e-12, atol=1e-12)
@@ -191,6 +226,49 @@ def test_residuals_linearise_the_horizon_in_one_stacked_call(monkeypatch, varian
     for args, out, orig in ((fargs, fout, forig), (hargs, hout, horig)):
         for k, pt in enumerate(zip(*args)):
             assert all(np.array_equal(J[k], Jk) for J, Jk in zip(out, orig(mill, *pt)))
+
+
+@pytest.mark.parametrize("plant,variant,N,kw", [
+    ("mill", "output_only", 1, {}),
+    ("mill", "look_ahead", 4, {"d": 1}),          # output weights 1 and 2
+    ("mill", "incremental_input", 6, {"T": 1}),
+    ("academic", "output_only", 1, {}),
+    ("academic", "look_ahead", 2, {"d": 3}),      # output weights 1 and 0
+])
+def test_residuals_evaluate_outputs_in_one_stacked_call(plant, variant, N, kw):
+    """Ocp.residuals and Ocp.cost each call h once, on the (H, ·) stacks of the rollout.
+
+    Every row of that call equals h at the single point, bitwise.
+    """
+    if plant == "mill":
+        base, p = cement_mill(), 2
+        w = np.array([110.0, 425.0])
+        x_ref, u_ref = cement_mill_regulator(w)
+        x0, u = x_ref + np.array([2.0, 1.0, 3.0]), np.tile(u_ref, (N, 1))
+    else:
+        base, p = academic_example(), 1
+        w, x0, u = np.zeros(0), np.array([0.8]), np.linspace(-1.0, 1.0, N).reshape(N, 1)
+    u = u + np.linspace(-3.0, 3.0, u.size).reshape(u.shape)
+    calls = []
+
+    def recorded(x, u, w):
+        out = base.h(x, u, w)
+        calls.append(((x, u, w), out))
+        return out
+
+    model = dataclasses.replace(base, h=recorded)
+    cfg = MpcConfig(variant=variant, N=N, Q=np.eye(p), R=1e-2 * np.eye(base.m), **kw)
+    ocp = assemble(model, cfg, x0, w, memory=u[0] if variant == "incremental_input" else None)
+    for evaluate in (ocp.residuals, ocp.cost):
+        calls.clear()
+        evaluate(u)
+        (args, out), = calls
+        assert [a.shape for a in args] == [(ocp.H, base.n_p), (ocp.H, base.m), (ocp.H, base.q)]
+        assert out.shape == (ocp.H, p)
+        for k, pt in enumerate(zip(*args)):
+            assert np.array_equal(out[k], base.h(*pt))
+    r, _, _ = ocp.residuals(u)
+    assert r.size == p * np.count_nonzero(ocp._output_weights()) + ocp.E.shape[0]
 
 
 def test_gradient_zero_at_unconstrained_optimum(rng):
