@@ -185,15 +185,23 @@ class QuadraticCertificate:
 
 
 _DARE_TOL = 1e-12
-_DARE_MAX_ITER = 100_000
+_DARE_MAX_DOUBLINGS = 64
 
 
 def dare(A, B, Q, R, S=None):
-    """Stabilizing DARE solution by fixed-point iteration of the recursion.
+    """Stabilizing DARE solution by structure-preserving doubling.
 
     With the cross term S: P = Q + A'PA - (A'PB + S)(R + B'PB)^-1 (B'PA + S').
-    A pair (A, B) that is not stabilizable has no stabilizing solution and is
-    rejected before the recursion, which would otherwise grow without bound.
+    R must be positive definite; a singular R raises NumericalError.  The
+    cross term is folded in, A_ = A - B R^-1 S', H = Q - S R^-1 S',
+    G = B R^-1 B', and each doubling step is one solve,
+    [V1 V2] = (I + G H)^-1 [A_ G], then H += A_' H V1, G += A_ V2 A_',
+    A_ = A_ V1.  Doubling step k returns iterate 2^k of the Riccati
+    recursion started from P = 0, so the limit is the recursion's, reached
+    in about log2 of its step count (Anderson 1978).  A pair (A, B) that is
+    not stabilizable has no stabilizing solution and is rejected up front.
+    An unstable mode that Q does not see makes A_ grow without bound; the
+    solver raises NumericalError when that overflows before H converges.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -203,21 +211,30 @@ def dare(A, B, Q, R, S=None):
         raise NumericalError("(A, B) is not stabilizable: no stabilizing Riccati solution")
     n, m = B.shape
     S = np.zeros((n, m)) if S is None else np.atleast_2d(np.asarray(S, dtype=float))
-    P = Q.copy()
-    for _ in range(_DARE_MAX_ITER):
-        G = R + B.T @ P @ B
-        try:
-            K = -np.linalg.solve(G, B.T @ P @ A + S.T)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError("singular input-curvature block in Riccati recursion") from exc
-        P_next = Q + A.T @ P @ A + (A.T @ P @ B + S) @ K
-        P_next = 0.5 * (P_next + P_next.T)
-        if not np.all(np.isfinite(P_next)):
-            raise NumericalError("Riccati recursion diverged")
-        if np.max(np.abs(P_next - P)) <= _DARE_TOL * max(1.0, float(np.max(np.abs(P_next)))):
-            return QuadraticCertificate(P=P_next)
-        P = P_next
-    raise NumericalError(f"Riccati recursion did not converge in {_DARE_MAX_ITER} iterations")
+    try:
+        RiST, RiBT = np.split(np.linalg.solve(R, np.hstack([S.T, B.T])), [n], axis=1)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("singular input weight R in the Riccati equation") from exc
+    Ah = A - B @ RiST
+    H = Q - S @ RiST
+    G = B @ RiBT
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_DARE_MAX_DOUBLINGS):
+            try:
+                V1, V2 = np.split(np.linalg.solve(np.eye(n) + G @ H, np.hstack([Ah, G])), [n], axis=1)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError("singular doubling step in the Riccati solver") from exc
+            dH = Ah.T @ H @ V1
+            dH = 0.5 * (dH + dH.T)
+            H = H + dH
+            G = G + Ah @ V2 @ Ah.T
+            Ah = Ah @ V1
+            if not np.all(np.isfinite(H)):
+                raise NumericalError("Riccati doubling diverged: the recursion's limit is not "
+                                     "stabilizing ((A, Q) is not detectable)")
+            if np.max(np.abs(dH)) <= _DARE_TOL * max(1.0, float(np.max(np.abs(H)))):
+                return QuadraticCertificate(P=H)
+    raise NumericalError(f"Riccati doubling did not converge in {_DARE_MAX_DOUBLINGS} steps")
 
 
 def lqr_gain(A, B, Q, R, S=None):

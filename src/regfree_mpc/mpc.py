@@ -13,6 +13,7 @@ from typing import Optional
 
 import numpy as np
 
+from .blas import one_blas_thread
 from .errors import ConfigError, DomainError, NumericalError
 from .models import SystemModel
 
@@ -274,6 +275,7 @@ def _stationarity(u, g, lo, hi):
     return float(np.max(np.abs(u - np.clip(u - g, lo, hi)))) if u.size else 0.0
 
 
+@one_blas_thread()
 def solve(ocp: Ocp, warm_start=None) -> OcpSolution:
     """Minimize the OCP over the input box.
 
@@ -286,6 +288,8 @@ def solve(ocp: Ocp, warm_start=None) -> OcpSolution:
     The minimiser is canonical: trailing input blocks whose J_r columns are
     all zero take the value of the last block the cost sees, unless that
     raises the cost.
+
+    numpy's OpenBLAS runs on one thread for the call (`blas.one_blas_thread`).
     """
     tol = ocp.config.solver.gradient_tolerance
     N, m = ocp.N, ocp.m
@@ -328,9 +332,10 @@ def solve(ocp: Ocp, warm_start=None) -> OcpSolution:
     if seen.size and seen[-1] < N - 1:
         tail = u.reshape(N, m).copy()
         tail[seen[-1] + 1:] = tail[seen[-1]]
-        Jt, xst = ocp.cost(tail)
-        if Jt <= J:     # a zero column at one point need not mean the cost never sees it
-            u, J, xs = tail, Jt, xst
+        if not np.array_equal(tail.ravel(), u):     # else (J, xs) already belong to it
+            Jt, xst = ocp.cost(tail)
+            if Jt <= J:     # a zero column at one point need not mean the cost never sees it
+                u, J, xs = tail, Jt, xst
     return OcpSolution(u_opt=u.reshape(N, m), x_pred=np.array(xs[:N + 1]), value=J,
                        iterations=it, converged=bool(stat <= tol),
                        kkt_residual=stat)

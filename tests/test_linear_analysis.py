@@ -2,9 +2,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy import linalg as sla
 
 from conftest import random_linear
+from regfree_mpc import config as cfg
 from regfree_mpc.augmentation import augment_linear
 from regfree_mpc.errors import (DegenerateSystemError, DetectabilityError,
                                 DomainError, NumericalError, ResonanceError,
@@ -21,7 +23,8 @@ from regfree_mpc.linear_analysis import (alpha_s_of_horizon, augmented_pair,
                                          sigma_metric_dare,
                                          smallest_observability_window,
                                          solve_regulator, stage_cost_forms)
-from regfree_mpc.models import LinearSystem, academic_example, cement_mill, cement_mill_regulator
+from regfree_mpc.models import (LinearSystem, academic_example, cement_mill,
+                               cement_mill_regulator, resolve_model)
 from regfree_mpc.errors import ObservabilityError
 
 
@@ -200,6 +203,78 @@ def test_dare_matches_scipy_oracle(rng):
         P = dare(sys.A, sys.B, Q, R).P
         P_ref = sla.solve_discrete_are(sys.A, sys.B, Q, R)
         assert np.allclose(P, P_ref, rtol=1e-8, atol=1e-10)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 5), m=st.integers(1, 3),
+       rho=st.floats(0.2, 1.3), cross=st.booleans())
+def test_dare_matches_scipy_on_random_weights(seed, n, m, rho, cross):
+    """Property: doubling agrees with scipy for PSD [[Q, S], [S', R]], R > 0, S zero or not."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(n, n))
+    A *= rho / max(abs(np.linalg.eigvals(A)))
+    B = rng.normal(size=(n, m))
+    assume(pbh_stabilizable(A, B))
+    Z = rng.normal(size=(n + m, n + m))
+    M = Z @ Z.T
+    M[n:, n:] += 0.1 * np.eye(m)
+    Q, S, R = M[:n, :n], M[:n, n:], M[n:, n:]
+    if not cross:
+        S = np.zeros((n, m))
+    P = dare(A, B, Q, R, S=S).P
+    P_ref = sla.solve_discrete_are(A, B, Q, R, s=S)
+    assert np.allclose(P, P_ref, rtol=1e-8, atol=1e-10)
+
+
+def test_dare_marginal_closed_loop():
+    """A closed-loop pole near 1: the plain recursion needs hundreds of steps, doubling a few."""
+    P = dare([[0.999]], [[0.01]], [[1.0]], [[1.0]]).P
+    P_ref = sla.solve_discrete_are([[0.999]], [[0.01]], [[1.0]], [[1.0]])
+    assert np.allclose(P, P_ref, rtol=1e-8, atol=1e-10)
+
+
+def test_dare_singular_input_weight_raises_at_once():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for R, S in (([[0.0]], None), ([[1.0, 1.0], [1.0, 1.0]], [[0.5, 0.5]])):
+            with pytest.raises(NumericalError):
+                dare([[0.5]], np.ones((1, len(R))), [[1.0]], R, S=S)
+
+
+def test_dare_undetectable_unstable_mode_raises_without_warning():
+    """Q cannot see the mode at 10, so the recursion's limit is not stabilizing."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="not detectable"):
+            dare(np.diag([10.0, 0.99]), [[1.0], [0.01]], np.diag([0.0, 1.0]), [[1.0]])
+
+
+def test_analyze_dare_solve_budget(monkeypatch):
+    """Deterministic work guard: the two DAREs of one analyze take at most 16 linear solves.
+
+    Doubling measured 7 + 8; the fixed-point recursion it replaced took 25 + 38.
+    """
+    import regfree_mpc.linear_analysis as la
+    spec = cfg.parse_config(cfg.read_config_file("academic_analyze"))
+    sys = resolve_model(spec.model_name).linear
+    inside, solves, orig_dare, orig_solve = [False], [], la.dare, np.linalg.solve
+
+    def counted_dare(*args, **kw):
+        inside[0] = True
+        try:
+            return orig_dare(*args, **kw)
+        finally:
+            inside[0] = False
+
+    def counted_solve(*args, **kw):
+        solves.append(inside[0])
+        return orig_solve(*args, **kw)
+
+    monkeypatch.setattr(la, "dare", counted_dare)
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    rep = la.analyze_linear(sys, spec.T, spec.N, spec.Q, spec.R, gamma_s=spec.gamma_s)
+    assert rep.bounds.epsilon_o == pytest.approx(0.3342425493, abs=1e-8)
+    assert 0 < sum(solves) <= 16
 
 
 def test_dare_augmented_academic_regression():

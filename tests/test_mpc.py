@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_linear
+from regfree_mpc import blas, mpc
 from regfree_mpc.errors import ConfigError
 from regfree_mpc.linear_analysis import RegulatorSolution, solve_regulator
-from regfree_mpc.models import SystemModel, academic_example, cement_mill, cement_mill_regulator
+from regfree_mpc.models import (LinearSystem, SystemModel, academic_example, cement_mill,
+                               cement_mill_regulator)
 from regfree_mpc.mpc import (VARIANTS, MpcConfig, MpcController, SolverSettings,
                              assemble, solve)
 
@@ -363,6 +365,78 @@ def test_canonical_tail_never_raises_the_value():
     sol = solve(ocp, warm_start=np.array([[1.0], [0.0], [0.7]]))
     assert sol.value == ocp.cost(sol.u_opt)[0] == 1.0
     assert sol.u_opt[1, 0] == 0.0
+
+
+def test_canonical_tail_reuses_the_cost_of_an_unchanged_tail(monkeypatch):
+    """The solver never evaluates the cost twice at the input it returns.
+
+    The reference w = (80, 300) saturates every input at its lower bound, so
+    the re-solve from the canonical solution keeps the tail as it is.
+    """
+    mill = cement_mill()
+    cfg = MpcConfig(variant="output_only", N=6, Q=np.eye(2), R=np.zeros((2, 2)))
+    ocp = assemble(mill, cfg, np.array([120.0, 55.0, 450.0]), np.array([80.0, 300.0]))
+    first = solve(ocp, warm_start=np.tile([115.0, 172.5], (cfg.N, 1)))
+    assert np.array_equal(first.u_opt[-1], first.u_opt[-2])
+    seen, orig = [], ocp.cost
+    monkeypatch.setattr(ocp, "cost", lambda u, xs=None: seen.append(np.ravel(u).copy()) or orig(u, xs))
+    sol = solve(ocp, warm_start=first.u_opt)
+    assert sum(np.array_equal(u, sol.u_opt.ravel()) for u in seen) <= 1
+    assert sol.value == orig(sol.u_opt)[0]
+
+
+def test_solve_runs_numpy_blas_on_one_thread_and_restores_the_count(monkeypatch):
+    """One OpenBLAS thread inside `solve`; the caller's count back on return and on raise."""
+    if blas._THREADS is None:
+        pytest.skip("numpy is not linked against OpenBLAS")
+    get, put = blas._THREADS
+    seen, orig = [], mpc._projected_newton_direction
+    monkeypatch.setattr(mpc, "_projected_newton_direction", lambda *a: seen.append(get()) or orig(*a))
+    ocp = assemble(academic_example(), make_cfg("output_only", 20), np.array([1.0]), np.zeros(0))
+    saved = get()
+    put(2)
+    try:
+        sol = solve(ocp)
+        assert seen and set(seen) == {1}
+        assert get() == 2
+        with blas.one_blas_thread():
+            solve(ocp)
+            assert get() == 1       # an inner extent leaves the outer one's count alone
+        assert get() == 2
+        monkeypatch.setattr(ocp, "residuals", lambda *a, **k: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            solve(ocp)
+        assert get() == 2
+    finally:
+        put(saved)
+    assert sol.iterations > 0
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "jammed projected-Newton solve: coordinate 8 sits at its upper bound with an inward "
+    "gradient, the free-set Newton step points outward, the projection clips it and the "
+    "rest of the step crawls (200 iterations, KKT residual 2.0)"))
+def test_box_constrained_lti_solve_matches_bvls():
+    """Instance 193 of `linear_certificates` seed 9301: N = 40 box LTI against BVLS."""
+    from scipy.optimize import lsq_linear
+    rng = np.random.default_rng([9301, 2, 193])
+    A = rng.normal(size=(4, 4))
+    A *= 0.9 / max(abs(np.linalg.eigvals(A)))
+    sys = LinearSystem(A=A, B=rng.normal(size=(4, 2)), C=rng.normal(size=(2, 4)),
+                       D=0.3 * rng.normal(size=(2, 2)), P_x=np.zeros((4, 0)),
+                       P_y=np.zeros((2, 0)), S=np.zeros((0, 0)))
+    x0 = 3.0 * rng.normal(size=4)
+    model = sys.to_system_model(input_lo=-np.ones(2), input_hi=np.ones(2))
+    cfg = MpcConfig(variant="incremental_input", N=40, Q=np.eye(2), R=0.1 * np.eye(2), T=1)
+    ocp = assemble(model, cfg, x0, np.zeros(0), memory=np.zeros(2))
+    Aml, b = ocp.dense_matrices()
+    ref = lsq_linear(Aml, b, bounds=(-np.ones(80), np.ones(80)), method="bvls",
+                     tol=1e-12, max_iter=100 * Aml.shape[1])
+    r = Aml @ ref.x - b
+    sol = solve(ocp)
+    assert sol.converged
+    assert np.max(np.abs(sol.u_opt.ravel() - ref.x)) <= 1e-6
+    assert sol.value == pytest.approx(float(r @ r), rel=1e-9)
 
 
 def test_warm_start_resolve_never_increases_value(rng):
