@@ -201,7 +201,9 @@ def dare(A, B, Q, R, S=None):
     in about log2 of its step count (Anderson 1978).  A pair (A, B) that is
     not stabilizable has no stabilizing solution and is rejected up front.
     An unstable mode that Q does not see makes A_ grow without bound; the
-    solver raises NumericalError when that overflows before H converges.
+    solver raises NumericalError when that overflows before H converges, or
+    when H converges while A_ has not decayed (spectral radius >= 1): that
+    limit is not the stabilizing solution.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -233,7 +235,12 @@ def dare(A, B, Q, R, S=None):
                 raise NumericalError("Riccati doubling diverged: the recursion's limit is not "
                                      "stabilizing ((A, Q) is not detectable)")
             if np.max(np.abs(dH)) <= _DARE_TOL * max(1.0, float(np.max(np.abs(H)))):
-                return QuadraticCertificate(P=H)
+                # A_ is now a high power of the closed loop of H: it has decayed
+                # unless H leaves a mode in place that Q does not see
+                if np.all(np.isfinite(Ah)) and max(abs(np.linalg.eigvals(Ah))) < 1.0:
+                    return QuadraticCertificate(P=H)
+                raise NumericalError("Riccati doubling converged to a solution that is not "
+                                     "stabilizing ((A, Q) is not detectable)")
     raise NumericalError(f"Riccati doubling did not converge in {_DARE_MAX_DOUBLINGS} steps")
 
 

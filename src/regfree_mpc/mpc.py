@@ -2,10 +2,12 @@
 
 All four stage-cost variants share a single-shooting parameterization in the
 physical input sequence and one residual form, J(u) = ||r(u)||^2, written once
-in `Ocp.residuals`.  Every model runs the same Gauss-Newton projected-descent
-solver (two-metric projection with Armijo backtracking) that reports the
-projected-gradient stationarity residual.  `Ocp.dense_matrices` builds the
-residual of an exactly linear model in closed form, as an independent reference.
+in `Ocp.residuals`.  Every model runs the same Gauss-Newton solver: each
+iteration minimises its model exactly over the input box with a primal
+active-set method, and a line search along the feasible segment accepts a
+trial by the model's predicted decrease.  It reports the projected-gradient
+stationarity residual.  `Ocp.dense_matrices` builds the residual of an exactly
+linear model in closed form, as an independent reference.
 """
 
 from dataclasses import dataclass, field
@@ -279,11 +281,19 @@ def _stationarity(u, g, lo, hi):
 def solve(ocp: Ocp, warm_start=None) -> OcpSolution:
     """Minimize the OCP over the input box.
 
-    Linear and nonlinear models take the same Gauss-Newton projected-descent
-    path from the (box-projected) warm start: g = 2 J_r^T r, H = 2 J_r^T J_r,
-    Armijo backtracking on J = r @ r.  Stationarity may stop the iteration
-    only after the first step, so an unconstrained linear OCP returns its
-    exact minimiser; `converged` is judged at the returned iterate.
+    Linear and nonlinear models take the same Gauss-Newton path from the
+    (box-projected) warm start.  Each iteration solves its model exactly over
+    the box, d = argmin ||r + J_r d||^2 subject to lo - u <= d <= hi - u
+    (`_box_gauss_newton_step`), and searches along the feasible segment
+    u + t d, halving t from 1.  A trial is accepted when the cost falls by at
+    least 1e-4 times the model's predicted decrease
+    pred(t) = -(2t r'J_r d + t^2 ||J_r d||^2), less a round-off allowance of
+    1e-14 max(1, |J|).  The iteration stops when the projected-gradient
+    residual meets the tolerance after at least one step; at the start it
+    stops only if, in addition, the exact step would not move u
+    (||d||_inf <= 1e-13 max(1, ||u||_inf)), so an unconstrained linear OCP
+    still returns its exact minimiser.  `converged` is judged at the returned
+    iterate.
 
     The minimiser is canonical: trailing input blocks whose J_r columns are
     all zero take the value of the last block the cost sees, unless that
@@ -312,13 +322,18 @@ def solve(ocp: Ocp, warm_start=None) -> OcpSolution:
         stat = _stationarity(u, g, lo, hi)
         if (it > 0 and stat <= tol) or it >= _MAX_ITERATIONS:
             break
-        d = _projected_newton_direction(u, g, 2.0 * Jr.T @ Jr, lo, hi, stat)
+        d = _box_gauss_newton_step(2.0 * Jr.T @ Jr, g, lo - u, hi - u)
+        if stat <= tol and np.max(np.abs(d)) <= 1e-13 * max(1.0, np.max(np.abs(u))):
+            break
+        Jd = Jr @ d
+        slope, curv = float(g @ d), float(Jd @ Jd)
+        allowance = 1e-14 * max(1.0, abs(J))
         t = 1.0
         for _ in range(60):
+            # u + t d lies in the box; the clip only removes round-off
             un = np.clip(u + t * d, lo, hi)
             Jn, xsn = ocp.cost(un)
-            dec = float(g @ (u - un))
-            if Jn <= J - _ARMIJO_SLOPE * dec and Jn <= J + 1e-14 * max(1.0, abs(J)):
+            if J - Jn >= -_ARMIJO_SLOPE * t * (slope + t * curv) - allowance:
                 break
             t *= _ARMIJO_SHRINK
         else:
@@ -341,34 +356,74 @@ def solve(ocp: Ocp, warm_start=None) -> OcpSolution:
                        kkt_residual=stat)
 
 
-def _projected_newton_direction(u, g, H, lo, hi, stat):
-    """Two-metric projection: Newton on the free set, gradient on the active set."""
-    eps_a = min(1e-6, max(1e-12, stat))
-    at_lo = (u - lo <= eps_a) & (g > 0)
-    at_hi = (hi - u <= eps_a) & (g < 0)
-    act = at_lo | at_hi
-    free = ~act
-    d = np.zeros_like(u)
-    if free.any():
-        Hff = H[np.ix_(free, free)]
-        gf = g[free]
-        lam = 0.0
-        trace = max(1.0, float(np.trace(Hff)) / Hff.shape[0])
-        for _ in range(12):
-            Hreg = Hff + lam * np.eye(Hff.shape[0])
-            try:
-                np.linalg.cholesky(Hreg)   # raises unless Hreg is positive definite
-                df = -np.linalg.solve(Hreg, gf)
-                if df @ gf < 0.0:
-                    d[free] = df
-                    break
-                lam = max(10.0 * lam, 1e-10 * trace)
-            except np.linalg.LinAlgError:
-                lam = max(10.0 * lam, 1e-10 * trace)
-        else:
-            d[free] = -gf
-    d[act] = -g[act]
+def _box_gauss_newton_step(H, g, lo, hi):
+    """Exact minimiser of the model g'd + d'Hd/2 over the box lo <= d <= hi.
+
+    A monotone primal active-set method (Nocedal & Wright, section 16.5)
+    started from the feasible d = 0, with lo <= 0 <= hi.  The bounds that d = 0
+    already sits on form the first working set.  Each pass takes the Newton
+    step on the free coordinates and stops it at the first bound it meets,
+    which joins the working set.  After a step that no bound blocks, d is the
+    minimiser on the current face, so the multipliers are checked at once: the
+    working bound with the most negative one is released, and d is optimal
+    when none is negative.  A released coordinate must then move inward; if
+    its step does not, the multiplier was round-off and d is returned.  Every
+    pass lowers the model or grows the working set; after 4n + 10 passes the
+    current, feasible d is returned.
+    """
+    n = g.size
+    d = np.zeros(n)
+    side = np.where(lo >= 0.0, 1.0, np.where(hi <= 0.0, -1.0, 0.0))   # +1 at lo, -1 at hi
+    grad = g
+    released = None
+    for _ in range(4 * n + 10):
+        free = side == 0.0
+        p = np.zeros(n)
+        if free.any():
+            p[free] = _newton_step(H[np.ix_(free, free)], grad[free])
+        if released is not None and p[released[0]] * released[1] <= 0.0:
+            return d
+        with np.errstate(divide="ignore", invalid="ignore"):
+            room = np.where(p < 0.0, (lo - d) / p, np.where(p > 0.0, (hi - d) / p, np.inf))
+        block = int(np.argmin(room))
+        if room[block] < 1.0:
+            d += max(room[block], 0.0) * p
+            side[block] = 1.0 if p[block] < 0.0 else -1.0
+            d[block] = lo[block] if p[block] < 0.0 else hi[block]
+            grad = g + H @ d
+            released = None
+            continue
+        d += p
+        work = np.flatnonzero(side)
+        if not work.size:
+            return d
+        grad = g + H @ d
+        mult = side[work] * grad[work]
+        k = int(np.argmin(mult))
+        if mult[k] >= 0.0:
+            return d
+        released = (work[k], side[work[k]])
+        side[work[k]] = 0.0
     return d
+
+
+def _newton_step(H, g):
+    """Newton step -H^-1 g, regularised until H is positive definite and the step descends."""
+    if not g.any():
+        return np.zeros_like(g)
+    lam = 0.0
+    trace = max(1.0, float(np.trace(H)) / H.shape[0])
+    for _ in range(12):
+        Hreg = H + lam * np.eye(H.shape[0]) if lam else H
+        try:
+            np.linalg.cholesky(Hreg)   # raises unless Hreg is positive definite
+            step = -np.linalg.solve(Hreg, g)
+            if step @ g < 0.0:
+                return step
+        except np.linalg.LinAlgError:
+            pass
+        lam = max(10.0 * lam, 1e-10 * trace)
+    return -g
 
 
 # ---------------------------------------------------------------------------

@@ -249,6 +249,14 @@ def test_dare_undetectable_unstable_mode_raises_without_warning():
             dare(np.diag([10.0, 0.99]), [[1.0], [0.01]], np.diag([0.0, 1.0]), [[1.0]])
 
 
+def test_dare_non_stabilizing_limit_raises_without_warning():
+    """The recursion converges to P = diag(0, 1.1328) with rho(A - BK) = 2: Q misses the mode at 2."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="not stabilizing"):
+            dare([[2.0, 1.0], [0.0, 0.5]], [[1.0], [1.0]], np.diag([0.0, 1.0]), [[1.0]])
+
+
 def test_analyze_dare_solve_budget(monkeypatch):
     """Deterministic work guard: the two DAREs of one analyze take at most 16 linear solves.
 

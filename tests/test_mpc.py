@@ -390,8 +390,8 @@ def test_solve_runs_numpy_blas_on_one_thread_and_restores_the_count(monkeypatch)
     if blas._THREADS is None:
         pytest.skip("numpy is not linked against OpenBLAS")
     get, put = blas._THREADS
-    seen, orig = [], mpc._projected_newton_direction
-    monkeypatch.setattr(mpc, "_projected_newton_direction", lambda *a: seen.append(get()) or orig(*a))
+    seen, orig = [], mpc._box_gauss_newton_step
+    monkeypatch.setattr(mpc, "_box_gauss_newton_step", lambda *a: seen.append(get()) or orig(*a))
     ocp = assemble(academic_example(), make_cfg("output_only", 20), np.array([1.0]), np.zeros(0))
     saved = get()
     put(2)
@@ -412,10 +412,20 @@ def test_solve_runs_numpy_blas_on_one_thread_and_restores_the_count(monkeypatch)
     assert sol.iterations > 0
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "jammed projected-Newton solve: coordinate 8 sits at its upper bound with an inward "
-    "gradient, the free-set Newton step points outward, the projection clips it and the "
-    "rest of the step crawls (200 iterations, KKT residual 2.0)"))
+def test_unconstrained_solve_is_one_cholesky_and_one_solve(monkeypatch):
+    """Without finite bounds the box step is the plain Newton step: no extra factorisation."""
+    counts = {"cholesky": 0, "solve": 0}
+    for name in counts:
+        orig = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, _n=name, _f=orig, **k:
+                            counts.__setitem__(_n, counts[_n] + 1) or _f(*a, **k))
+    cfg = MpcConfig(variant="incremental_input", N=307, Q=np.eye(1), R=np.eye(1), T=1)
+    ocp = assemble(academic_example(), cfg, np.array([1.3]), np.zeros(0), memory=np.array([0.4]))
+    sol = solve(ocp)
+    assert sol.iterations == 1 and sol.converged
+    assert counts == {"cholesky": 1, "solve": 1}
+
+
 def test_box_constrained_lti_solve_matches_bvls():
     """Instance 193 of `linear_certificates` seed 9301: N = 40 box LTI against BVLS."""
     from scipy.optimize import lsq_linear
@@ -437,6 +447,82 @@ def test_box_constrained_lti_solve_matches_bvls():
     assert sol.converged
     assert np.max(np.abs(sol.u_opt.ravel() - ref.x)) <= 1e-6
     assert sol.value == pytest.approx(float(r @ r), rel=1e-9)
+
+
+def test_box_constrained_lti_sweep_matches_bvls():
+    """Random box LTI against BVLS at the `linear_certificates` tolerances.
+
+    Every third of 300 instances (rng [4242, i]: N 5-59, rho(A) 0.3-1.2) and
+    instances 167 and 220, on which a Newton step clipped onto the box jams.
+    """
+    from scipy.optimize import lsq_linear
+    for i in sorted(set(range(0, 300, 3)) | {167, 220}):
+        rng = np.random.default_rng([4242, i])
+        N, rho = int(rng.integers(5, 60)), rng.uniform(0.3, 1.2)
+        A = rng.normal(size=(4, 4))
+        A *= rho / max(abs(np.linalg.eigvals(A)))
+        sys = LinearSystem(A=A, B=rng.normal(size=(4, 2)), C=rng.normal(size=(2, 4)),
+                           D=0.3 * rng.normal(size=(2, 2)), P_x=np.zeros((4, 0)),
+                           P_y=np.zeros((2, 0)), S=np.zeros((0, 0)))
+        x0 = 3.0 * rng.normal(size=4)
+        model = sys.to_system_model(input_lo=-np.ones(2), input_hi=np.ones(2))
+        cfg = MpcConfig(variant="incremental_input", N=N, Q=np.eye(2), R=0.1 * np.eye(2), T=1)
+        ocp = assemble(model, cfg, x0, np.zeros(0), memory=np.zeros(2))
+        Aml, b = ocp.dense_matrices()
+        ref = lsq_linear(Aml, b, bounds=(-np.ones(2 * N), np.ones(2 * N)), method="bvls",
+                         tol=1e-12, max_iter=100 * Aml.shape[1])
+        r = Aml @ ref.x - b
+        sol = solve(ocp)
+        assert np.all(np.abs(sol.u_opt) <= 1.0), i
+        assert np.max(np.abs(sol.u_opt.ravel() - ref.x)) <= 1e-6, i
+        assert abs(sol.value - float(r @ r)) <= 1e-9 * max(1.0, float(r @ r)), i
+        if rho <= 1.0:
+            assert sol.converged and sol.iterations <= 2, i
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 30), rows=st.integers(1, 60),
+       zero_cols=st.booleans())
+def test_box_step_matches_bvls_on_random_models(seed, n, rows, zero_cols):
+    """Property: the GN box step attains BVLS's model value, also for rank-deficient J_r."""
+    from scipy.optimize import lsq_linear
+    rng = np.random.default_rng(seed)
+    Jr = rng.normal(size=(rows, n)) * 10.0 ** rng.uniform(-1, 1, n)
+    if zero_cols:
+        Jr[:, rng.random(n) < 0.3] = 0.0
+    r = rng.normal(size=rows) * 10.0 ** rng.uniform(-2, 3)
+    lo, hi = -rng.uniform(0.0, 2.0, n), rng.uniform(0.0, 2.0, n)
+    lo[rng.random(n) < 0.2] = 0.0          # the iterate sits on some lower bounds
+    hi[rng.random(n) < 0.2] = 1e-3         # and near some upper ones
+    d = mpc._box_gauss_newton_step(2.0 * Jr.T @ Jr, 2.0 * Jr.T @ r, lo, hi)
+    assert np.all((lo <= d) & (d <= hi))
+    ref = lsq_linear(Jr, -r, bounds=(lo, hi), method="bvls", tol=1e-14, max_iter=100 * n)
+    value, best = np.sum((r + Jr @ d) ** 2), np.sum((r + Jr @ ref.x) ** 2)
+    assert value <= best + 1e-10 * max(1.0, best)
+
+
+def test_box_step_stops_at_a_round_off_multiplier(monkeypatch):
+    """A rank-4 model in 36 inputs: multipliers at round-off must not make the working set cycle.
+
+    Without the inward-step check this instance releases and re-adds bounds
+    until the pass cap of 4n + 10; with it, it stops at the KKT point.
+    """
+    rng = np.random.default_rng([77, 136])
+    n = 36
+    Jr = rng.normal(size=(4, n)) * 10.0 ** rng.uniform(-1, 1, n)
+    r = 100.0 * rng.normal(size=4)
+    lo, hi = -rng.uniform(0.0, 2.0, n), rng.uniform(0.0, 2.0, n)
+    lo[rng.random(n) < 0.2] = 0.0
+    hi[rng.random(n) < 0.2] = 0.0
+    H, g = 2.0 * Jr.T @ Jr, 2.0 * Jr.T @ r
+    passes, orig = [], mpc._newton_step
+    monkeypatch.setattr(mpc, "_newton_step", lambda *a: passes.append(1) or orig(*a))
+    d = mpc._box_gauss_newton_step(H, g, lo, hi)
+    assert len(passes) <= 2 * n
+    grad, tol = g + H @ d, 1e-12 * np.max(np.abs(g))
+    at_lo, at_hi = d == lo, d == hi
+    assert np.all(np.abs(grad[~(at_lo | at_hi)]) <= tol)
+    assert np.all(grad[at_lo & ~at_hi] >= -tol) and np.all(grad[at_hi & ~at_lo] <= tol)
 
 
 def test_warm_start_resolve_never_increases_value(rng):

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from regfree_mpc import config as cfg
+from regfree_mpc import config as cfg, mpc as mpc_mod
 from regfree_mpc.errors import ConfigError, NumericalError
 from regfree_mpc.linear_analysis import solve_regulator
 from regfree_mpc.models import academic_example, cement_mill, cement_mill_regulator
@@ -217,6 +219,40 @@ def test_output_only_mill_iteration_budget():
     trace = run(spec)
     assert trace.failed_at is None
     assert int(np.sum(trace.iterations)) < 347
+
+
+def test_output_only_stationary_resolve_takes_no_step(monkeypatch):
+    """Work guard: a canonical solution re-solved from itself costs one rollout, not a line search.
+
+    Step 39 of the preset sits at J ~ 1e-27, where a forced first step's line
+    search halves about eight times before its trial equals u.
+    """
+    spec = dataclasses.replace(cfg.parse_config(cfg.read_config_file("cement_mill_output_only")),
+                               steps=40)
+    solved, orig_solve = [], mpc_mod.solve
+    monkeypatch.setattr(mpc_mod, "solve", lambda ocp, warm_start=None:
+                        solved.append((ocp, orig_solve(ocp, warm_start=warm_start))) or solved[-1][1])
+    run(spec)
+    ocp, last = solved[-1]
+    rollouts, orig_rollout = [], mpc_mod.Ocp.rollout
+    monkeypatch.setattr(mpc_mod.Ocp, "rollout", lambda self, u: rollouts.append(1) or orig_rollout(self, u))
+    again = orig_solve(ocp, warm_start=last.u_opt)
+    assert again.iterations == 0 and again.converged
+    assert len(rollouts) <= 2
+    assert np.array_equal(again.u_opt, last.u_opt)
+
+
+def test_nominal_mill_converges_at_every_step():
+    """No round-off stall in the first 41 steps of the nominal preset.
+
+    A line search that accepts only cost decreases above the round-off of J
+    (about 1e-14 J here) leaves steps 8, 10 and 40 unconverged, and a Newton
+    step clipped onto the box stalls at step 5.
+    """
+    spec = dataclasses.replace(cfg.parse_config(cfg.read_config_file("cement_mill_nominal")),
+                               steps=41)
+    trace = run(spec)
+    assert trace.failed_at is None and np.all(trace.converged)
 
 
 def test_error_feedback_trace_has_estimates():
