@@ -13,11 +13,9 @@ from .errors import (ConfigError, DegenerateSystemError, DetectabilityError,
 from .estimation import ObserverConfig, ObserverState, ekf_jacobians, observer_step
 from .linear_analysis import (AnalysisReport, BoundsReport, NonresonanceReport,
                               QuadraticCertificate, RegulatorSolution,
-                              analyze_linear, augmented_pair,
-                              classical_regulator_feedback, dare,
-                              epsilon_o_generalized_eig, horizon_bounds,
-                              linear_ioss_certificate, lqr_gain, nonresonance,
-                              observability_constant, pbh_detectable,
+                              analyze_linear, augmented_pair, dare,
+                              epsilon_o_generalized_eig, horizon_bounds, lqr_gain,
+                              nonresonance, observability_constant, pbh_detectable,
                               pbh_stabilizable, relative_degree_and_zeros,
                               sigma_metric_dare, smallest_observability_window,
                               solve_regulator)
@@ -25,7 +23,6 @@ from .models import (LinearSystem, SimNoiseSpec, SystemModel, academic_example,
                      cement_mill, cement_mill_regulator, load_lti, rk4_discretize)
 from .mpc import (MpcConfig, MpcController, OcpSolution, SolverSettings,
                   assemble, solve)
-from .simulation import (MetricsReport, ScenarioSpec, SimTrace, decrease_check,
-                         metrics, run, value_series)
+from .simulation import MetricsReport, ScenarioSpec, SimTrace, metrics, run
 
 __version__ = "0.1.0"

@@ -145,14 +145,22 @@ def _default_regulator(model):
 
 def build_scenario(sections, seed_override=None) -> ScenarioSpec:
     model = resolve_model(_need(sections, "model", "name"))
+    nj = model.n_p + model.q
+    for section, key, size in (("sim", "x0", model.n_p), ("sim", "w0", model.q),
+                               ("sim", "u_init", model.m), ("mpc", "Q", model.p),
+                               ("mpc", "R", model.m), ("observer", "xhat0", nj),
+                               ("observer", "L", nj * model.p),
+                               ("observer", "noise_lo", model.p),
+                               ("observer", "noise_hi", model.p)):
+        value, line = sections.get(section, {}).get(key, (None, None))
+        if value is not None and value.size != size:
+            raise ConfigError(f"{key!r} needs {size} entries for model {model.name!r}, "
+                              f"got {value.size}", line=line)
     cfg = build_mpc_config(sections)
-    feedback = "exact_state"
     observer = None
     noise = SimNoiseSpec()
     if "observer" in sections and sections["observer"]:
-        feedback = "error_feedback"
         kind = _need(sections, "observer", "kind")
-        nj = model.n_p + model.q
         sigma0 = _opt(sections, "observer", "sigma0", 100.0)
         qscale = _opt(sections, "observer", "process_noise", 1.0)
         rscale = _opt(sections, "observer", "measurement_noise", 1.0)
@@ -186,7 +194,6 @@ def build_scenario(sections, seed_override=None) -> ScenarioSpec:
         x0=_need(sections, "sim", "x0"),
         w0=w0,
         steps=_need(sections, "sim", "steps"),
-        feedback=feedback,
         observer=observer,
         noise=noise,
         seed=seed,

@@ -12,9 +12,8 @@ from typing import Optional
 import numpy as np
 
 from .augmentation import augment_linear
-from .errors import (DegenerateSystemError, DetectabilityError, DomainError,
-                     NumericalError, ObservabilityError, ResonanceError,
-                     ShapeError, StabilityError)
+from .errors import (DegenerateSystemError, DomainError, NumericalError,
+                     ObservabilityError, ResonanceError, ShapeError)
 from .models import LinearSystem
 
 Array = np.ndarray
@@ -462,65 +461,6 @@ def relative_degree_and_zeros(sys: LinearSystem):
     zeros.sort(key=lambda z: (z.real, z.imag))
     minimum_phase = all(abs(z) < 1.0 for z in zeros)
     return d, zeros, minimum_phase
-
-
-# ---------------------------------------------------------------------------
-# i-IOSS certificate and the classical feedback baseline
-
-def linear_ioss_certificate(A, C, B=None, D=None):
-    """Quadratic i-IOSS certificate for a detectable pair.
-
-    Output injection L from the dual (filter) Riccati equation; P solves a
-    scaled Lyapunov equation so that (A-LC)' P (A-LC) <= rho_tilde P, and the
-    constants make V(e) = ||e||_P^2 satisfy the incremental dissipation
-    inequality with inputs ||u-v||^2 and ||dy||^2.
-    """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    C = np.atleast_2d(np.asarray(C, dtype=float))
-    n = A.shape[0]
-    p = C.shape[0]
-    B = np.zeros((n, 1)) if B is None else np.atleast_2d(np.asarray(B, dtype=float))
-    D = np.zeros((p, B.shape[1])) if D is None else np.atleast_2d(np.asarray(D, dtype=float))
-    if not pbh_detectable(A, C):
-        raise DetectabilityError("(A, C) is not detectable")
-    # dual Riccati: error covariance with unit noise weights
-    Sigma = dare(A.T, C.T, np.eye(n), np.eye(p)).P
-    L = A @ Sigma @ C.T @ np.linalg.inv(C @ Sigma @ C.T + np.eye(p))
-    A_L = A - L @ C
-    rho = float(max(abs(np.linalg.eigvals(A_L)))) ** 2 if n else 0.0
-    rho_t = rho + 0.05 * (1.0 - rho)
-    from scipy import linalg as sla
-    P = sla.solve_discrete_lyapunov((A_L / np.sqrt(rho_t)).T, np.eye(n))
-    P = 0.5 * (P + P.T)
-    eps = min(1.0, (1.0 - rho_t) / (2.0 * rho_t))
-    rho_o = (1.0 + eps) * rho_t
-    boost = 2.0 * (1.0 + 1.0 / eps)
-    c_o2 = boost * float(np.linalg.eigvalsh(L.T @ P @ L)[-1])
-    BLD = B - L @ D
-    c_o1 = boost * float(np.linalg.eigvalsh(BLD.T @ P @ BLD)[-1])
-    return QuadraticCertificate(P=P), rho_o, c_o1, c_o2
-
-
-class RegulatorFeedback:
-    """u = pi_u(w) + K (x - pi_x(w)): the classical trajectory-stabilizing baseline."""
-
-    def __init__(self, pi_x, pi_u, K):
-        self.pi_x = pi_x
-        self.pi_u = pi_u
-        self.K = np.atleast_2d(np.asarray(K, dtype=float))
-
-    def __call__(self, x_p, w):
-        x_p = np.asarray(x_p, dtype=float)
-        return np.atleast_1d(self.pi_u(w)) + self.K @ (x_p - np.atleast_1d(self.pi_x(w)))
-
-
-def classical_regulator_feedback(sys: LinearSystem, reg: RegulatorSolution, K):
-    """Linear instantiation u = Gamma w + K (x - Pi w); K must make A + BK Schur."""
-    K = np.atleast_2d(np.asarray(K, dtype=float))
-    rho = float(max(abs(np.linalg.eigvals(sys.A + sys.B @ K))))
-    if rho >= 1.0:
-        raise StabilityError(f"A + BK has spectral radius {rho:.6f} >= 1")
-    return RegulatorFeedback(reg.pi_x, reg.pi_u, K)
 
 
 # ---------------------------------------------------------------------------

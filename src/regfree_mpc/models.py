@@ -296,17 +296,6 @@ MILL_INPUT_LO = np.array([80.0, 165.0])
 MILL_INPUT_HI = np.array([150.0, 180.0])
 
 
-def _pow(v, e):
-    """v ** e by the scalar C-library pow, elementwise on arrays.
-
-    numpy's array ** may round the last bit differently; one pow for both
-    keeps a stacked evaluation bitwise equal to its per-point evaluations.
-    """
-    if isinstance(v, np.ndarray):
-        return np.array([t ** e for t in v.ravel().tolist()]).reshape(v.shape)
-    return v ** e
-
-
 # The mill functions take a point or a (K, ·) stack: x.T[i] is coordinate i
 # of either.  The clamp v * (v > 0) works on both and, unlike np.maximum,
 # adds no call overhead to the per-point rollout.
@@ -324,7 +313,7 @@ def mill_alpha(x2, u2):
 
 def _recycle(p, u2):
     """mill_alpha at grinding rate p = mill_phi(x2)."""
-    g = _pow(p, 0.8) * _pow(u2, 4)
+    g = p ** 0.8 * u2 ** 4
     return g / (MILL_ALPHA_C + g)
 
 
@@ -349,15 +338,15 @@ def _mill_ode_jac(x, u, w):
     on = parg > 0.0
     p = np.where(on, parg, 0.0)
     dp = np.where(on, 2.0 * MILL_PHI_A * x2 + MILL_PHI_B, 0.0)
-    p08, u24 = _pow(p, 0.8), _pow(u2, 4)
+    p08, u24 = p ** 0.8, u2 ** 4
     g = p08 * u24
     den = MILL_ALPHA_C + g
     a = g / den
     # d(alpha)/dx2 appears only in products with phi, which stay bounded at the
     # clamp; there dp = 0 zeroes the numerator, so divide by 1 and not by 0
     dg_dx2 = 0.8 * p08 * dp * u24 / np.where(on, p, 1.0)
-    dg_du2 = 4.0 * p08 * _pow(u2, 3)
-    den2 = _pow(den, 2)
+    dg_du2 = 4.0 * p08 * u2 ** 3
+    den2 = den ** 2
     da_dx2 = MILL_ALPHA_C / den2 * dg_dx2
     da_du2 = MILL_ALPHA_C / den2 * dg_du2
     Gx = np.zeros(x.shape[:-1] + (3, 3))

@@ -6,8 +6,8 @@ in `Ocp.residuals`.  Every model runs the same Gauss-Newton solver: each
 iteration minimises its model exactly over the input box with a primal
 active-set method, and a line search along the feasible segment accepts a
 trial by the model's predicted decrease.  It reports the projected-gradient
-stationarity residual.  `Ocp.dense_matrices` builds the residual of an exactly
-linear model in closed form, as an independent reference.
+stationarity residual.  `Ocp.dense_matrices` builds the output rows of an
+exactly linear model's residual in closed form, as an independent reference.
 """
 
 from dataclasses import dataclass, field
@@ -76,14 +76,12 @@ class OcpSolution:
 
 
 class Ocp:
-    """One horizon instance: frozen initial state, precomputed w trajectory.
-
-    incremental_input needs the newest-first input `memory`; input_regularized
-    needs a `regulator` whose pi_u(w) is evaluated along the w trajectory.
-    """
+    """One horizon instance: frozen initial state, precomputed w trajectory."""
 
     def __init__(self, model: SystemModel, config: MpcConfig, x0, w0,
                  memory=None, regulator=None):
+        """incremental_input needs the newest-first input `memory`; input_regularized
+        needs a `regulator` whose pi_u(w) is evaluated along the w trajectory."""
         self.model = model
         self.config = config
         self.x0 = np.asarray(x0, dtype=float).reshape(model.n_p)
@@ -99,33 +97,35 @@ class Ocp:
         self.w_traj = ws
         self._W = np.array(ws[:self.H])
         self._j = np.minimum(np.arange(self.H), self.N - 1)   # input block of step k
-        self.history = self.u_ref = None
-        if config.variant == "incremental_input":
-            if memory is None:
-                raise ConfigError("incremental_input needs the memory of applied inputs")
-            xi = np.asarray(memory, dtype=float)
-            if xi.size != config.T * model.m:
-                raise ConfigError(f"memory must hold exactly T = {config.T} inputs")
-            self.history = xi.reshape(config.T, model.m)[::-1]   # u_{t-T}, ..., u_{t-1}
-        if config.variant == "input_regularized":
-            if regulator is None:
-                raise ConfigError("input_regularized needs a regulator solution for pi_u")
-            self.u_ref = [np.atleast_1d(regulator.pi_u(w)).reshape(model.m)
-                          for w in self.w_traj[:self.N]]
         self.lo = model.input_lo
         self.hi = model.input_hi
-        self._sw = np.sqrt(self._output_weights())
+        # output weight w_k per rollout step: look_ahead counts the overlap of
+        # its two windows, y_{d+1}..y_{N-1}, twice
+        wts = np.zeros(self.H)
+        wts[:self.N] += 1.0
+        if config.variant == "look_ahead":
+            wts[config.d + 1:] += 1.0
+        self._sw = np.sqrt(wts)
         self._out = np.flatnonzero(self._sw > 0.0)   # steps with output weight w_k > 0
         self._Qh = _psd_sqrt(config.Q)
         # input penalty E vec(u) - c: one R^1/2-weighted m-block per decision
         N, m, Rh = self.N, self.m, _psd_sqrt(config.R)
         if config.variant == "input_regularized":
+            if regulator is None:
+                raise ConfigError("input_regularized needs a regulator solution for pi_u")
             self.E = np.kron(np.eye(N), Rh)
-            self.c = np.concatenate([Rh @ v for v in self.u_ref[:N]])
+            self.c = np.concatenate([Rh @ np.atleast_1d(regulator.pi_u(w)).reshape(m)
+                                     for w in self.w_traj[:N]])
         elif config.variant == "incremental_input":
+            if memory is None:
+                raise ConfigError("incremental_input needs the memory of applied inputs")
+            xi = np.asarray(memory, dtype=float)
+            if xi.size != config.T * m:
+                raise ConfigError(f"memory must hold exactly T = {config.T} inputs")
+            history = xi.reshape(config.T, m)[::-1]   # u_{t-T}, ..., u_{t-1}
             # u_k - u_{k-T}, with u_{k-T} from the history while k < T
             self.E = np.kron(np.eye(N) - np.eye(N, k=-config.T), Rh)
-            self.c = np.concatenate([Rh @ self.history[k] if k < config.T else np.zeros(m)
+            self.c = np.concatenate([Rh @ history[k] if k < config.T else np.zeros(m)
                                      for k in range(N)])
         else:
             self.E, self.c = np.zeros((0, N * m)), np.zeros(0)
@@ -186,69 +186,34 @@ class Ocp:
         r, Jr, _ = self.residuals(useq, xs)
         return (2.0 * Jr.T @ r).reshape(self.N, self.m)
 
-    def _output_weights(self):
-        """Per-rollout-step output weight: look_ahead counts tail outputs twice."""
-        wts = np.zeros(self.H)
-        wts[:self.N] += 1.0
-        if self.config.variant == "look_ahead":
-            d = self.config.d
-            for k in range(self.N):
-                wts[k + d + 1] += 1.0
-        return wts
-
     # -- closed-form reference for linear models ---------------------------
 
     def dense_matrices(self):
-        """Stacked residual system: r(u) = Aml @ vec(u) - bml with J = ||r||^2."""
+        """Stacked residual system: r(u) = Aml @ vec(u) - bml with J = ||r||^2.
+
+        The output rows come from the closed-form state sensitivity; the input
+        penalty rows are the OCP's own E and c.
+        """
         lin = self.model.linear
         if lin is None:
             raise NumericalError("dense path requires an exactly linear model")
         N, m, H = self.N, self.m, self.H
-        n = self.model.n_p
-        Q, R = self.config.Q, self.config.R
-        Qh = _psd_sqrt(Q)
-        Rh = _psd_sqrt(R)
-        wts = self._output_weights()
-        rows, rhs = [], []
         # x_k = A^k x0 + sum_j A^{k-1-j} (B u_j + P_x w_j)
-        const = self.x0.copy()
-        Sx = [np.zeros((n, N * m))]
-        consts = [const]
+        Sx = [np.zeros((self.model.n_p, N * m))]
+        consts = [self.x0.copy()]
         for k in range(H):
             Sk = lin.A @ Sx[-1]
-            jdec = min(k, N - 1)
-            Sk[:, jdec * m:(jdec + 1) * m] += lin.B
+            Sk[:, self._j[k] * m:(self._j[k] + 1) * m] += lin.B
             consts.append(lin.A @ consts[-1] + lin.P_x @ self.w_traj[k])
             Sx.append(Sk)
-        for k in range(H):
-            if wts[k] == 0.0:
-                continue
-            jdec = min(k, N - 1)
+        rows, rhs = [], []
+        for k in self._out:
             row = lin.C @ Sx[k]
-            row[:, jdec * m:(jdec + 1) * m] += lin.D
+            row[:, self._j[k] * m:(self._j[k] + 1) * m] += lin.D
             cst = lin.C @ consts[k] - lin.P_y @ self.w_traj[k]
-            rows.append(np.sqrt(wts[k]) * (Qh @ row))
-            rhs.append(-np.sqrt(wts[k]) * (Qh @ cst))
-        v = self.config.variant
-        if v == "input_regularized":
-            for k in range(N):
-                row = np.zeros((m, N * m))
-                row[:, k * m:(k + 1) * m] = np.eye(m)
-                rows.append(Rh @ row)
-                rhs.append(Rh @ self.u_ref[k])
-        elif v == "incremental_input":
-            T = self.config.T
-            for k in range(N):
-                row = np.zeros((m, N * m))
-                row[:, k * m:(k + 1) * m] = np.eye(m)
-                cst = np.zeros(m)
-                if k - T >= 0:
-                    row[:, (k - T) * m:(k - T + 1) * m] -= np.eye(m)
-                else:
-                    cst = self.history[k]
-                rows.append(Rh @ row)
-                rhs.append(Rh @ cst)
-        return np.vstack(rows), np.concatenate(rhs)
+            rows.append(self._sw[k] * (self._Qh @ row))
+            rhs.append(-self._sw[k] * (self._Qh @ cst))
+        return np.vstack(rows + [self.E]), np.concatenate(rhs + [self.c])
 
 
 def _psd_sqrt(M):
@@ -429,15 +394,6 @@ def _newton_step(H, g):
 # ---------------------------------------------------------------------------
 # receding-horizon controller
 
-@dataclass
-class StepDiagnostics:
-    value: float
-    iterations: int
-    converged: bool
-    kkt_residual: float
-    failed: bool = False
-
-
 class MpcController:
     """Receding-horizon loop state: warm start and, if incremental, the memory."""
 
@@ -465,7 +421,12 @@ class MpcController:
         return _box_centre(self.model.input_lo, self.model.input_hi)
 
     def step(self, x_p, w):
-        """Solve from the measured or estimated state and apply the first input."""
+        """Solve from the measured or estimated state and apply the first input.
+
+        Returns (u, OcpSolution), or (last input, None) when the solve raised
+        NumericalError: the controller is fail-operational and repeats the
+        last feasible input.
+        """
         ocp = assemble(self.model, self.config, x_p, w,
                        memory=self.memory, regulator=self.regulator)
         warm = self._warm
@@ -474,16 +435,11 @@ class MpcController:
         try:
             sol = solve(ocp, warm_start=warm)
             u = sol.u_opt[0].copy()
-            diag = StepDiagnostics(value=sol.value, iterations=sol.iterations,
-                                   converged=sol.converged, kkt_residual=sol.kkt_residual)
             self._warm = np.vstack([sol.u_opt[1:], sol.u_opt[-1:]])
         except NumericalError:
-            # fail-operational: repeat the last feasible input
-            u = self._cold_input()
-            diag = StepDiagnostics(value=float("nan"), iterations=0, converged=False,
-                                   kkt_residual=float("nan"), failed=True)
+            sol, u = None, self._cold_input()
         self._last_u = u
         if self.memory is not None:
             from .augmentation import step_memory
             self.memory = step_memory(self.memory, u, self.model.m)
-        return u, diag
+        return u, sol

@@ -16,7 +16,7 @@ from .augmentation import memory_reference
 from .errors import ConfigError, NumericalError
 from .estimation import ObserverConfig, make_observer_state, observer_step
 from .models import SimNoiseSpec, SystemModel
-from .mpc import MpcConfig, MpcController, assemble, solve
+from .mpc import MpcConfig, MpcController
 
 Array = np.ndarray
 
@@ -28,8 +28,7 @@ class ScenarioSpec:
     x0: Array
     w0: Array
     steps: int
-    feedback: str = "exact_state"          # "exact_state" | "error_feedback"
-    observer: Optional[ObserverConfig] = None
+    observer: Optional[ObserverConfig] = None    # error feedback through it when set
     noise: SimNoiseSpec = field(default_factory=SimNoiseSpec)
     seed: int = 0
     regulator: Optional[object] = None     # anything with pi_x(w), pi_u(w)
@@ -38,10 +37,6 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.steps < 1:
             raise ConfigError("simulation length must be >= 1")
-        if self.feedback not in ("exact_state", "error_feedback"):
-            raise ConfigError(f"unknown feedback mode {self.feedback!r}")
-        if self.feedback == "error_feedback" and self.observer is None:
-            raise ConfigError("error_feedback needs an observer section")
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float).reshape(self.model.n_p))
         object.__setattr__(self, "w0", np.asarray(self.w0, dtype=float).reshape(self.model.q))
 
@@ -127,14 +122,14 @@ def run(spec: ScenarioSpec) -> SimTrace:
     rng = np.random.default_rng(spec.seed)
     controller = MpcController(model, spec.mpc, regulator=spec.regulator,
                                initial_input=spec.u_init)
-    observing = spec.feedback == "error_feedback"
+    observing = spec.observer is not None
     obs_state = make_observer_state(model, spec.observer) if observing else None
     sigma_of = _sigma_evaluator(spec)
 
     K = spec.steps
     n, q, m, p = model.n_p, model.q, model.m, model.p
     X = np.zeros((K, n)); W = np.zeros((K, q)); U = np.zeros((K, m))
-    Y = np.zeros((K, p)); V = np.zeros(K); SIG = np.zeros(K)
+    Y = np.zeros((K, p)); V = np.full(K, np.nan); SIG = np.zeros(K)
     IT = np.zeros(K, dtype=int); CV = np.zeros(K, dtype=bool)
     XH = np.zeros((K, n + q)) if observing else None
     ETA = np.zeros((K, p)) if observing else None
@@ -150,21 +145,20 @@ def run(spec: ScenarioSpec) -> SimTrace:
             x_ctrl, w_ctrl = x, w
         if MEM is not None:
             MEM[t] = controller.memory
-        u, diag = controller.step(x_ctrl, w_ctrl)
+        u, sol = controller.step(x_ctrl, w_ctrl)
         lo_ok = np.all(u >= model.input_lo - 1e-12) and np.all(u <= model.input_hi + 1e-12)
         if not lo_ok:
             raise NumericalError(f"applied input {u} violates the box at t={t}")
         y = np.atleast_1d(model.h(x, u, w))
         X[t], W[t], U[t], Y[t] = x, w, u, y
-        V[t] = diag.value
         SIG[t] = sigma_of(x, w, MEM[t] if MEM is not None else None)
-        IT[t] = diag.iterations
-        CV[t] = diag.converged
+        if sol is not None:     # a failed solve records V = NaN, 0 iterations, not converged
+            V[t], IT[t], CV[t] = sol.value, sol.iterations, sol.converged
         if observing:
             eta = spec.noise.sample(rng, p)
             ETA[t] = eta
             obs_state = observer_step(obs_state, u, y + eta, model, spec.observer)
-        if diag.failed:
+        if sol is None:
             break   # the trace ends with the failure step
         x = model.step(x, u, w)
         w = np.atleast_1d(model.s(w))
@@ -174,7 +168,7 @@ def run(spec: ScenarioSpec) -> SimTrace:
 
     return SimTrace(x=cut(X), w=cut(W), u=cut(U), y=cut(Y), xhat=cut(XH), eta=cut(ETA),
                     value=cut(V), sigma=cut(SIG), iterations=cut(IT), converged=cut(CV),
-                    memory=cut(MEM), failed_at=t if diag.failed else None)
+                    memory=cut(MEM), failed_at=t if sol is None else None)
 
 
 # ---------------------------------------------------------------------------
@@ -233,21 +227,3 @@ def _fit_decay(sigma):
     lg = np.log(sigma[ts])
     slope = np.polyfit(ts.astype(float), lg, 1)[0]
     return float(np.exp(slope))
-
-
-def value_series(model, config, states, ws, memories=None, regulator=None):
-    """Cold-start optimal values V_N at the given states (no warm-start bias)."""
-    out = np.zeros(len(states))
-    for i, (x, w) in enumerate(zip(states, ws)):
-        mem = memories[i] if memories is not None else None
-        ocp = assemble(model, config, x, w, memory=mem, regulator=regulator)
-        out[i] = solve(ocp).value
-    return out
-
-
-def decrease_check(values, sigma_series, alpha_ref, eps_o):
-    """Per-step margins V(x_{t+1}) - V(x_t) + alpha_ref * eps_o * sigma(x_t)."""
-    values = np.asarray(values, dtype=float)
-    sigma_series = np.asarray(sigma_series, dtype=float)
-    margins = values[1:] - values[:-1] + alpha_ref * eps_o * sigma_series[:-1]
-    return margins

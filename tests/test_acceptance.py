@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import random_linear
+from oracles import decrease_check, value_series
 from regfree_mpc import config as cfg
 from regfree_mpc.augmentation import augment_linear
 from regfree_mpc.linear_analysis import (alpha_s_of_horizon, augmented_pair,
@@ -18,7 +19,7 @@ from regfree_mpc.linear_analysis import (alpha_s_of_horizon, augmented_pair,
 from regfree_mpc.models import (LinearSystem, academic_example, cement_mill,
                                 cement_mill_regulator)
 from regfree_mpc.mpc import MpcConfig, SolverSettings, assemble, solve
-from regfree_mpc.simulation import decrease_check, metrics, run, value_series
+from regfree_mpc.simulation import metrics, run
 
 
 def report(num, text):

@@ -47,7 +47,7 @@ def test_readme_config_example_parses():
     spec = cfg.parse_config(block)
     assert spec.mpc.variant == "incremental_input"
     assert np.array_equal(np.diag(spec.mpc.Q), [1.0, 1.0])
-    assert spec.feedback == "error_feedback"
+    assert spec.observer is not None
     assert spec.observer.kind == "ekf"
 
 
@@ -99,6 +99,22 @@ def test_unknown_key_reports_line_number():
             cfg.parse_sections(f"{known}\n{unknown}\n")
         assert "line 3" in str(err.value)
         assert repr(unknown.split(" = ")[0]) in str(err.value)
+
+
+@pytest.mark.parametrize("delta", (-1, 1))
+@pytest.mark.parametrize("key", ("x0", "w0", "u_init", "xhat0", "L", "Q", "R",
+                                 "noise_lo", "noise_hi"))
+def test_vector_of_wrong_length_reports_key_and_line(key, delta):
+    """A vector one entry short or long is refused, not broadcast or left to crash in numpy."""
+    lines = cfg.read_config_file("cement_mill_error_feedback").splitlines()
+    if key == "L":      # the preset's EKF takes no gain; lengths are checked before kinds
+        lines.insert(lines.index("kind = ekf") + 1, "L = " + " ".join(["0.5"] * 10))
+    (i,) = [i for i, line in enumerate(lines) if line.startswith(f"{key} = ")]
+    vals = lines[i].partition(" = ")[2].split()
+    lines[i] = f"{key} = " + " ".join(vals[:-1] if delta < 0 else vals + vals[:1])
+    with pytest.raises(ConfigError) as err:
+        cfg.parse_config("\n".join(lines))
+    assert f"line {i + 1}:" in str(err.value) and repr(key) in str(err.value)
 
 
 def test_unknown_section_and_syntax_errors():

@@ -6,16 +6,15 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy import linalg as sla
 
 from conftest import random_linear
+from oracles import RegulatorFeedback, classical_regulator_feedback, linear_ioss_certificate
 from regfree_mpc import config as cfg
 from regfree_mpc.augmentation import augment_linear
 from regfree_mpc.errors import (DegenerateSystemError, DetectabilityError,
                                 DomainError, NumericalError, ResonanceError,
                                 ShapeError, StabilityError)
-from regfree_mpc.linear_analysis import (alpha_s_of_horizon, augmented_pair,
-                                         classical_regulator_feedback, dare,
+from regfree_mpc.linear_analysis import (alpha_s_of_horizon, augmented_pair, dare,
                                          epsilon_o_generalized_eig,
-                                         horizon_bounds,
-                                         linear_ioss_certificate, lqr_gain,
+                                         horizon_bounds, lqr_gain,
                                          nonresonance, observability_constant,
                                          pbh_detectable, pbh_stabilizable,
                                          regulator_residuals,
@@ -555,7 +554,6 @@ def test_classical_feedback_rejects_unstable_gain():
 
 def test_classical_feedback_mill_linearization():
     """LQR on the local linearization converges on the nonlinear plant."""
-    from regfree_mpc.linear_analysis import RegulatorFeedback
     mill = cement_mill()
     w = np.array([110.0, 425.0])
     x_ref, u_ref = cement_mill_regulator(w)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_linear
 from regfree_mpc import blas, mpc
-from regfree_mpc.errors import ConfigError
+from regfree_mpc.errors import ConfigError, NumericalError
 from regfree_mpc.linear_analysis import RegulatorSolution, solve_regulator
 from regfree_mpc.models import (LinearSystem, SystemModel, academic_example, cement_mill,
                                cement_mill_regulator)
@@ -40,36 +40,61 @@ def test_assemble_requires_variant_inputs():
 
 
 class _ConstantFeedforward:
+    def __init__(self, value):
+        self.value = np.asarray(value, dtype=float)
+
     def pi_u(self, w):
-        return np.array([0.3])
+        return self.value
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_cost_matches_hand_expansion(variant):
-    """Academic N = 3, x0 = 1, R = 0.25: y0 = 1 - u0, y1 = 0.5 + u0 - u1,
-    y2 = 0.25 + 0.5 u0 + u1 - u2, and y3 = x3 - u2 = 0.5 x2 beyond the horizon."""
-    model = academic_example()
-    kw, memory, reg = {}, None, None
+@pytest.mark.parametrize("variant, m", [pytest.param(v, m, id=v if m == 1 else f"{v}-mimo")
+                                        for m in (1, 2) for v in VARIANTS])
+def test_cost_matches_hand_expansion(variant, m):
+    """N = 3 on x+ = 0.5 x + B u, y = x - u: y0 = x0 - u0, y1 = 0.5 x0 + B u0 - u1,
+    y2 = x2 - u2 with x2 = 0.25 x0 + 0.5 B u0 + B u1, and y3 = x3 - u2 = 0.5 x2 + (B - I) u2
+    beyond the horizon.  m = 1 is the academic example (B = 1, x0 = 1, R = 0.25); m = p = 2
+    couples the channels through B and a full symmetric R.  The input penalties are
+    expanded as quadratic forms in R, independently of the OCP's E and c."""
+    if m == 1:
+        model, B, R, x0 = academic_example(), np.eye(1), 0.25 * np.eye(1), np.array([1.0])
+        memory, pi_u = np.array([0.7, -0.4]), np.array([0.3])
+        seqs = [[0.0, 0.0, 0.0], [1.0, 1.5, -0.5], [-0.3, 0.8, 0.2], [2.0, -1.0, 3.0]]
+    else:
+        B = np.array([[1.0, 0.5], [0.0, 1.0]])
+        model = LinearSystem(A=0.5 * np.eye(2), B=B, C=np.eye(2), D=-np.eye(2),
+                             P_x=np.zeros((2, 0)), P_y=np.zeros((2, 0)),
+                             S=np.zeros((0, 0))).to_system_model()
+        R, x0 = np.array([[0.5, 0.2], [0.2, 0.3]]), np.array([1.0, -0.5])
+        memory, pi_u = np.array([0.7, 0.1, -0.4, 0.2]), np.array([0.3, -0.2])
+        seqs = [[0.0] * 6, [1.0, 0.5, 1.5, -1.0, -0.5, 0.25],
+                [-0.3, 1.2, 0.8, 0.4, 0.2, -0.7], [2.0, -2.0, -1.0, 0.5, 3.0, 1.0]]
+    kw, reg = {}, None
     if variant == "look_ahead":
         kw["d"] = 0
     elif variant == "incremental_input":
         kw["T"] = 2
-        memory = np.array([0.7, -0.4])         # newest first: u_{-1}, u_{-2}
     elif variant == "input_regularized":
-        reg = _ConstantFeedforward()
-    cfg = MpcConfig(variant=variant, N=3, Q=np.eye(1), R=0.25 * np.eye(1), **kw)
-    ocp = assemble(model, cfg, np.array([1.0]), np.zeros(0), memory=memory, regulator=reg)
-    for u0, u1, u2 in ((0.0, 0.0, 0.0), (1.0, 1.5, -0.5), (-0.3, 0.8, 0.2), (2.0, -1.0, 3.0)):
-        J, _ = ocp.cost(np.array([[u0], [u1], [u2]]))
-        x2 = 0.25 + 0.5 * u0 + u1
-        y = (1.0 - u0, 0.5 + u0 - u1, x2 - u2, 0.5 * x2)
-        want = y[0] ** 2 + y[1] ** 2 + y[2] ** 2
+        reg = _ConstantFeedforward(pi_u)
+    cfg = MpcConfig(variant=variant, N=3, Q=np.eye(m), R=R, **kw)
+    ocp = assemble(model, cfg, x0, np.zeros(0),
+                   memory=memory if variant == "incremental_input" else None, regulator=reg)
+    u_prev, u_prev2 = memory[:m], memory[m:]      # newest first: u_{-1}, u_{-2}
+
+    def pen(v):
+        return float(v @ R @ v)
+
+    for seq in seqs:
+        u0, u1, u2 = useq = np.reshape(seq, (3, m))
+        J, _ = ocp.cost(useq)
+        x2 = 0.25 * x0 + 0.5 * B @ u0 + B @ u1
+        y = (x0 - u0, 0.5 * x0 + B @ u0 - u1, x2 - u2, 0.5 * x2 + B @ u2 - u2)
+        want = sum(float(v @ v) for v in y[:3])
         if variant == "look_ahead":         # y_{k+1} for k = 0, 1, 2
-            want += y[1] ** 2 + y[2] ** 2 + y[3] ** 2
+            want += sum(float(v @ v) for v in y[1:])
         elif variant == "incremental_input":  # u_k - u_{k-2}: two history terms, one decision
-            want += 0.25 * ((u0 + 0.4) ** 2 + (u1 - 0.7) ** 2 + (u2 - u0) ** 2)
+            want += pen(u0 - u_prev2) + pen(u1 - u_prev) + pen(u2 - u0)
         elif variant == "input_regularized":
-            want += 0.25 * ((u0 - 0.3) ** 2 + (u1 - 0.3) ** 2 + (u2 - 0.3) ** 2)
+            want += pen(u0 - pi_u) + pen(u1 - pi_u) + pen(u2 - pi_u)
         assert J == pytest.approx(want, rel=1e-12)
 
 
@@ -147,7 +172,7 @@ def test_input_regularized_zero_on_manifold(rng):
     sol = solve(ocp)
     assert sol.value == pytest.approx(0.0, abs=1e-16)
     for k in range(5):
-        assert np.allclose(sol.u_opt[k], ocp.u_ref[k], atol=1e-8)
+        assert np.allclose(sol.u_opt[k], reg.pi_u(ocp.w_traj[k]), atol=1e-8)
 
 
 def test_incremental_zero_on_manifold_mill():
@@ -270,7 +295,7 @@ def test_residuals_evaluate_outputs_in_one_stacked_call(plant, variant, N, kw):
         for k, pt in enumerate(zip(*args)):
             assert np.array_equal(out[k], base.h(*pt))
     r, _, _ = ocp.residuals(u)
-    assert r.size == p * np.count_nonzero(ocp._output_weights()) + ocp.E.shape[0]
+    assert r.size == p * ocp._out.size + ocp.E.shape[0]
 
 
 def test_gradient_zero_at_unconstrained_optimum(rng):
@@ -587,6 +612,26 @@ def test_controller_outputonly_tracks_degenerate_optimum():
         assert u[0] == pytest.approx(x[0], abs=1e-9)
         x = model.f_p(x, u, np.zeros(0))
     assert x[0] == pytest.approx(1.5 ** 10, rel=1e-9)
+
+
+def test_controller_step_returns_the_solution_or_none_after_a_failure(monkeypatch):
+    """A solved step returns its OcpSolution; a solve that raises NumericalError returns
+    the last applied input and None, and the incremental memory still slides by it."""
+    model = academic_example()
+    ctrl = MpcController(model, make_cfg("incremental_input", 4, T=2),
+                         initial_memory=np.array([0.2, -0.1]))
+    u, sol = ctrl.step(np.array([1.0]), np.zeros(0))
+    assert isinstance(sol, mpc.OcpSolution) and sol.converged
+    assert np.array_equal(u, sol.u_opt[0])
+    assert np.array_equal(ctrl.memory, [u[0], 0.2])
+
+    def failing_solve(ocp, warm_start=None):
+        raise NumericalError("injected solver failure")
+
+    monkeypatch.setattr(mpc, "solve", failing_solve)
+    u_failed, sol = ctrl.step(np.array([0.5]), np.zeros(0))
+    assert sol is None and np.array_equal(u_failed, u)
+    assert np.array_equal(ctrl.memory, [u[0], u[0]])
 
 
 def test_controller_on_manifold_repeats_feedforward():

@@ -3,13 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+from oracles import decrease_check, value_series
 from regfree_mpc import config as cfg, mpc as mpc_mod
 from regfree_mpc.errors import ConfigError, NumericalError
 from regfree_mpc.linear_analysis import solve_regulator
 from regfree_mpc.models import academic_example, cement_mill, cement_mill_regulator
 from regfree_mpc.mpc import MpcConfig
-from regfree_mpc.simulation import (ScenarioSpec, decrease_check, metrics, run,
-                                    value_series)
+from regfree_mpc.simulation import ScenarioSpec, metrics, run
 
 
 def academic_scenario(variant, N, steps, x0=1.0, T=None, R=1.0, u_init=None):
@@ -24,9 +24,6 @@ def test_scenario_validation():
     mpc = MpcConfig(variant="output_only", N=3, Q=np.eye(1), R=np.eye(1))
     with pytest.raises(ConfigError):
         ScenarioSpec(model=model, mpc=mpc, x0=[1.0], w0=np.zeros(0), steps=0)
-    with pytest.raises(ConfigError):
-        ScenarioSpec(model=model, mpc=mpc, x0=[1.0], w0=np.zeros(0), steps=5,
-                     feedback="error_feedback")
 
 
 def test_academic_output_only_trace_values():
