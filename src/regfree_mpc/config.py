@@ -143,7 +143,8 @@ def _default_regulator(model):
     return None
 
 
-def build_scenario(sections, seed_override=None) -> ScenarioSpec:
+def _model_of(sections):
+    """The named model, with every vector key present checked against its dimensions."""
     model = resolve_model(_need(sections, "model", "name"))
     nj = model.n_p + model.q
     for section, key, size in (("sim", "x0", model.n_p), ("sim", "w0", model.q),
@@ -156,6 +157,12 @@ def build_scenario(sections, seed_override=None) -> ScenarioSpec:
         if value is not None and value.size != size:
             raise ConfigError(f"{key!r} needs {size} entries for model {model.name!r}, "
                               f"got {value.size}", line=line)
+    return model
+
+
+def build_scenario(sections, seed_override=None) -> ScenarioSpec:
+    model = _model_of(sections)
+    nj = model.n_p + model.q
     cfg = build_mpc_config(sections)
     observer = None
     noise = SimNoiseSpec()
@@ -204,7 +211,7 @@ def build_scenario(sections, seed_override=None) -> ScenarioSpec:
 
 def build_analysis(sections) -> AnalysisSpec:
     return AnalysisSpec(
-        model_name=_need(sections, "model", "name"),
+        model_name=_model_of(sections).name,
         T=_need(sections, "analyze", "T"),
         N=_need(sections, "analyze", "N"),
         Q=_diag(_need(sections, "mpc", "Q")),

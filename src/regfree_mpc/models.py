@@ -81,6 +81,8 @@ class SimNoiseSpec:
     def sample(self, rng, p):
         if self.distribution == "none":
             return np.zeros(p)
+        if self.lo.size != p:
+            raise ShapeError(f"noise bounds have {self.lo.size} entries for {p} outputs")
         return rng.uniform(self.lo, self.hi)
 
 

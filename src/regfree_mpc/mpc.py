@@ -181,11 +181,6 @@ class Ocp:
             raise NumericalError("non-finite OCP cost")
         return J, xs
 
-    def gradient(self, useq, xs=None):
-        """Exact cost gradient 2 J_r^T r."""
-        r, Jr, _ = self.residuals(useq, xs)
-        return (2.0 * Jr.T @ r).reshape(self.N, self.m)
-
     # -- closed-form reference for linear models ---------------------------
 
     def dense_matrices(self):
@@ -253,12 +248,12 @@ def solve(ocp: Ocp, warm_start=None) -> OcpSolution:
     u + t d, halving t from 1.  A trial is accepted when the cost falls by at
     least 1e-4 times the model's predicted decrease
     pred(t) = -(2t r'J_r d + t^2 ||J_r d||^2), less a round-off allowance of
-    1e-14 max(1, |J|).  The iteration stops when the projected-gradient
-    residual meets the tolerance after at least one step; at the start it
-    stops only if, in addition, the exact step would not move u
-    (||d||_inf <= 1e-13 max(1, ||u||_inf)), so an unconstrained linear OCP
-    still returns its exact minimiser.  `converged` is judged at the returned
-    iterate.
+    1e-14 max(1, |J|).  t is halved only while the trial still moves u,
+    t ||d||_inf > 1e-13 max(1, ||u||_inf).  The solve ends when the
+    projected-gradient residual meets the tolerance after at least one step,
+    after 200 iterations, or when no trial that moves u is accepted, so a
+    stationary start whose exact step would not move u ends at once.
+    `converged` is judged at the returned iterate.
 
     The minimiser is canonical: trailing input blocks whose J_r columns are
     all zero take the value of the last block the cost sees, unless that
@@ -288,13 +283,12 @@ def solve(ocp: Ocp, warm_start=None) -> OcpSolution:
         if (it > 0 and stat <= tol) or it >= _MAX_ITERATIONS:
             break
         d = _box_gauss_newton_step(2.0 * Jr.T @ Jr, g, lo - u, hi - u)
-        if stat <= tol and np.max(np.abs(d)) <= 1e-13 * max(1.0, np.max(np.abs(u))):
-            break
         Jd = Jr @ d
         slope, curv = float(g @ d), float(Jd @ Jd)
         allowance = 1e-14 * max(1.0, abs(J))
+        d_max, min_move = np.max(np.abs(d)), 1e-13 * max(1.0, np.max(np.abs(u)))
         t = 1.0
-        for _ in range(60):
+        while t * d_max > min_move:
             # u + t d lies in the box; the clip only removes round-off
             un = np.clip(u + t * d, lo, hi)
             Jn, xsn = ocp.cost(un)
@@ -302,9 +296,7 @@ def solve(ocp: Ocp, warm_start=None) -> OcpSolution:
                 break
             t *= _ARMIJO_SHRINK
         else:
-            break
-        if np.max(np.abs(un - u)) < 1e-16 * max(1.0, np.max(np.abs(u))):
-            break
+            break   # no trial that moves u is accepted
         u, J = un, Jn
         r, Jr, xs = ocp.residuals(u, xsn)
         it += 1
@@ -397,8 +389,7 @@ def _newton_step(H, g):
 class MpcController:
     """Receding-horizon loop state: warm start and, if incremental, the memory."""
 
-    def __init__(self, model, config, regulator=None, initial_memory=None,
-                 initial_input=None):
+    def __init__(self, model, config, regulator=None, initial_input=None):
         self.model = model
         self.config = config
         self.regulator = regulator
@@ -406,14 +397,8 @@ class MpcController:
         self._last_u = None
         if initial_input is not None:
             self._last_u = model.clip_input(np.asarray(initial_input, dtype=float))
-        if config.variant == "incremental_input":
-            if initial_memory is not None:
-                self.memory = np.asarray(initial_memory, dtype=float).copy()
-            else:
-                seed = self._cold_input()
-                self.memory = np.tile(seed, config.T)
-        else:
-            self.memory = None
+        self.memory = (np.tile(self._cold_input(), config.T)
+                       if config.variant == "incremental_input" else None)
 
     def _cold_input(self):
         if self._last_u is not None:

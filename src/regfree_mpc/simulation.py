@@ -13,7 +13,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .augmentation import memory_reference
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, ShapeError
 from .estimation import ObserverConfig, make_observer_state, observer_step
 from .models import SimNoiseSpec, SystemModel
 from .mpc import MpcConfig, MpcController
@@ -37,8 +37,14 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.steps < 1:
             raise ConfigError("simulation length must be >= 1")
-        object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float).reshape(self.model.n_p))
-        object.__setattr__(self, "w0", np.asarray(self.w0, dtype=float).reshape(self.model.q))
+        model, lo, hi = self.model, self.noise.lo, self.noise.hi
+        for name, value, size in (("x0", self.x0, model.n_p), ("w0", self.w0, model.q),
+                                  ("u_init", self.u_init, model.m), ("noise lo", lo, model.p),
+                                  ("noise hi", hi, model.p)):
+            if value is not None and np.size(value) != size:
+                raise ShapeError(f"{name} needs {size} entries for model {model.name!r}")
+        object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float).reshape(model.n_p))
+        object.__setattr__(self, "w0", np.asarray(self.w0, dtype=float).reshape(model.q))
 
 
 def atomic_write(path, text):
@@ -62,11 +68,16 @@ class SimTrace:
     iterations: Array
     converged: Array
     memory: Optional[Array] = None   # (K, m*T) incremental variant
-    failed_at: Optional[int] = None
 
     @property
     def steps(self):
         return self.x.shape[0]
+
+    @property
+    def failed_at(self):
+        """First step whose solve failed, or None; V is NaN on failed steps only."""
+        failed = np.flatnonzero(np.isnan(self.value))
+        return int(failed[0]) if failed.size else None
 
     def write_csv(self, path):
         atomic_write(path, self.to_csv())
@@ -117,7 +128,8 @@ def _sigma_evaluator(spec: ScenarioSpec) -> Callable:
 
 
 def run(spec: ScenarioSpec) -> SimTrace:
-    """Simulate the closed loop; the truth always evolves with the true state."""
+    """Simulate the closed loop; the truth always evolves with the true state.  A failed
+    solve applies the controller's fallback, records V = NaN, and the loop goes on."""
     model = spec.model
     rng = np.random.default_rng(spec.seed)
     controller = MpcController(model, spec.mpc, regulator=spec.regulator,
@@ -152,23 +164,17 @@ def run(spec: ScenarioSpec) -> SimTrace:
         y = np.atleast_1d(model.h(x, u, w))
         X[t], W[t], U[t], Y[t] = x, w, u, y
         SIG[t] = sigma_of(x, w, MEM[t] if MEM is not None else None)
-        if sol is not None:     # a failed solve records V = NaN, 0 iterations, not converged
+        if sol is not None:
             V[t], IT[t], CV[t] = sol.value, sol.iterations, sol.converged
         if observing:
             eta = spec.noise.sample(rng, p)
             ETA[t] = eta
             obs_state = observer_step(obs_state, u, y + eta, model, spec.observer)
-        if sol is None:
-            break   # the trace ends with the failure step
         x = model.step(x, u, w)
         w = np.atleast_1d(model.s(w))
 
-    def cut(a):
-        return None if a is None else a[:t + 1]
-
-    return SimTrace(x=cut(X), w=cut(W), u=cut(U), y=cut(Y), xhat=cut(XH), eta=cut(ETA),
-                    value=cut(V), sigma=cut(SIG), iterations=cut(IT), converged=cut(CV),
-                    memory=cut(MEM), failed_at=t if sol is None else None)
+    return SimTrace(x=X, w=W, u=U, y=Y, xhat=XH, eta=ETA, value=V, sigma=SIG,
+                    iterations=IT, converged=CV, memory=MEM)
 
 
 # ---------------------------------------------------------------------------
@@ -188,10 +194,7 @@ def metrics(trace: SimTrace, spec: ScenarioSpec) -> MetricsReport:
     """Tracking and robustness diagnostics against the regulator solution."""
     model = spec.model
     lo, hi = model.input_lo, model.input_hi
-    viol = 0.0
-    for t in range(trace.steps):
-        viol = max(viol, float(np.max(np.maximum(lo - trace.u[t], 0.0), initial=0.0)),
-                   float(np.max(np.maximum(trace.u[t] - hi, 0.0), initial=0.0)))
+    viol = float(np.max(np.maximum(lo - trace.u, trace.u - hi), initial=0.0))
     ynorm = np.linalg.norm(trace.y, axis=1)
     half = trace.steps // 2
     # empirical finite-gain ratio: accumulated error over initial error plus noise

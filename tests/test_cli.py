@@ -102,11 +102,13 @@ def test_unknown_key_reports_line_number():
 
 
 @pytest.mark.parametrize("delta", (-1, 1))
-@pytest.mark.parametrize("key", ("x0", "w0", "u_init", "xhat0", "L", "Q", "R",
-                                 "noise_lo", "noise_hi"))
-def test_vector_of_wrong_length_reports_key_and_line(key, delta):
+@pytest.mark.parametrize("key, preset", [
+    *(pytest.param(key, "cement_mill_error_feedback", id=key)
+      for key in ("x0", "w0", "u_init", "xhat0", "L", "Q", "R", "noise_lo", "noise_hi")),
+    *(pytest.param(key, "academic_analyze", id=f"analyze_{key}") for key in ("Q", "R"))])
+def test_vector_of_wrong_length_reports_key_and_line(key, preset, delta):
     """A vector one entry short or long is refused, not broadcast or left to crash in numpy."""
-    lines = cfg.read_config_file("cement_mill_error_feedback").splitlines()
+    lines = cfg.read_config_file(preset).splitlines()
     if key == "L":      # the preset's EKF takes no gain; lengths are checked before kinds
         lines.insert(lines.index("kind = ekf") + 1, "L = " + " ".join(["0.5"] * 10))
     (i,) = [i for i, line in enumerate(lines) if line.startswith(f"{key} = ")]

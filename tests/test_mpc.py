@@ -155,10 +155,12 @@ def test_residuals_match_dense_reference_on_random_systems(seed, variant, n, m, 
 def test_output_only_gradient_matches_hand_expansion():
     model = academic_example()
     ocp = assemble(model, make_cfg("output_only", 2), np.array([0.0]), np.zeros(0))
-    g = ocp.gradient(np.zeros((2, 1)))
+    r, Jr, _ = ocp.residuals(np.zeros((2, 1)))
+    g = 2.0 * Jr.T @ r
     # J = u0^2 + (u0 - u1)^2 at x0 = 0: grad = (2u0 + 2(u0-u1), -2(u0-u1)) = 0
     assert np.allclose(g, 0.0)
-    g = ocp.gradient(np.array([[1.0], [0.0]]))
+    r, Jr, _ = ocp.residuals(np.array([[1.0], [0.0]]))
+    g = 2.0 * Jr.T @ r
     assert np.allclose(g.ravel(), [2 * (1.0 - 0.0) * (-1) * (-1) + 2 * 1.0, -2.0])
 
 
@@ -212,7 +214,8 @@ def test_gradient_matches_finite_differences(rng):
                 x0 = rng.normal(size=1)
                 useq = rng.normal(size=(cfg.N, 1))
             ocp = assemble(model, cfg, x0, w0, memory=memory, regulator=reg)
-            g = ocp.gradient(useq)
+            r, Jr, _ = ocp.residuals(useq)
+            g = (2.0 * Jr.T @ r).reshape(cfg.N, model.m)
             gfd = np.zeros_like(g)
             h = 1e-5
             for k in range(cfg.N):
@@ -304,7 +307,8 @@ def test_gradient_zero_at_unconstrained_optimum(rng):
     cfg = make_cfg("incremental_input", 6, T=1)
     ocp = assemble(model, cfg, rng.normal(size=2), np.zeros(0), memory=np.zeros(1))
     sol = solve(ocp)
-    g = ocp.gradient(sol.u_opt)
+    r, Jr, _ = ocp.residuals(sol.u_opt)
+    g = 2.0 * Jr.T @ r
     assert np.max(np.abs(g)) < 1e-7
 
 
@@ -479,6 +483,9 @@ def test_box_constrained_lti_sweep_matches_bvls():
 
     Every third of 300 instances (rng [4242, i]: N 5-59, rho(A) 0.3-1.2) and
     instances 167 and 220, on which a Newton step clipped onto the box jams.
+    Each ends within two GN iterations.  On the unstable 9 and 167 the exact
+    step after the second is about 1e-15, too small to move u, so the solve
+    stops there, unconverged.
     """
     from scipy.optimize import lsq_linear
     for i in sorted(set(range(0, 300, 3)) | {167, 220}):
@@ -501,8 +508,9 @@ def test_box_constrained_lti_sweep_matches_bvls():
         assert np.all(np.abs(sol.u_opt) <= 1.0), i
         assert np.max(np.abs(sol.u_opt.ravel() - ref.x)) <= 1e-6, i
         assert abs(sol.value - float(r @ r)) <= 1e-9 * max(1.0, float(r @ r)), i
+        assert sol.iterations <= 2, i
         if rho <= 1.0:
-            assert sol.converged and sol.iterations <= 2, i
+            assert sol.converged, i
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -618,8 +626,8 @@ def test_controller_step_returns_the_solution_or_none_after_a_failure(monkeypatc
     """A solved step returns its OcpSolution; a solve that raises NumericalError returns
     the last applied input and None, and the incremental memory still slides by it."""
     model = academic_example()
-    ctrl = MpcController(model, make_cfg("incremental_input", 4, T=2),
-                         initial_memory=np.array([0.2, -0.1]))
+    ctrl = MpcController(model, make_cfg("incremental_input", 4, T=2))
+    ctrl.memory = np.array([0.2, -0.1])
     u, sol = ctrl.step(np.array([1.0]), np.zeros(0))
     assert isinstance(sol, mpc.OcpSolution) and sol.converged
     assert np.array_equal(u, sol.u_opt[0])
@@ -640,7 +648,8 @@ def test_controller_on_manifold_repeats_feedforward():
     x_ref, u_ref = cement_mill_regulator(w)
     cfg = MpcConfig(variant="incremental_input", N=6, Q=np.eye(2),
                     R=1e-2 * np.eye(2), T=1)
-    ctrl = MpcController(mill, cfg, initial_memory=u_ref.copy())
+    ctrl = MpcController(mill, cfg)
+    ctrl.memory = u_ref.copy()
     x = x_ref.copy()
     for _ in range(5):
         u, _ = ctrl.step(x, w)

@@ -5,9 +5,9 @@ import pytest
 
 from oracles import decrease_check, value_series
 from regfree_mpc import config as cfg, mpc as mpc_mod
-from regfree_mpc.errors import ConfigError, NumericalError
+from regfree_mpc.errors import ConfigError, NumericalError, ShapeError
 from regfree_mpc.linear_analysis import solve_regulator
-from regfree_mpc.models import academic_example, cement_mill, cement_mill_regulator
+from regfree_mpc.models import SimNoiseSpec, academic_example, cement_mill, cement_mill_regulator
 from regfree_mpc.mpc import MpcConfig
 from regfree_mpc.simulation import ScenarioSpec, metrics, run
 
@@ -24,6 +24,18 @@ def test_scenario_validation():
     mpc = MpcConfig(variant="output_only", N=3, Q=np.eye(1), R=np.eye(1))
     with pytest.raises(ConfigError):
         ScenarioSpec(model=model, mpc=mpc, x0=[1.0], w0=np.zeros(0), steps=0)
+
+
+def test_scenario_spec_refuses_vectors_of_the_wrong_shape():
+    """Library callers get a ShapeError, not numpy broadcasting or a numpy traceback."""
+    spec = cfg.parse_config(cfg.read_config_file("cement_mill_error_feedback"))   # m = p = 2
+    for field_name, value in (("u_init", np.array([100.0])), ("x0", np.ones(2)),
+                              ("w0", np.ones(3)),
+                              ("noise", SimNoiseSpec("uniform", lo=[-1.0], hi=[1.0]))):
+        with pytest.raises(ShapeError):
+            dataclasses.replace(spec, **{field_name: value})
+    with pytest.raises(ShapeError):
+        spec.noise.sample(np.random.default_rng(0), 3)
 
 
 def test_academic_output_only_trace_values():
@@ -180,8 +192,10 @@ def test_trace_csv_roundtrip_format(tmp_path):
     assert float(first[1]) == trace.x[0, 0]
 
 
-def test_failed_solve_ends_the_trace(monkeypatch, tmp_path):
-    """A solve that raises on its k-th call ends the trace with step k recorded."""
+def test_failed_solve_keeps_the_trace_going(monkeypatch, tmp_path):
+    """A solve that raises on its k-th call leaves a full trace: step k applies the
+    controller's fallback, the last input, and records V = NaN, 0 iterations and
+    not converged; the loop goes on and solves again at the next step."""
     from regfree_mpc import mpc
     k, calls, real_solve = 3, [], mpc.solve
 
@@ -193,17 +207,17 @@ def test_failed_solve_ends_the_trace(monkeypatch, tmp_path):
 
     monkeypatch.setattr(mpc, "solve", failing_solve)
     trace = run(cfg.parse_config(cfg.read_config_file("cement_mill_error_feedback")))
-    assert trace.failed_at == k and trace.steps == k + 1
+    assert trace.steps == 300 and trace.failed_at == k
     for arr in (trace.w, trace.u, trace.y, trace.xhat, trace.eta, trace.value,
                 trace.sigma, trace.iterations, trace.converged, trace.memory):
-        assert len(arr) == k + 1
-    # the failed step repeats the last input and reports no value
+        assert len(arr) == 300
     assert np.array_equal(trace.u[k], trace.u[k - 1])
-    assert np.isnan(trace.value[k]) and not trace.converged[k]
+    assert np.isnan(trace.value[k]) and trace.iterations[k] == 0 and not trace.converged[k]
+    assert np.all(trace.converged[k + 1:]) and np.all(np.isfinite(trace.value[k + 1:]))
     path = tmp_path / "trace.csv"
     trace.write_csv(path)
-    rows = path.read_text().splitlines()[1:]
-    assert len(rows) == k + 1 and rows[-1].startswith(f"{k},")
+    lines = path.read_text().splitlines()
+    assert len(lines) == 301 and lines[k + 1].startswith(f"{k},")
 
 
 def test_output_only_mill_iteration_budget():
