@@ -7,7 +7,6 @@ import sys
 from . import config as cfg
 from .errors import ConfigError, RegfreeMpcError
 from .linear_analysis import analyze_linear
-from .models import resolve_model
 from .mpc import MpcController, assemble, solve
 from .simulation import atomic_write, metrics, run
 
@@ -64,10 +63,7 @@ def cmd_analyze(args):
     spec = cfg.parse_config(cfg.read_config_file(args.config))
     if not isinstance(spec, cfg.AnalysisSpec):
         raise ConfigError("analyze needs a config with an [analyze] section")
-    model = resolve_model(spec.model_name)
-    if model.linear is None:
-        raise ConfigError(f"analyze needs an exactly linear model, got {spec.model_name!r}")
-    rep = analyze_linear(model.linear, spec.T, spec.N, spec.Q, spec.R, gamma_s=spec.gamma_s)
+    rep = analyze_linear(spec.system, spec.T, spec.N, spec.Q, spec.R, gamma_s=spec.gamma_s)
     text = format_analysis(rep)
     if args.out:
         atomic_write(args.out, text)

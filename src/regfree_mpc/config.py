@@ -10,10 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ResonanceError
+from .errors import ConfigError, DomainError, ResonanceError, ShapeError
 from .estimation import ObserverConfig
 from .linear_analysis import solve_regulator
-from .models import SimNoiseSpec, cement_mill_regulator, resolve_model
+from .models import LinearSystem, SimNoiseSpec, cement_mill_regulator, resolve_model
 from .mpc import MpcConfig, SolverSettings
 from .simulation import ScenarioSpec
 
@@ -31,7 +31,7 @@ _SCHEMA = {
         "noise": "str", "noise_lo": "vec", "noise_hi": "vec",
     },
     "sim": {"steps": "int", "x0": "vec", "w0": "vec", "seed": "int", "u_init": "vec"},
-    "analyze": {"T": "int", "N": "int", "gamma_s": "float"},
+    "analyze": {"gamma_s": "float"},
 }
 
 
@@ -102,6 +102,7 @@ def _diag(vec):
 @dataclass(frozen=True)
 class AnalysisSpec:
     model_name: str
+    system: LinearSystem    # the model loaded once from [model] name
     T: int
     N: int
     Q: np.ndarray
@@ -145,7 +146,12 @@ def _default_regulator(model):
 
 def _model_of(sections):
     """The named model, with every vector key present checked against its dimensions."""
-    model = resolve_model(_need(sections, "model", "name"))
+    name = _need(sections, "model", "name")
+    try:
+        model = resolve_model(name)
+    except (DomainError, ShapeError, OSError, ValueError) as exc:
+        raise ConfigError(f"cannot load model {name!r}: {exc}",
+                          line=sections["model"]["name"][1]) from exc
     nj = model.n_p + model.q
     for section, key, size in (("sim", "x0", model.n_p), ("sim", "w0", model.q),
                                ("sim", "u_init", model.m), ("mpc", "Q", model.p),
@@ -210,14 +216,17 @@ def build_scenario(sections, seed_override=None) -> ScenarioSpec:
 
 
 def build_analysis(sections) -> AnalysisSpec:
-    return AnalysisSpec(
-        model_name=_model_of(sections).name,
-        T=_need(sections, "analyze", "T"),
-        N=_need(sections, "analyze", "N"),
-        Q=_diag(_need(sections, "mpc", "Q")),
-        R=_diag(_need(sections, "mpc", "R")),
-        gamma_s=_opt(sections, "analyze", "gamma_s", 1.0),
-    )
+    """The [mpc] design that analyze certifies: the T-periodic incremental one."""
+    model = _model_of(sections)
+    if model.linear is None:
+        raise ConfigError(f"analyze needs an exactly linear model, got {model.name!r}",
+                          line=sections["model"]["name"][1])
+    mpc = build_mpc_config(sections)
+    if mpc.variant != "incremental_input":
+        raise ConfigError(f"analyze certifies the incremental_input variant, got {mpc.variant!r}",
+                          line=sections["mpc"]["variant"][1])
+    return AnalysisSpec(model_name=model.name, system=model.linear, T=mpc.T, N=mpc.N,
+                        Q=mpc.Q, R=mpc.R, gamma_s=_opt(sections, "analyze", "gamma_s", 1.0))
 
 
 def parse_config(text, seed_override=None):

@@ -94,8 +94,7 @@ class Ocp:
         ws = [w]
         for _ in range(self.H):
             ws.append(np.asarray(model.s(ws[-1]), dtype=float))
-        self.w_traj = ws
-        self._W = np.array(ws[:self.H])
+        self.w_traj = np.array(ws)   # (H+1, q): w_0..w_H
         self._j = np.minimum(np.arange(self.H), self.N - 1)   # input block of step k
         self.lo = model.input_lo
         self.hi = model.input_hi
@@ -140,7 +139,7 @@ class Ocp:
 
     def outputs(self, useq, xs):
         """Outputs y_0..y_{H-1} along the rollout xs as (H, p), from one stacked h call."""
-        return self.model.h(np.array(xs[:self.H]), useq[self._j], self._W)
+        return self.model.h(np.asarray(xs[:self.H]), useq[self._j], self.w_traj[:self.H])
 
     def residuals(self, useq, xs=None, jac=True):
         """Stacked residual r(u) with J(u) = r @ r, its Jacobian J_r and the rollout.
@@ -163,8 +162,8 @@ class Ocp:
         if not jac:
             return r, None, xs
         U = useq[self._j]
-        Hx, Hu, _ = self.model.jacobians_h(X, U, self._W)
-        Fx, Fu, _ = self.model.jacobians_f(X[:H - 1], U[:H - 1], self._W[:H - 1])
+        Hx, Hu, _ = self.model.jacobians_h(X, U, self.w_traj[:H])
+        Fx, Fu, _ = self.model.jacobians_f(X[:H - 1], U[:H - 1], self.w_traj[:H - 1])
         S = np.zeros((H, self.model.n_p, N * m))
         for i, j in enumerate(self._j[:H - 1].tolist()):
             np.matmul(Fx[i], S[i], out=S[i + 1])

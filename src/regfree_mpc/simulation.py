@@ -5,7 +5,6 @@ regulator manifold; under the incremental variant it covers the augmented
 state (plant deviation plus memory deviation from the periodic feedforward).
 """
 
-import io
 import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -83,28 +82,16 @@ class SimTrace:
         atomic_write(path, self.to_csv())
 
     def to_csv(self):
-        cols = ["t"]
-        cols += [f"x{i}" for i in range(self.x.shape[1])]
-        cols += [f"w{i}" for i in range(self.w.shape[1])]
-        cols += [f"u{i}" for i in range(self.u.shape[1])]
-        cols += [f"y{i}" for i in range(self.y.shape[1])]
-        if self.xhat is not None:
-            cols += [f"xhat{i}" for i in range(self.xhat.shape[1])]
-        cols += ["V", "sigma", "iters", "converged"]
-        buf = io.StringIO()
-        buf.write(",".join(cols) + "\n")
-        for t in range(self.steps):
-            row = [str(t)]
-            row += [f"{v:.17g}" for v in self.x[t]]
-            row += [f"{v:.17g}" for v in self.w[t]]
-            row += [f"{v:.17g}" for v in self.u[t]]
-            row += [f"{v:.17g}" for v in self.y[t]]
-            if self.xhat is not None:
-                row += [f"{v:.17g}" for v in self.xhat[t]]
-            row += [f"{self.value[t]:.17g}", f"{self.sigma[t]:.17g}",
-                    str(int(self.iterations[t])), str(int(self.converged[t]))]
-            buf.write(",".join(row) + "\n")
-        return buf.getvalue()
+        """One %.17g row per step: t, x, w, u, y, xhat (under error feedback), V, sigma,
+        iters, converged; every column is a float, so integer-valued ones print as integers."""
+        blocks = [(name, a) for name, a in (("x", self.x), ("w", self.w), ("u", self.u),
+                                            ("y", self.y), ("xhat", self.xhat)) if a is not None]
+        cols = (["t"] + [f"{name}{i}" for name, a in blocks for i in range(a.shape[1])]
+                + ["V", "sigma", "iters", "converged"])
+        table = np.column_stack([np.arange(self.steps)] + [a for _, a in blocks]
+                                + [self.value, self.sigma, self.iterations, self.converged])
+        row = ",".join(["%.17g"] * len(cols))
+        return "\n".join([",".join(cols)] + [row % tuple(r) for r in table.tolist()]) + "\n"
 
 
 def _sigma_evaluator(spec: ScenarioSpec) -> Callable:

@@ -217,6 +217,48 @@ def test_cli_wrong_spec_kind(capsys):
     assert main(["simulate", "--config", "academic_analyze"]) == 1
 
 
+@pytest.mark.parametrize("case", ("unknown_name", "missing_file", "non_numeric", "short_file"))
+def test_model_that_cannot_be_loaded_is_a_config_error(case, tmp_path, capsys):
+    """Every failure to load [model] name exits 1 at its line, for both kinds of config."""
+    mfile = tmp_path / "plant.txt"
+    if case == "non_numeric":
+        mfile.write_text("1 1 1 1\n0.5 1 one 0 0 1 1\n")
+    elif case == "short_file":
+        mfile.write_text("1 1 1 1\n0.5 1 1 0\n")
+    name = "foo" if case == "unknown_name" else f"lti:{mfile}"
+    design = "[mpc]\nvariant = incremental_input\nN = 8\nQ = 1\nR = 1\nT = 1\n"
+    for command, tail in (("analyze", "[analyze]\ngamma_s = 1\n"),
+                          ("simulate", "[sim]\nsteps = 3\nx0 = 0\nw0 = 1\n")):
+        cfg_file = tmp_path / f"{command}.cfg"
+        cfg_file.write_text(f"[model]\nname = {name}\n{design}{tail}")
+        assert main([command, "--config", str(cfg_file)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: line 2:"), err
+
+
+@pytest.mark.parametrize("edits, code, message", [
+    pytest.param({"T = 1": "T = 2"}, 0, "period T = 2, horizon N = 12", id="mpc_T"),
+    pytest.param({"Q = 1.0": "Q = -0.5"}, 1, "positive semidefinite", id="negative_Q"),
+    pytest.param({"variant = incremental_input": "variant = output_only"}, 1,
+                 "line 6: analyze certifies the incremental_input variant", id="variant"),
+    pytest.param({"gamma_s = 1.0": "gamma_s = 1.0\nT = 1"}, 1,
+                 "line 14: unknown key 'T' in section [analyze]", id="analyze_T"),
+    pytest.param({"name = academic": "name = cement_mill", "Q = 1.0": "Q = 1 1",
+                  "R = 1.0": "R = 1 1"}, 1, "line 3: analyze needs an exactly linear model",
+                 id="nonlinear_model")])
+def test_analyze_certifies_the_mpc_design(edits, code, message, tmp_path, capsys):
+    """analyze reads variant, N, Q, R and T from [mpc] alone, validated as for a scenario."""
+    lines = cfg.read_config_file("academic_analyze").splitlines()
+    for old, new in edits.items():
+        (i,) = [i for i, line in enumerate(lines) if line == old]
+        lines[i] = new
+    cfg_file = tmp_path / "analyze.cfg"
+    cfg_file.write_text("\n".join(lines) + "\n")
+    assert main(["analyze", "--config", str(cfg_file)]) == code
+    out = capsys.readouterr()
+    assert message in (out.out if code == 0 else out.err)
+
+
 def test_cli_solve_reports_solution(capsys):
     rc = main(["solve", "--config", "cement_mill_nominal"])
     assert rc == 0

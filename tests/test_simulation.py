@@ -9,7 +9,7 @@ from regfree_mpc.errors import ConfigError, NumericalError, ShapeError
 from regfree_mpc.linear_analysis import solve_regulator
 from regfree_mpc.models import SimNoiseSpec, academic_example, cement_mill, cement_mill_regulator
 from regfree_mpc.mpc import MpcConfig
-from regfree_mpc.simulation import ScenarioSpec, metrics, run
+from regfree_mpc.simulation import ScenarioSpec, SimTrace, metrics, run
 
 
 def academic_scenario(variant, N, steps, x0=1.0, T=None, R=1.0, u_init=None):
@@ -274,3 +274,28 @@ def test_error_feedback_trace_has_estimates():
     assert np.all(np.abs(trace.eta) <= 1.0)
     header = trace.to_csv().splitlines()[0]
     assert "xhat0" in header and "xhat4" in header
+
+
+@pytest.mark.parametrize("with_xhat", (False, True), ids=("plain", "xhat"))
+def test_trace_csv_golden_text(with_xhat):
+    """Every column prints with %.17g, integer-valued ones as integers; NaN, inf and -0 survive."""
+    trace = SimTrace(
+        x=np.array([[1.0, -0.0], [0.1, 2.5e-17], [np.inf, -np.inf]]),
+        w=np.array([[3.0], [1 / 3], [-2.0]]),
+        u=np.array([[0.5], [np.nan], [-1e300]]),
+        y=np.array([[1e-5], [123456789.125], [0.0]]),
+        xhat=np.array([[1.0, 2.0, -0.0], [0.25, np.nan, 1e20], [-3.5, 4.0, 5.0]])
+        if with_xhat else None,
+        eta=None, value=np.array([np.nan, 2.0, 0.1]), sigma=np.array([0.0, -0.0, np.inf]),
+        iterations=np.array([0, 7, 200]), converged=np.array([False, True, True]))
+    xhat = (["xhat0,xhat1,xhat2", "1,2,-0", "0.25,nan,1e+20", "-3.5,4,5"] if with_xhat
+            else [None] * 4)
+    rows = [("t,x0,x1,w0,u0,y0", xhat[0], "V,sigma,iters,converged"),
+            ("0,1,-0,3,0.5,1.0000000000000001e-05", xhat[1], "nan,0,0,0"),
+            ("1,0.10000000000000001,2.4999999999999999e-17,0.33333333333333331,nan,"
+             "123456789.125", xhat[2], "2,-0,7,1"),
+            ("2,inf,-inf,-2,-1.0000000000000001e+300,0", xhat[3],
+             "0.10000000000000001,inf,200,1")]
+    expected = "".join(",".join(part for part in row if part is not None) + "\n"
+                       for row in rows)
+    assert trace.to_csv() == expected
