@@ -28,7 +28,7 @@ _SCHEMA = {
     "observer": {
         "kind": "str", "xhat0": "vec", "L": "vec", "sigma0": "float",
         "process_noise": "float", "measurement_noise": "float",
-        "noise": "str", "noise_lo": "vec", "noise_hi": "vec",
+        "noise_lo": "vec", "noise_hi": "vec",
     },
     "sim": {"steps": "int", "x0": "vec", "w0": "vec", "seed": "int", "u_init": "vec"},
     "analyze": {"gamma_s": "float"},
@@ -112,6 +112,10 @@ class AnalysisSpec:
 
 def build_mpc_config(sections) -> MpcConfig:
     variant = _need(sections, "mpc", "variant")
+    for key, reader in (("d", "look_ahead"), ("T", "incremental_input")):
+        if key in sections["mpc"] and variant != reader:
+            raise ConfigError(f"{key!r} is read only by the {reader} variant, not by {variant!r}",
+                              line=sections["mpc"][key][1])
     tol = _opt(sections, "mpc", "gradient_tolerance")
     solver = SolverSettings() if tol is None else SolverSettings(gradient_tolerance=tol)
     return MpcConfig(
@@ -186,13 +190,8 @@ def build_scenario(sections, seed_override=None) -> ScenarioSpec:
             Qproc=qscale * np.eye(nj),
             Rmeas=rscale * np.eye(model.p),
         )
-        kind_noise = _opt(sections, "observer", "noise", "none")
-        if kind_noise == "uniform":
-            noise = SimNoiseSpec(distribution="uniform",
-                                 lo=_need(sections, "observer", "noise_lo"),
-                                 hi=_need(sections, "observer", "noise_hi"))
-        elif kind_noise != "none":
-            raise ConfigError(f"unknown noise kind {kind_noise!r}")
+        noise = SimNoiseSpec(lo=_opt(sections, "observer", "noise_lo"),
+                             hi=_opt(sections, "observer", "noise_hi"))
     seed = _opt(sections, "sim", "seed", 0)
     if seed_override is not None:
         seed = seed_override
@@ -221,10 +220,14 @@ def build_analysis(sections) -> AnalysisSpec:
     if model.linear is None:
         raise ConfigError(f"analyze needs an exactly linear model, got {model.name!r}",
                           line=sections["model"]["name"][1])
-    mpc = build_mpc_config(sections)
-    if mpc.variant != "incremental_input":
-        raise ConfigError(f"analyze certifies the incremental_input variant, got {mpc.variant!r}",
+    variant = _need(sections, "mpc", "variant")
+    if variant != "incremental_input":
+        raise ConfigError(f"analyze certifies the incremental_input variant, got {variant!r}",
                           line=sections["mpc"]["variant"][1])
+    if "gradient_tolerance" in sections["mpc"]:
+        raise ConfigError("analyze does not read 'gradient_tolerance'",
+                          line=sections["mpc"]["gradient_tolerance"][1])
+    mpc = build_mpc_config(sections)
     return AnalysisSpec(model_name=model.name, system=model.linear, T=mpc.T, N=mpc.N,
                         Q=mpc.Q, R=mpc.R, gamma_s=_opt(sections, "analyze", "gamma_s", 1.0))
 

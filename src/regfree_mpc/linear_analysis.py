@@ -296,6 +296,8 @@ def epsilon_o_generalized_eig(sys: LinearSystem, Q, R,
     epsilon_o = min_x l(x, Kx) / ||x||_P^2 with K the LQR gain of the stage
     cost (cross terms included) and P the supplied metric; this is the
     smallest generalized eigenvalue of the closed-loop cost form against P.
+    Its rank is at most p + m: when that eigenvalue is zero relative to the
+    largest (always so for n > p + m), no margin exists and DomainError is raised.
     """
     Mxx, Mxu, Muu = stage_cost_forms(sys, Q, R)
     n, m = sys.n_p, sys.m
@@ -309,7 +311,10 @@ def epsilon_o_generalized_eig(sys: LinearSystem, Q, R,
         F = np.vstack([np.eye(n), K])
         M = np.block([[Mxx, Mxu], [Mxu.T, Muu]])
         closed = F.T @ M @ F
-    lo, _ = gen_eig_range(closed, sigma_metric.P)
+    lo, hi = gen_eig_range(closed, sigma_metric.P)
+    if lo <= rank_tolerance([hi], n):
+        raise DomainError(f"no stage-cost margin epsilon_o: the closed-loop cost form (rank <= "
+                          f"p + m = {sys.p + sys.m}) is singular on the state dimension n = {n}")
     return lo
 
 

@@ -61,16 +61,15 @@ def _jacobians(jac, fun, rows, x, u, w):
 
 @dataclass(frozen=True)
 class SimNoiseSpec:
-    """Additive measurement-noise description (applied to the output only)."""
+    """Additive output noise: uniform on [lo, hi] when both bounds are given, else none."""
 
-    distribution: str = "none"          # "none" | "uniform"
     lo: Optional[Array] = None          # per-coordinate lower bounds
     hi: Optional[Array] = None
 
     def __post_init__(self):
-        if self.distribution not in ("none", "uniform"):
-            raise DomainError(f"unknown noise distribution {self.distribution!r}")
-        if self.distribution == "uniform":
+        if (self.lo is None) != (self.hi is None):
+            raise DomainError("uniform noise needs both bounds lo and hi")
+        if self.lo is not None:
             lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
             hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
             if lo.shape != hi.shape or np.any(lo > hi):
@@ -79,7 +78,7 @@ class SimNoiseSpec:
             object.__setattr__(self, "hi", hi)
 
     def sample(self, rng, p):
-        if self.distribution == "none":
+        if self.lo is None:
             return np.zeros(p)
         if self.lo.size != p:
             raise ShapeError(f"noise bounds have {self.lo.size} entries for {p} outputs")

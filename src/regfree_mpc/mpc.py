@@ -364,22 +364,14 @@ def _box_gauss_newton_step(H, g, lo, hi):
 
 
 def _newton_step(H, g):
-    """Newton step -H^-1 g, regularised until H is positive definite and the step descends."""
-    if not g.any():
-        return np.zeros_like(g)
-    lam = 0.0
-    trace = max(1.0, float(np.trace(H)) / H.shape[0])
-    for _ in range(12):
-        Hreg = H + lam * np.eye(H.shape[0]) if lam else H
-        try:
-            np.linalg.cholesky(Hreg)   # raises unless Hreg is positive definite
-            step = -np.linalg.solve(Hreg, g)
-            if step @ g < 0.0:
-                return step
-        except np.linalg.LinAlgError:
-            pass
-        lam = max(10.0 * lam, 1e-10 * trace)
-    return -g
+    """-H^-1 g, or if H is not positive definite -(H/ss' + 1e-10 I)^-1 (g/s)/s, s = sqrt(diag H)."""
+    try:
+        np.linalg.cholesky(H)   # raises unless H is positive definite
+        return -np.linalg.solve(H, g)
+    except np.linalg.LinAlgError:
+        s = np.sqrt(np.diag(H))
+        s[s == 0.0] = 1.0
+        return -np.linalg.solve(H / np.outer(s, s) + 1e-10 * np.eye(g.size), g / s) / s
 
 
 # ---------------------------------------------------------------------------

@@ -83,7 +83,6 @@ def test_error_feedback_preset_settings():
     assert np.allclose(ob.xhat0, [100.0, 50.0, 400.0, 100.0, 400.0])
     assert np.allclose(ob.Qproc, np.eye(5))
     assert np.allclose(ob.Rmeas, np.eye(2))
-    assert spec.noise.distribution == "uniform"
     assert np.allclose(spec.noise.lo, [-1.0, -1.0])
     assert np.allclose(spec.noise.hi, [1.0, 1.0])
     assert np.allclose(spec.x0, [120.0, 55.0, 450.0])
@@ -105,15 +104,21 @@ def test_unknown_key_reports_line_number():
 @pytest.mark.parametrize("key, preset", [
     *(pytest.param(key, "cement_mill_error_feedback", id=key)
       for key in ("x0", "w0", "u_init", "xhat0", "L", "Q", "R", "noise_lo", "noise_hi")),
-    *(pytest.param(key, "academic_analyze", id=f"analyze_{key}") for key in ("Q", "R"))])
+    *(pytest.param(key, "academic_analyze", id=f"analyze_{key}") for key in ("Q", "R")),
+    pytest.param("d", "academic_incremental", id="unread_d"),
+    pytest.param("T", "academic_output_only", id="unread_T")])
 def test_vector_of_wrong_length_reports_key_and_line(key, preset, delta):
-    """A vector one entry short or long is refused, not broadcast or left to crash in numpy."""
+    """A vector one entry short or long is refused, not broadcast or left to crash in numpy;
+    so is a d or T that the preset's variant does not read."""
     lines = cfg.read_config_file(preset).splitlines()
     if key == "L":      # the preset's EKF takes no gain; lengths are checked before kinds
         lines.insert(lines.index("kind = ekf") + 1, "L = " + " ".join(["0.5"] * 10))
+    if key in ("d", "T"):
+        lines.insert(lines.index("[sim]") - 1, f"{key} = {2 + delta}")
     (i,) = [i for i, line in enumerate(lines) if line.startswith(f"{key} = ")]
-    vals = lines[i].partition(" = ")[2].split()
-    lines[i] = f"{key} = " + " ".join(vals[:-1] if delta < 0 else vals + vals[:1])
+    if key not in ("d", "T"):
+        vals = lines[i].partition(" = ")[2].split()
+        lines[i] = f"{key} = " + " ".join(vals[:-1] if delta < 0 else vals + vals[:1])
     with pytest.raises(ConfigError) as err:
         cfg.parse_config("\n".join(lines))
     assert f"line {i + 1}:" in str(err.value) and repr(key) in str(err.value)
@@ -237,7 +242,11 @@ def test_model_that_cannot_be_loaded_is_a_config_error(case, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("edits, code, message", [
-    pytest.param({"T = 1": "T = 2"}, 0, "period T = 2, horizon N = 12", id="mpc_T"),
+    pytest.param({"T = 1": "T = 2"}, 2, "the state dimension", id="mpc_T"),
+    pytest.param({"T = 1": "T = 1\ngradient_tolerance = 1e-6"}, 1,
+                 "line 11: analyze does not read 'gradient_tolerance'", id="gradient_tolerance"),
+    pytest.param({"T = 1": "T = 1\nd = 2"}, 1,
+                 "line 11: 'd' is read only by the look_ahead variant", id="d"),
     pytest.param({"Q = 1.0": "Q = -0.5"}, 1, "positive semidefinite", id="negative_Q"),
     pytest.param({"variant = incremental_input": "variant = output_only"}, 1,
                  "line 6: analyze certifies the incremental_input variant", id="variant"),

@@ -12,8 +12,8 @@ from regfree_mpc.augmentation import augment_linear
 from regfree_mpc.errors import (DegenerateSystemError, DetectabilityError,
                                 DomainError, NumericalError, ResonanceError,
                                 ShapeError, StabilityError)
-from regfree_mpc.linear_analysis import (alpha_s_of_horizon, augmented_pair, dare,
-                                         epsilon_o_generalized_eig,
+from regfree_mpc.linear_analysis import (alpha_s_of_horizon, analyze_linear,
+                                         augmented_pair, dare, epsilon_o_generalized_eig,
                                          horizon_bounds, lqr_gain,
                                          nonresonance, observability_constant,
                                          pbh_detectable, pbh_stabilizable,
@@ -358,6 +358,13 @@ def test_epsilon_o_homogeneity(academic_augmented):
     from regfree_mpc.linear_analysis import QuadraticCertificate
     half_metric = QuadraticCertificate(P=0.5 * metric.P)
     assert epsilon_o_generalized_eig(aug, Q, R, half_metric) == pytest.approx(2.0 * base, rel=1e-10)
+
+
+def test_singular_stage_cost_form_has_no_margin():
+    """n + T m > p + m: the closed-loop cost form is singular, so no round-off epsilon_o."""
+    sys = random_linear(np.random.default_rng(0), n=2, m=1)
+    with pytest.raises(DomainError, match="state dimension n = 3"):
+        analyze_linear(sys, T=1, N=12, Q=np.eye(1), R=np.eye(1))
 
 
 def test_observability_window_academic(academic_augmented):

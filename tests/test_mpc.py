@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_linear
 from regfree_mpc import blas, mpc
@@ -515,12 +515,14 @@ def test_box_constrained_lti_sweep_matches_bvls():
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 30), rows=st.integers(1, 60),
-       zero_cols=st.booleans())
-def test_box_step_matches_bvls_on_random_models(seed, n, rows, zero_cols):
-    """Property: the GN box step attains BVLS's model value, also for rank-deficient J_r."""
+       zero_cols=st.booleans(), scale=st.sampled_from((1, 3)))
+@example(seed=12, n=20, rows=40, zero_cols=True, scale=3)
+def test_box_step_matches_bvls_on_random_models(seed, n, rows, zero_cols, scale):
+    """Property: the GN box step attains BVLS's model value, also for rank-deficient J_r
+    with column scales spread over 10^-scale..10^scale."""
     from scipy.optimize import lsq_linear
     rng = np.random.default_rng(seed)
-    Jr = rng.normal(size=(rows, n)) * 10.0 ** rng.uniform(-1, 1, n)
+    Jr = rng.normal(size=(rows, n)) * 10.0 ** rng.uniform(-scale, scale, n)
     if zero_cols:
         Jr[:, rng.random(n) < 0.3] = 0.0
     r = rng.normal(size=rows) * 10.0 ** rng.uniform(-2, 3)

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import decrease_check, value_series
 from regfree_mpc import config as cfg, mpc as mpc_mod
-from regfree_mpc.errors import ConfigError, NumericalError, ShapeError
+from regfree_mpc.errors import ConfigError, DomainError, NumericalError, ShapeError
 from regfree_mpc.linear_analysis import solve_regulator
 from regfree_mpc.models import SimNoiseSpec, academic_example, cement_mill, cement_mill_regulator
 from regfree_mpc.mpc import MpcConfig
@@ -31,11 +31,19 @@ def test_scenario_spec_refuses_vectors_of_the_wrong_shape():
     spec = cfg.parse_config(cfg.read_config_file("cement_mill_error_feedback"))   # m = p = 2
     for field_name, value in (("u_init", np.array([100.0])), ("x0", np.ones(2)),
                               ("w0", np.ones(3)),
-                              ("noise", SimNoiseSpec("uniform", lo=[-1.0], hi=[1.0]))):
+                              ("noise", SimNoiseSpec(lo=[-1.0], hi=[1.0]))):
         with pytest.raises(ShapeError):
             dataclasses.replace(spec, **{field_name: value})
     with pytest.raises(ShapeError):
         spec.noise.sample(np.random.default_rng(0), 3)
+
+
+def test_noise_is_uniform_exactly_when_both_bounds_are_given():
+    assert not SimNoiseSpec().sample(np.random.default_rng(0), 2).any()
+    assert SimNoiseSpec(lo=[-1.0], hi=[1.0]).sample(np.random.default_rng(0), 1).any()
+    for half in ({"lo": [-1.0]}, {"hi": [1.0]}):
+        with pytest.raises(DomainError):
+            SimNoiseSpec(**half)
 
 
 def test_academic_output_only_trace_values():
