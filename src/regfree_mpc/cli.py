@@ -5,7 +5,7 @@ import os
 import sys
 
 from . import config as cfg
-from .errors import ConfigError, RegfreeMpcError
+from .errors import ConfigError, NumericalError, RegfreeMpcError
 from .linear_analysis import analyze_linear
 from .mpc import MpcController, assemble, solve
 from .simulation import atomic_write, metrics, run
@@ -197,7 +197,8 @@ def main(argv=None):
         sys.stderr.write(f"config error: {exc}\n")
         return 1
     except RegfreeMpcError as exc:
-        sys.stderr.write(f"numerical failure: {exc}\n")
+        kind = "numerical failure" if isinstance(exc, NumericalError) else type(exc).__name__
+        sys.stderr.write(f"{kind}: {exc}\n")
         return 2
 
 

@@ -25,11 +25,7 @@ _SCHEMA = {
         "variant": "str", "N": "int", "Q": "vec", "R": "vec", "d": "int", "T": "int",
         "gradient_tolerance": "float",
     },
-    "observer": {
-        "kind": "str", "xhat0": "vec", "L": "vec", "sigma0": "float",
-        "process_noise": "float", "measurement_noise": "float",
-        "noise_lo": "vec", "noise_hi": "vec",
-    },
+    "observer": {"kind": "str", "xhat0": "vec", "L": "vec", "noise_lo": "vec", "noise_hi": "vec"},
     "sim": {"steps": "int", "x0": "vec", "w0": "vec", "seed": "int", "u_init": "vec"},
     "analyze": {"gamma_s": "float"},
 }
@@ -117,7 +113,10 @@ def build_mpc_config(sections) -> MpcConfig:
             raise ConfigError(f"{key!r} is read only by the {reader} variant, not by {variant!r}",
                               line=sections["mpc"][key][1])
     tol = _opt(sections, "mpc", "gradient_tolerance")
-    solver = SolverSettings() if tol is None else SolverSettings(gradient_tolerance=tol)
+    try:
+        solver = SolverSettings() if tol is None else SolverSettings(gradient_tolerance=tol)
+    except DomainError as exc:
+        raise ConfigError(str(exc), line=sections["mpc"]["gradient_tolerance"][1]) from exc
     return MpcConfig(
         variant=variant,
         N=_need(sections, "mpc", "N"),
@@ -178,20 +177,21 @@ def build_scenario(sections, seed_override=None) -> ScenarioSpec:
     noise = SimNoiseSpec()
     if "observer" in sections and sections["observer"]:
         kind = _need(sections, "observer", "kind")
-        sigma0 = _opt(sections, "observer", "sigma0", 100.0)
-        qscale = _opt(sections, "observer", "process_noise", 1.0)
-        rscale = _opt(sections, "observer", "measurement_noise", 1.0)
+        if "L" in sections["observer"] and kind == "ekf":
+            raise ConfigError("'L' is read only by the luenberger observer, not by 'ekf'",
+                              line=sections["observer"]["L"][1])
         L = _opt(sections, "observer", "L")
         observer = ObserverConfig(
             kind=kind,
             xhat0=_need(sections, "observer", "xhat0"),
             L=None if L is None else np.asarray(L, dtype=float).reshape(nj, model.p),
-            Sigma0=sigma0 * np.eye(nj),
-            Qproc=qscale * np.eye(nj),
-            Rmeas=rscale * np.eye(model.p),
         )
-        noise = SimNoiseSpec(lo=_opt(sections, "observer", "noise_lo"),
-                             hi=_opt(sections, "observer", "noise_hi"))
+        lo, hi = _opt(sections, "observer", "noise_lo"), _opt(sections, "observer", "noise_hi")
+        try:
+            noise = SimNoiseSpec(lo=lo, hi=hi)
+        except DomainError as exc:
+            key = "noise_lo" if hi is None else "noise_hi"
+            raise ConfigError(str(exc), line=sections["observer"][key][1]) from exc
     seed = _opt(sections, "sim", "seed", 0)
     if seed_override is not None:
         seed = seed_override

@@ -15,15 +15,15 @@ from .models import SystemModel
 
 Array = np.ndarray
 
+# EKF covariances, fixed: initial Sigma0 = 100 I, unit process and measurement noise.
+_SIGMA0_SCALE = 100.0
+
 
 @dataclass(frozen=True)
 class ObserverConfig:
     kind: str                       # "luenberger" | "ekf"
     xhat0: Array
     L: Optional[Array] = None       # luenberger gain, n x p
-    Sigma0: Optional[Array] = None
-    Qproc: Optional[Array] = None
-    Rmeas: Optional[Array] = None
 
     def __post_init__(self):
         if self.kind not in ("luenberger", "ekf"):
@@ -31,16 +31,8 @@ class ObserverConfig:
         object.__setattr__(self, "xhat0", np.asarray(self.xhat0, dtype=float))
         if self.kind == "luenberger" and self.L is None:
             raise ConfigError("luenberger observer needs a gain L")
-        for name in ("L", "Sigma0", "Qproc", "Rmeas"):
-            v = getattr(self, name)
-            if v is not None:
-                object.__setattr__(self, name, np.atleast_2d(np.asarray(v, dtype=float)))
-        for name in ("Sigma0", "Qproc"):
-            M = getattr(self, name)
-            if M is not None and np.linalg.eigvalsh(0.5 * (M + M.T))[0] < -1e-9 * max(1.0, np.linalg.norm(M)):
-                raise ConfigError(f"{name} must be positive semidefinite")
-        if self.Rmeas is not None and np.linalg.eigvalsh(0.5 * (self.Rmeas + self.Rmeas.T))[0] <= 0.0:
-            raise ConfigError("Rmeas must be positive definite")
+        if self.L is not None:
+            object.__setattr__(self, "L", np.atleast_2d(np.asarray(self.L, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -109,24 +101,22 @@ def observer_step(state: ObserverState, u_applied, y_measured,
         innov = y - joint_output(model, xhat, u)
         xnext = joint_step(model, xhat, u) + config.L @ innov
         return ObserverState(xhat=xnext, Sigma=None)
-    # EKF: measurement update with Joseph covariance, then predict
+    # EKF with the fixed covariances: Joseph measurement update, then predict
     Sigma = state.Sigma
     H = joint_output_jacobian(model, xhat, u)
     nj = xhat.size
-    R = config.Rmeas if config.Rmeas is not None else np.eye(y.size)
-    Qp = config.Qproc if config.Qproc is not None else np.eye(nj)
     innov = y - joint_output(model, xhat, u)
-    S = H @ Sigma @ H.T + R
+    S = H @ Sigma @ H.T + np.eye(y.size)
     try:
         K = np.linalg.solve(S.T, (Sigma @ H.T).T).T
     except np.linalg.LinAlgError as exc:
         raise NumericalError("singular innovation covariance") from exc
     x_upd = xhat + K @ innov
     IKH = np.eye(nj) - K @ H
-    Sigma_upd = IKH @ Sigma @ IKH.T + K @ R @ K.T
+    Sigma_upd = IKH @ Sigma @ IKH.T + K @ K.T
     F_upd = joint_state_jacobian(model, x_upd, u)
     x_next = joint_step(model, x_upd, u)
-    Sigma_next = F_upd @ Sigma_upd @ F_upd.T + Qp
+    Sigma_next = F_upd @ Sigma_upd @ F_upd.T + np.eye(nj)
     Sigma_next = 0.5 * (Sigma_next + Sigma_next.T)
     return ObserverState(xhat=x_next, Sigma=Sigma_next)
 
@@ -136,6 +126,5 @@ def make_observer_state(model: SystemModel, config: ObserverConfig) -> ObserverS
     nj = model.n_p + model.q
     xhat0 = config.xhat0.reshape(nj)
     if config.kind == "ekf":
-        Sigma0 = config.Sigma0 if config.Sigma0 is not None else 100.0 * np.eye(nj)
-        return ObserverState(xhat=xhat0.copy(), Sigma=Sigma0.copy())
+        return ObserverState(xhat=xhat0.copy(), Sigma=_SIGMA0_SCALE * np.eye(nj))
     return ObserverState(xhat=xhat0.copy(), Sigma=None)

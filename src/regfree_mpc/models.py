@@ -247,13 +247,12 @@ def rk4_step_jacobians(ode_jac, ode, x, u, w, dt):
     return Fx, Fu
 
 
-def rk4_discretize(ode, dt, *, n_p, m, q, p, h, s=None, input_lo=None,
-                   input_hi=None, ode_jac=None, jac_h=None, jac_s=None, name="rk4"):
-    """SystemModel whose f_p is one RK4 step of ode.
+def rk4_discretize(ode, dt, *, n_p, m, q, p, h, input_lo=None, input_hi=None,
+                   ode_jac=None, jac_h=None, name="rk4"):
+    """SystemModel whose f_p is one RK4 step of ode, with a constant exosystem w+ = w.
 
     `ode` and `ode_jac` take one point or a (K, ·) stack along the leading
-    axis; `jac_h`, if given, takes stacks (see `SystemModel`).  Without `s`
-    the exosystem is constant, w+ = w.
+    axis; `jac_h`, if given, takes stacks (see `SystemModel`).
     """
     if dt <= 0:
         raise DomainError("dt must be positive")
@@ -267,13 +266,9 @@ def rk4_discretize(ode, dt, *, n_p, m, q, p, h, s=None, input_lo=None,
             Fx, Fu = rk4_step_jacobians(ode_jac, ode, x, u, w, dt)
             return Fx, Fu, np.zeros((len(x), n_p, q))
 
-    if s is None:
-        s = lambda w: w
-        jac_s = jac_s or (lambda w: np.eye(q))
-
-    return SystemModel(n_p=n_p, m=m, q=q, p=p, f_p=f_p, s=s, h=h,
+    return SystemModel(n_p=n_p, m=m, q=q, p=p, f_p=f_p, s=lambda w: w, h=h,
                        input_lo=input_lo, input_hi=input_hi,
-                       jac_f=jac_f, jac_h=jac_h, jac_s=jac_s, name=name)
+                       jac_f=jac_f, jac_h=jac_h, jac_s=lambda w: np.eye(q), name=name)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,8 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.steps < 1:
             raise ConfigError("simulation length must be >= 1")
+        if self.observer is None and self.noise.lo is not None:
+            raise ConfigError("output noise needs an observer: state feedback reads no output")
         model, lo, hi = self.model, self.noise.lo, self.noise.hi
         for name, value, size in (("x0", self.x0, model.n_p), ("w0", self.w0, model.q),
                                   ("u_init", self.u_init, model.m), ("noise lo", lo, model.p),

@@ -7,7 +7,7 @@ import pytest
 
 from regfree_mpc import config as cfg
 from regfree_mpc.cli import build_parser, main
-from regfree_mpc.errors import ConfigError
+from regfree_mpc.errors import ConfigError, NumericalError
 from regfree_mpc.simulation import run
 
 
@@ -79,10 +79,7 @@ def test_error_feedback_preset_settings():
     assert np.allclose(spec.mpc.R, 1e-2 * np.eye(2))
     ob = spec.observer
     assert ob.kind == "ekf"
-    assert np.allclose(ob.Sigma0, 100.0 * np.eye(5))
     assert np.allclose(ob.xhat0, [100.0, 50.0, 400.0, 100.0, 400.0])
-    assert np.allclose(ob.Qproc, np.eye(5))
-    assert np.allclose(ob.Rmeas, np.eye(2))
     assert np.allclose(spec.noise.lo, [-1.0, -1.0])
     assert np.allclose(spec.noise.hi, [1.0, 1.0])
     assert np.allclose(spec.x0, [120.0, 55.0, 450.0])
@@ -93,7 +90,10 @@ def test_unknown_key_reports_line_number():
     # bogus keys and the retired solver knobs alike
     for known, unknown in (("[model]\nname = academic", "bogus = 3"),
                            ("[mpc]\nvariant = output_only", "armijo_shrink = 0.5"),
-                           ("[mpc]\nvariant = output_only", "warm_start = false")):
+                           ("[mpc]\nvariant = output_only", "warm_start = false"),
+                           ("[observer]\nkind = ekf", "sigma0 = 100"),
+                           ("[observer]\nkind = ekf", "process_noise = 1"),
+                           ("[observer]\nkind = ekf", "measurement_noise = 1")):
         with pytest.raises(ConfigError) as err:
             cfg.parse_sections(f"{known}\n{unknown}\n")
         assert "line 3" in str(err.value)
@@ -122,6 +122,53 @@ def test_vector_of_wrong_length_reports_key_and_line(key, preset, delta):
     with pytest.raises(ConfigError) as err:
         cfg.parse_config("\n".join(lines))
     assert f"line {i + 1}:" in str(err.value) and repr(key) in str(err.value)
+
+
+@pytest.mark.parametrize("old, new, key, message", [
+    pytest.param("noise_hi = 1.0 1.0", "", "noise_lo", "needs both bounds", id="noise_lo_alone"),
+    pytest.param("noise_lo = -1.0 -1.0", "", "noise_hi", "needs both bounds", id="noise_hi_alone"),
+    pytest.param("noise_lo = -1.0 -1.0", "noise_lo = 2.0 -1.0", "noise_hi", "lo <= hi",
+                 id="noise_lo_above_hi"),
+    pytest.param("gradient_tolerance = 1e-06", "gradient_tolerance = 0", "gradient_tolerance",
+                 "must be positive", id="gradient_tolerance"),
+    pytest.param("kind = ekf", "kind = ekf\nL = " + " ".join(["0.5"] * 10), "L",
+                 "'L' is read only by the luenberger observer", id="L_under_ekf")])
+def test_refused_value_is_a_config_error_at_its_line(old, new, key, message, tmp_path, capsys):
+    """simulate reports a value the library refuses as a config error at its key's line."""
+    lines = cfg.read_config_file("cement_mill_error_feedback").splitlines()
+    lines[lines.index(old)] = new
+    lines = "\n".join(lines).splitlines()
+    (i,) = [i for i, line in enumerate(lines) if line.startswith(f"{key} = ")]
+    cfg_file = tmp_path / "refused.cfg"
+    cfg_file.write_text("\n".join(lines) + "\n")
+    assert main(["simulate", "--config", str(cfg_file)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: line {i + 1}: ") and message in err, err
+
+
+def test_library_errors_exit_2_named_by_kind(tmp_path, capsys, monkeypatch):
+    """Only a NumericalError is a "numerical failure"; other library errors name their kind."""
+    text = cfg.read_config_file("academic_analyze").replace("T = 1", "T = 2")
+    cfg_file = tmp_path / "analyze.cfg"
+    cfg_file.write_text(text)
+    assert main(["analyze", "--config", str(cfg_file)]) == 2
+    assert capsys.readouterr().err.startswith("DomainError: no stage-cost margin")
+
+    def fail(*args, **kwargs):
+        raise NumericalError("singular")
+
+    monkeypatch.setattr("regfree_mpc.cli.analyze_linear", fail)
+    assert main(["analyze", "--config", "academic_analyze"]) == 2
+    assert capsys.readouterr().err == "numerical failure: singular\n"
+
+
+def test_readme_names_every_config_key():
+    """The README's "Config files" section names every section and key the parser accepts."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        section = fh.read().split("## Config files", 1)[1].split("\n## ", 1)[0]
+    missing = [f"[{name}] {key}" for name, keys in cfg._SCHEMA.items() for key in keys
+               if f"`{key}`" not in section or f"[{name}]" not in section]
+    assert not missing
 
 
 def test_unknown_section_and_syntax_errors():

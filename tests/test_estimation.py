@@ -142,9 +142,8 @@ def test_luenberger_error_enters_noise_ball(rng):
     assert max(errs[300:]) < 3.0 * gain
 
 
-def ekf_config(nj, p, xhat0):
-    return ObserverConfig(kind="ekf", xhat0=xhat0, Sigma0=100.0 * np.eye(nj),
-                          Qproc=np.eye(nj), Rmeas=np.eye(p))
+def ekf_config(xhat0):
+    return ObserverConfig(kind="ekf", xhat0=xhat0)
 
 
 def test_ekf_exact_noiseless_linear(rng):
@@ -154,7 +153,7 @@ def test_ekf_exact_noiseless_linear(rng):
     w = rng.normal(size=1)
     truth = np.concatenate([x, w])
     state = ObserverState(xhat=truth.copy(), Sigma=100.0 * np.eye(3))
-    cfgE = ekf_config(3, 1, truth)
+    cfgE = ekf_config(truth)
     for _ in range(30):
         u = rng.normal(size=1)
         y = model.h(x, u, w)
@@ -166,13 +165,13 @@ def test_ekf_exact_noiseless_linear(rng):
 
 def test_ekf_covariance_stays_psd(rng):
     mill = cement_mill()
-    state = make_observer_state(mill, ekf_config(5, 2, np.array([100.0, 50, 400, 100, 400])))
+    state = make_observer_state(mill, ekf_config(np.array([100.0, 50, 400, 100, 400])))
     x = np.array([120.0, 55.0, 450.0])
     w = np.array([110.0, 425.0])
     for t in range(100):
         u = np.array([110.0, 170.0]) + rng.normal(size=2)
         y = mill.h(x, u, w) + rng.uniform(-1, 1, 2)
-        state = observer_step(state, u, y, mill, ekf_config(5, 2, state.xhat))
+        state = observer_step(state, u, y, mill, ekf_config(state.xhat))
         S = state.Sigma
         assert np.allclose(S, S.T)
         lam = np.linalg.eigvalsh(S)[0]
@@ -184,7 +183,7 @@ def test_ekf_converges_on_mill(rng):
     """Joint estimation error decays; the weakly observed disturbance
     directions make it slow (order 10 after hundreds of steps)."""
     mill = cement_mill()
-    cfgE = ekf_config(5, 2, np.array([100.0, 50.0, 400.0, 100.0, 400.0]))
+    cfgE = ekf_config(np.array([100.0, 50.0, 400.0, 100.0, 400.0]))
     state = make_observer_state(mill, cfgE)
     x = np.array([120.0, 55.0, 450.0])
     w = np.array([110.0, 425.0])

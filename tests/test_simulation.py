@@ -38,6 +38,14 @@ def test_scenario_spec_refuses_vectors_of_the_wrong_shape():
         spec.noise.sample(np.random.default_rng(0), 3)
 
 
+def test_scenario_spec_refuses_noise_without_an_observer():
+    """State feedback reads no output, so noise bounds without an observer would go unused."""
+    spec = cfg.parse_config(cfg.read_config_file("cement_mill_nominal"))
+    assert spec.observer is None
+    with pytest.raises(ConfigError, match="needs an observer"):
+        dataclasses.replace(spec, noise=SimNoiseSpec(lo=[-50.0, -50.0], hi=[50.0, 50.0]))
+
+
 def test_noise_is_uniform_exactly_when_both_bounds_are_given():
     assert not SimNoiseSpec().sample(np.random.default_rng(0), 2).any()
     assert SimNoiseSpec(lo=[-1.0], hi=[1.0]).sample(np.random.default_rng(0), 1).any()
