@@ -136,27 +136,29 @@ def _run_sweep_entry(packed):
 
 def cmd_simulate(args):
     text = cfg.read_config_file(args.config)
-    seed_arg = args.seed
-    if isinstance(seed_arg, str):
-        seeds = _seed_range(seed_arg)
+    sweep = isinstance(args.seed, str)
+    if sweep:
+        seeds = _seed_range(args.seed)
         if args.out is None:
             raise ConfigError("seed sweeps need --out for the per-seed trace files")
-        jobs = max(1, min(args.jobs, len(seeds)))
-        work = [(text, s, _seeded_out(args.out, s)) for s in seeds]
-        if jobs == 1:
-            results = [_run_sweep_entry(wk) for wk in work]
-        else:
-            import multiprocessing as mp
-            with mp.Pool(jobs) as pool:
-                results = pool.map(_run_sweep_entry, work)
-        for seed, failed in results:
-            if args.verbose:
-                sys.stderr.write(f"seed {seed}: {'failed at ' + str(failed) if failed is not None else 'ok'}\n")
-        return 0
-    spec = cfg.parse_config(text, seed_override=_resolve_seed(seed_arg))
+    # parsed once before any run: a sweep's workers re-parse it with their own seeds
+    spec = cfg.parse_config(text, seed_override=None if sweep else _resolve_seed(args.seed))
     if isinstance(spec, cfg.AnalysisSpec):
         raise ConfigError("simulate needs a scenario config with a [sim] section")
-    _simulate_one(spec, args.out, args.verbose)
+    if not sweep:
+        _simulate_one(spec, args.out, args.verbose)
+        return 0
+    jobs = max(1, min(args.jobs, len(seeds)))
+    work = [(text, s, _seeded_out(args.out, s)) for s in seeds]
+    if jobs == 1:
+        results = [_run_sweep_entry(wk) for wk in work]
+    else:
+        import multiprocessing as mp
+        with mp.Pool(jobs) as pool:
+            results = pool.map(_run_sweep_entry, work)
+    for seed, failed in results:
+        if args.verbose:
+            sys.stderr.write(f"seed {seed}: {'failed at ' + str(failed) if failed is not None else 'ok'}\n")
     return 0
 
 

@@ -11,12 +11,13 @@ exactly linear model's residual in closed form, as an independent reference.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .blas import one_blas_thread
-from .errors import ConfigError, DomainError, NumericalError
+from .errors import ConfigError, DomainError, NumericalError, ShapeError
 from .models import SystemModel
 
 VARIANTS = ("input_regularized", "output_only", "look_ahead", "incremental_input")
@@ -64,6 +65,38 @@ class MpcConfig:
         if self.variant == "incremental_input" and (self.T is None or self.T < 1):
             raise ConfigError("incremental_input needs T >= 1")
 
+    @cached_property
+    def horizon(self):
+        """(H, j, sw, out, Q^1/2, R^1/2, E): the horizon data that depend on the config alone.
+
+        Built once per config and shared, read-only, by every Ocp built from
+        it: the rollout length H (look_ahead needs d+1 extra predicted
+        outputs), the input block j_k of rollout step k, sqrt(w_k) of each
+        step's output weight (look_ahead counts the overlap of its two
+        windows, y_{d+1}..y_{N-1}, twice), the steps with w_k > 0, and the
+        input penalty map E of E vec(u) - c, one R^1/2-weighted m-block per
+        decision.
+        """
+        N, m = self.N, self.R.shape[0]
+        H = N + ((self.d + 1) if self.variant == "look_ahead" else 0)
+        wts = np.zeros(H)
+        wts[:N] += 1.0
+        if self.variant == "look_ahead":
+            wts[self.d + 1:] += 1.0
+        sw = np.sqrt(wts)
+        Rh = _psd_sqrt(self.R)
+        if self.variant == "input_regularized":
+            E = np.kron(np.eye(N), Rh)
+        elif self.variant == "incremental_input":     # u_k - u_{k-T}
+            E = np.kron(np.eye(N) - np.eye(N, k=-self.T), Rh)
+        else:
+            E = np.zeros((0, N * m))
+        arrays = (np.minimum(np.arange(H), N - 1), sw, np.flatnonzero(sw > 0.0),
+                  _psd_sqrt(self.Q), Rh, E)
+        for a in arrays:
+            a.flags.writeable = False
+        return (H,) + arrays
+
 
 @dataclass(frozen=True)
 class OcpSolution:
@@ -82,37 +115,26 @@ class Ocp:
                  memory=None, regulator=None):
         """incremental_input needs the newest-first input `memory`; input_regularized
         needs a `regulator` whose pi_u(w) is evaluated along the w trajectory."""
+        if config.Q.shape[0] != model.p or config.R.shape[0] != model.m:
+            raise ShapeError(f"Q and R must be {model.p} x {model.p} and {model.m} x {model.m}")
         self.model = model
         self.config = config
         self.x0 = np.asarray(x0, dtype=float).reshape(model.n_p)
         self.N = config.N
         self.m = model.m
-        # rollout horizon: look_ahead needs d+1 extra predicted outputs
-        self.extra = (config.d + 1) if config.variant == "look_ahead" else 0
-        self.H = self.N + self.extra
+        self.H, self._j, self._sw, self._out, self._Qh, Rh, self.E = config.horizon
         w = np.asarray(w0, dtype=float).reshape(model.q)
         ws = [w]
         for _ in range(self.H):
             ws.append(np.asarray(model.s(ws[-1]), dtype=float))
         self.w_traj = np.array(ws)   # (H+1, q): w_0..w_H
-        self._j = np.minimum(np.arange(self.H), self.N - 1)   # input block of step k
         self.lo = model.input_lo
         self.hi = model.input_hi
-        # output weight w_k per rollout step: look_ahead counts the overlap of
-        # its two windows, y_{d+1}..y_{N-1}, twice
-        wts = np.zeros(self.H)
-        wts[:self.N] += 1.0
-        if config.variant == "look_ahead":
-            wts[config.d + 1:] += 1.0
-        self._sw = np.sqrt(wts)
-        self._out = np.flatnonzero(self._sw > 0.0)   # steps with output weight w_k > 0
-        self._Qh = _psd_sqrt(config.Q)
-        # input penalty E vec(u) - c: one R^1/2-weighted m-block per decision
-        N, m, Rh = self.N, self.m, _psd_sqrt(config.R)
+        self._jac_key, self._Jr = None, None   # the last J_r and the stacks it came from
+        N, m = self.N, self.m
         if config.variant == "input_regularized":
             if regulator is None:
                 raise ConfigError("input_regularized needs a regulator solution for pi_u")
-            self.E = np.kron(np.eye(N), Rh)
             self.c = np.concatenate([Rh @ np.atleast_1d(regulator.pi_u(w)).reshape(m)
                                      for w in self.w_traj[:N]])
         elif config.variant == "incremental_input":
@@ -122,20 +144,32 @@ class Ocp:
             if xi.size != config.T * m:
                 raise ConfigError(f"memory must hold exactly T = {config.T} inputs")
             history = xi.reshape(config.T, m)[::-1]   # u_{t-T}, ..., u_{t-1}
-            # u_k - u_{k-T}, with u_{k-T} from the history while k < T
-            self.E = np.kron(np.eye(N) - np.eye(N, k=-config.T), Rh)
+            # u_{k-T} from the history while k < T
             self.c = np.concatenate([Rh @ history[k] if k < config.T else np.zeros(m)
                                      for k in range(N)])
         else:
-            self.E, self.c = np.zeros((0, N * m)), np.zeros(0)
+            self.c = np.zeros(0)
 
     # -- residual form -----------------------------------------------------
 
     def rollout(self, useq):
-        xs = [self.x0]
-        for j in range(self.H):
-            xs.append(self.model.step(xs[-1], useq[min(j, self.N - 1)], self.w_traj[j]))
-        return xs
+        """States x_0..x_H as one (H+1, n_p) array.
+
+        f_p runs under np.errstate(all="ignore"); the whole array is checked
+        for finiteness once, and NumericalError names the first bad state.
+        """
+        U = np.asarray(useq, dtype=float).reshape(self.N, self.m)[self._j]
+        X = np.empty((self.H + 1, self.model.n_p))
+        X[0] = self.x0
+        f, W = self.model.f_p, self.w_traj
+        with np.errstate(all="ignore"):
+            for k in range(self.H):
+                X[k + 1] = f(X[k], U[k], W[k])
+        bad = ~np.isfinite(X).all(axis=1)
+        if bad.any():
+            raise NumericalError(f"non-finite predicted state x_{int(np.argmax(bad))} "
+                                 f"in a rollout of {self.H} steps")
+        return X
 
     def outputs(self, useq, xs):
         """Outputs y_0..y_{H-1} along the rollout xs as (H, p), from one stacked h call."""
@@ -147,15 +181,16 @@ class Ocp:
         r holds sqrt(w_k) Q^1/2 y_k for every output with weight w_k > 0
         (look_ahead counts the overlap of its two windows twice), then the
         variant's input penalty E vec(u) - c.  h and the Jacobians of f and h
-        are each evaluated once on the stacked rollout; a forward pass carries
-        the sensitivity S_k = dx_k/dvec(u), and J_r's output rows come from one
-        batched product Hx_k S_k.  J_r is None unless jac.
+        are each evaluated once on the stacked rollout.  J_r is a function of
+        those Jacobian stacks alone: when they are bitwise equal to the last
+        pass's, as on every pass of a linear model after the first, the kept
+        read-only J_r is returned as it is.  J_r is None unless jac.
         """
         useq = np.asarray(useq, dtype=float).reshape(self.N, self.m)
         if xs is None:
             xs = self.rollout(useq)
-        N, m, H, k = self.N, self.m, self.H, self._out
-        X = np.array(xs[:H])
+        H, k = self.H, self._out
+        X = xs[:H]
         Y = self.outputs(useq, X)
         r = np.concatenate([((Y[k] @ self._Qh.T) * self._sw[k, None]).ravel(),
                             self.E @ useq.ravel() - self.c])
@@ -164,6 +199,16 @@ class Ocp:
         U = useq[self._j]
         Hx, Hu, _ = self.model.jacobians_h(X, U, self.w_traj[:H])
         Fx, Fu, _ = self.model.jacobians_f(X[:H - 1], U[:H - 1], self.w_traj[:H - 1])
+        # the stacks are kept as bytes, so a model that refills its buffers cannot alias them
+        key = tuple((J.dtype.str, J.shape, J.tobytes()) for J in (Fx, Fu, Hx, Hu))
+        if key != self._jac_key:
+            self._jac_key, self._Jr = key, self._residual_jacobian(Fx, Fu, Hx, Hu)
+        return r, self._Jr, xs
+
+    def _residual_jacobian(self, Fx, Fu, Hx, Hu):
+        """J_r from the stacked Jacobians: a forward pass carries the sensitivity
+        S_k = dx_k/dvec(u), and the output rows come from one batched product Hx_k S_k."""
+        N, m, H, k = self.N, self.m, self.H, self._out
         S = np.zeros((H, self.model.n_p, N * m))
         for i, j in enumerate(self._j[:H - 1].tolist()):
             np.matmul(Fx[i], S[i], out=S[i + 1])
@@ -171,7 +216,9 @@ class Ocp:
         rows = Hx[k] @ S[k]
         rows.reshape(len(k), self.model.p, N, m)[np.arange(len(k)), :, self._j[k]] += Hu[k]
         rows = (self._Qh @ rows) * self._sw[k, None, None]
-        return r, np.vstack([rows.reshape(-1, N * m), self.E]), xs
+        Jr = np.vstack([rows.reshape(-1, N * m), self.E])
+        Jr.flags.writeable = False
+        return Jr
 
     def cost(self, useq, xs=None):
         r, _, xs = self.residuals(useq, xs, jac=False)
@@ -277,7 +324,7 @@ def solve(ocp: Ocp, warm_start=None) -> OcpSolution:
         raise NumericalError("OCP cost not finite at the initial iterate")
     it = 0
     while True:
-        g = 2.0 * Jr.T @ r
+        g = 2.0 * (Jr.T @ r)
         stat = _stationarity(u, g, lo, hi)
         if (it > 0 and stat <= tol) or it >= _MAX_ITERATIONS:
             break
@@ -307,7 +354,7 @@ def solve(ocp: Ocp, warm_start=None) -> OcpSolution:
             Jt, xst = ocp.cost(tail)
             if Jt <= J:     # a zero column at one point need not mean the cost never sees it
                 u, J, xs = tail, Jt, xst
-    return OcpSolution(u_opt=u.reshape(N, m), x_pred=np.array(xs[:N + 1]), value=J,
+    return OcpSolution(u_opt=u.reshape(N, m), x_pred=xs[:N + 1], value=J,
                        iterations=it, converged=bool(stat <= tol),
                        kkt_residual=stat)
 

@@ -364,6 +364,15 @@ def test_cli_seed_sweep_rejects_negative_start_before_writing(tmp_path, capsys):
     assert list(tmp_path.glob("s_seed*.csv")) == []
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_seed_sweep_refuses_an_analysis_config_before_running(tmp_path, capsys, jobs):
+    """The config is parsed once before the sweep: no worker meets the AnalysisSpec."""
+    assert main(["simulate", "--config", "academic_analyze", "--seed", "0:2",
+                 "--out", str(tmp_path / "s.csv"), "--jobs", jobs]) == 1
+    assert "simulate needs a scenario config with a [sim] section" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
 def test_cli_seed_sweep_pool_no_larger_than_the_sweep(tmp_path, monkeypatch):
     import multiprocessing
     sizes = []

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_linear
 from regfree_mpc import blas, mpc
-from regfree_mpc.errors import ConfigError, NumericalError
+from regfree_mpc.errors import ConfigError, NumericalError, ShapeError
 from regfree_mpc.linear_analysis import RegulatorSolution, solve_regulator
 from regfree_mpc.models import (LinearSystem, SystemModel, academic_example, cement_mill,
                                cement_mill_regulator)
@@ -37,6 +37,66 @@ def test_assemble_requires_variant_inputs():
         assemble(model, make_cfg("input_regularized", 3), np.ones(1), np.zeros(0))
     with pytest.raises(ConfigError):
         assemble(model, make_cfg("incremental_input", 3, T=1), np.ones(1), np.zeros(0))
+
+
+def test_horizon_data_are_built_once_per_config_and_read_only():
+    """Q^1/2, R^1/2, E, the output weights and the input map are shared by every OCP of a
+    config and cannot be written; a replaced config builds its own; equality is unchanged."""
+    model, cfg = academic_example(), make_cfg("incremental_input", 5, T=2)
+    a = assemble(model, cfg, np.array([1.0]), np.zeros(0), memory=np.zeros(2))
+    b = assemble(model, cfg, np.array([-2.0]), np.zeros(0), memory=np.array([0.5, 1.0]))
+    for name in ("E", "_Qh", "_sw", "_out", "_j"):
+        assert getattr(a, name) is getattr(b, name), name
+        assert not getattr(a, name).flags.writeable, name
+    with pytest.raises(ValueError):
+        a.E[0, 0] = 2.0
+    assert not np.array_equal(a.c, b.c)
+    longer = dataclasses.replace(cfg, N=7)
+    c = assemble(model, longer, np.array([1.0]), np.zeros(0), memory=np.zeros(2))
+    assert c.E is not a.E and c.E.shape == (7, 7) and c._j.shape == (7,)
+    assert [f.name for f in dataclasses.fields(cfg)] == ["variant", "N", "Q", "R", "d", "T", "solver"]
+    assert cfg == dataclasses.replace(cfg) and cfg != longer
+    assert repr(cfg) == repr(dataclasses.replace(cfg))
+
+
+def test_assemble_refuses_weights_of_the_wrong_size():
+    with pytest.raises(ShapeError):
+        assemble(academic_example(), make_cfg("output_only", 3, m=2), np.ones(1), np.zeros(0))
+    with pytest.raises(ShapeError):
+        assemble(academic_example(), make_cfg("output_only", 3, p=2), np.ones(1), np.zeros(0))
+
+
+def _exploding_lti():
+    """x+ = 1e150 x + u, y = x: from x_0 = 1 the state overflows at x_3."""
+    return LinearSystem(A=[[1e150]], B=[[1.0]], C=[[1.0]], D=[[0.0]], P_x=np.zeros((1, 0)),
+                        P_y=np.zeros((1, 0)), S=np.zeros((0, 0))).to_system_model()
+
+
+def test_rollout_to_a_non_finite_state_raises_numerical_error():
+    """Not a RuntimeWarning (the test settings make warnings errors): one check per rollout
+    names the first bad state, and the controller falls back to its last input."""
+    model, cfg = _exploding_lti(), make_cfg("output_only", 4)
+    ocp = assemble(model, cfg, np.array([1.0]), np.zeros(0))
+    for evaluate in (ocp.rollout, ocp.cost, ocp.residuals, lambda u: solve(ocp, warm_start=u)):
+        with pytest.raises(NumericalError, match="x_3"):
+            evaluate(np.zeros((4, 1)))
+    ctrl = MpcController(model, cfg, initial_input=np.array([0.25]))
+    u, sol = ctrl.step(np.array([1.0]), np.zeros(0))
+    assert sol is None and np.array_equal(u, [0.25])
+
+
+def test_rollout_is_one_array_of_the_model_steps():
+    mill = cement_mill()
+    w = np.array([110.0, 425.0])
+    cfg = MpcConfig(variant="look_ahead", N=4, Q=np.eye(2), R=np.zeros((2, 2)), d=1)
+    ocp = assemble(mill, cfg, np.array([120.0, 55.0, 450.0]), w)
+    u = np.linspace(mill.input_lo, mill.input_hi, 4)
+    X = ocp.rollout(u)
+    assert X.shape == (ocp.H + 1, 3)
+    want = [ocp.x0]
+    for k in range(ocp.H):
+        want.append(mill.step(want[-1], u[min(k, 3)], w))
+    assert np.array_equal(X, want)
 
 
 class _ConstantFeedforward:
@@ -256,6 +316,47 @@ def test_residuals_linearise_the_horizon_in_one_stacked_call(monkeypatch, varian
     for args, out, orig in ((fargs, fout, forig), (hargs, hout, horig)):
         for k, pt in enumerate(zip(*args)):
             assert all(np.array_equal(J[k], Jk) for J, Jk in zip(out, orig(mill, *pt)))
+
+
+def test_residual_jacobian_is_rebuilt_whenever_the_linearisation_moves():
+    """On the nonlinear mill, passes at different inputs on one OCP give the J_r of a fresh
+    OCP, bitwise; going back to the first input rebuilds it, and nothing is ever stale."""
+    mill = cement_mill()
+    w = np.array([110.0, 425.0])
+    x_ref, u_ref = cement_mill_regulator(w)
+    cfg = MpcConfig(variant="incremental_input", N=6, Q=np.eye(2), R=1e-2 * np.eye(2), T=1)
+
+    def fresh():
+        return assemble(mill, cfg, x_ref + np.array([2.0, 1.0, 3.0]), w, memory=u_ref)
+
+    ocp = fresh()
+    u1 = np.tile(u_ref, (6, 1))
+    u2 = u1 + np.linspace(-3.0, 3.0, 12).reshape(6, 2)
+    seen = []
+    for u in (u1, u2, u1, u2):
+        _, Jr, _ = ocp.residuals(u)
+        _, want, _ = fresh().residuals(u)
+        assert Jr.tobytes() == want.tobytes()
+        assert not Jr.flags.writeable
+        seen.append(Jr)
+    assert seen[1] is not seen[0] and seen[2] is not seen[1]
+
+
+def test_residual_jacobian_of_a_linear_model_is_built_once(rng):
+    """A linear model's Jacobian stacks never change, so the second pass returns the same
+    J_r object, and a box-constrained solve, which linearises once per iterate, builds J_r once."""
+    sys = random_linear(rng, n=4, m=2)
+    model = sys.to_system_model(input_lo=-0.2 * np.ones(2), input_hi=0.2 * np.ones(2))
+    cfg = make_cfg("incremental_input", 12, p=2, m=2, T=1)
+    ocp = assemble(model, cfg, 5.0 * rng.normal(size=4), np.zeros(0), memory=np.zeros(2))
+    _, first, _ = ocp.residuals(np.zeros((12, 2)))
+    _, second, _ = ocp.residuals(rng.uniform(-0.2, 0.2, (12, 2)))
+    assert second is first
+    builds, orig = [], ocp._residual_jacobian
+    ocp = assemble(model, cfg, ocp.x0, np.zeros(0), memory=np.zeros(2))
+    ocp._residual_jacobian = lambda *a: builds.append(1) or orig.__func__(ocp, *a)
+    sol = solve(ocp)
+    assert sol.iterations >= 1 and builds == [1]
 
 
 @pytest.mark.parametrize("plant,variant,N,kw", [
@@ -511,6 +612,55 @@ def test_box_constrained_lti_sweep_matches_bvls():
         assert sol.iterations <= 2, i
         if rho <= 1.0:
             assert sol.converged, i
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), variant=st.sampled_from(VARIANTS),
+       n=st.integers(1, 4), m=st.integers(1, 2), q=st.integers(0, 2), N=st.integers(1, 40),
+       extra=st.integers(0, 2), rho=st.floats(0.3, 1.2))
+@example(seed=2238, variant="look_ahead", n=3, m=2, q=0, N=36, extra=0, rho=1.198)
+@example(seed=263, variant="incremental_input", n=4, m=2, q=0, N=37, extra=1, rho=1.199)
+def test_box_constrained_solve_matches_bvls_on_random_systems(seed, variant, n, m, q, N, extra,
+                                                              rho):
+    """Property: the KKT point of `solve` is BVLS's minimiser of the dense residual system.
+
+    Random box-constrained LTI with p = m and spectral radius rho, all four
+    variants, at the `linear_certificates` tolerances: 1e-6 on the input when the dense system
+    has full column rank (else the minimiser is not unique), 1e-9 relative on
+    the value.  `extra` is d for look_ahead and T - 1 for incremental_input.
+    J_r is built once however many iterations the solve takes.  The two
+    pinned unstable plants take two iterations each; the incremental_input
+    one ends unconverged, yet at BVLS's minimiser.
+    """
+    from scipy.optimize import lsq_linear
+    rng = np.random.default_rng(seed)
+    sys = random_linear(rng, n=n, m=m, q=q, T=2, spectral=rho)
+    lo, hi = -rng.uniform(0.1, 2.0, m), rng.uniform(0.1, 2.0, m)
+    kw, memory, reg = {}, None, None
+    if variant == "look_ahead":
+        kw["d"] = extra
+    elif variant == "incremental_input":
+        kw["T"] = extra + 1
+        memory = rng.uniform(lo, hi, size=(extra + 1, m)).ravel()
+    elif variant == "input_regularized":
+        reg = RegulatorSolution(Pi=rng.normal(size=(n, q)), Gamma=rng.normal(size=(m, q)))
+    cfg = MpcConfig(variant=variant, N=N, Q=np.diag(rng.uniform(0.1, 2.0, m)),
+                    R=np.diag(rng.uniform(0.1, 2.0, m)), **kw)
+    ocp = assemble(sys.to_system_model(input_lo=lo, input_hi=hi), cfg, 3.0 * rng.normal(size=n),
+                   rng.normal(size=q), memory=memory, regulator=reg)
+    A, b = ocp.dense_matrices()
+    builds, orig = [], ocp._residual_jacobian
+    ocp._residual_jacobian = lambda *a: builds.append(1) or orig(*a)
+    sol = solve(ocp)
+    ref = lsq_linear(A, b, bounds=(np.tile(lo, N), np.tile(hi, N)), method="bvls",
+                     tol=1e-12, max_iter=100 * A.shape[1])
+    r = A @ ref.x - b
+    value = float(r @ r)
+    assert np.all((np.tile(lo, N) <= sol.u_opt.ravel()) & (sol.u_opt.ravel() <= np.tile(hi, N)))
+    assert abs(sol.value - value) <= 1e-9 * max(1.0, value)
+    if np.linalg.svd(A, compute_uv=False)[-1] > 1e-6 * np.linalg.norm(A, 2):
+        assert np.max(np.abs(sol.u_opt.ravel() - ref.x)) <= 1e-6
+    assert builds == [1]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
