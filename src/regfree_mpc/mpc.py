@@ -328,7 +328,7 @@ def solve(ocp: Ocp, warm_start=None) -> OcpSolution:
         stat = _stationarity(u, g, lo, hi)
         if (it > 0 and stat <= tol) or it >= _MAX_ITERATIONS:
             break
-        d = _box_gauss_newton_step(2.0 * Jr.T @ Jr, g, lo - u, hi - u)
+        d = _box_gauss_newton_step(2.0 * (Jr.T @ Jr), g, lo - u, hi - u)
         Jd = Jr @ d
         slope, curv = float(g @ d), float(Jd @ Jd)
         allowance = 1e-14 * max(1.0, abs(J))
