@@ -130,7 +130,7 @@ class Ocp:
         self.w_traj = np.array(ws)   # (H+1, q): w_0..w_H
         self.lo = model.input_lo
         self.hi = model.input_hi
-        self._jac_key, self._Jr = None, None   # the last J_r and the stacks it came from
+        self._jac_stacks, self._Jr = None, None   # the last J_r and the stacks it came from
         N, m = self.N, self.m
         if config.variant == "input_regularized":
             if regulator is None:
@@ -182,9 +182,9 @@ class Ocp:
         (look_ahead counts the overlap of its two windows twice), then the
         variant's input penalty E vec(u) - c.  h and the Jacobians of f and h
         are each evaluated once on the stacked rollout.  J_r is a function of
-        those Jacobian stacks alone: when they are bitwise equal to the last
-        pass's, as on every pass of a linear model after the first, the kept
-        read-only J_r is returned as it is.  J_r is None unless jac.
+        those Jacobian stacks alone: when they equal the last pass's element
+        for element, as on every pass of a linear model after the first, the
+        kept read-only J_r is returned as it is.  J_r is None unless jac.
         """
         useq = np.asarray(useq, dtype=float).reshape(self.N, self.m)
         if xs is None:
@@ -199,10 +199,11 @@ class Ocp:
         U = useq[self._j]
         Hx, Hu, _ = self.model.jacobians_h(X, U, self.w_traj[:H])
         Fx, Fu, _ = self.model.jacobians_f(X[:H - 1], U[:H - 1], self.w_traj[:H - 1])
-        # the stacks are kept as bytes, so a model that refills its buffers cannot alias them
-        key = tuple((J.dtype.str, J.shape, J.tobytes()) for J in (Fx, Fu, Hx, Hu))
-        if key != self._jac_key:
-            self._jac_key, self._Jr = key, self._residual_jacobian(Fx, Fu, Hx, Hu)
+        # kept by reference: a model's Jacobians are fresh arrays or views of constant matrices
+        stacks = (Fx, Fu, Hx, Hu)
+        if self._jac_stacks is None or not all(
+                a.shape == b.shape and np.array_equal(a, b) for a, b in zip(stacks, self._jac_stacks)):
+            self._jac_stacks, self._Jr = stacks, self._residual_jacobian(*stacks)
         return r, self._Jr, xs
 
     def _residual_jacobian(self, Fx, Fu, Hx, Hu):
