@@ -201,8 +201,7 @@ class Ocp:
         Fx, Fu, _ = self.model.jacobians_f(X[:H - 1], U[:H - 1], self.w_traj[:H - 1])
         # kept by reference: a model's Jacobians are fresh arrays or views of constant matrices
         stacks = (Fx, Fu, Hx, Hu)
-        if self._jac_stacks is None or not all(
-                a.shape == b.shape and np.array_equal(a, b) for a, b in zip(stacks, self._jac_stacks)):
+        if self._jac_stacks is None or not all(map(np.array_equal, stacks, self._jac_stacks)):
             self._jac_stacks, self._Jr = stacks, self._residual_jacobian(*stacks)
         return r, self._Jr, xs
 
