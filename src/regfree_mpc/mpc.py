@@ -67,15 +67,12 @@ class MpcConfig:
 
     @cached_property
     def horizon(self):
-        """(H, j, sw, out, Q^1/2, R^1/2, E): the horizon data that depend on the config alone.
+        """Read-only data of every Ocp of this config, built once: (H, j, sw, out, Q^1/2, R^1/2, E).
 
-        Built once per config and shared, read-only, by every Ocp built from
-        it: the rollout length H (look_ahead needs d+1 extra predicted
-        outputs), the input block j_k of rollout step k, sqrt(w_k) of each
-        step's output weight (look_ahead counts the overlap of its two
-        windows, y_{d+1}..y_{N-1}, twice), the steps with w_k > 0, and the
-        input penalty map E of E vec(u) - c, one R^1/2-weighted m-block per
-        decision.
+        The rollout length H (look_ahead needs d+1 extra outputs), the input
+        block j_k of step k, sqrt(w_k) of each output weight (look_ahead counts
+        y_{d+1}..y_{N-1}, where its two windows overlap, twice), the steps with
+        w_k > 0, and the map E of the input penalty E vec(u) - c.
         """
         N, m = self.N, self.R.shape[0]
         H = N + ((self.d + 1) if self.variant == "look_ahead" else 0)
@@ -153,11 +150,8 @@ class Ocp:
     # -- residual form -----------------------------------------------------
 
     def rollout(self, useq):
-        """States x_0..x_H as one (H+1, n_p) array.
-
-        f_p runs under np.errstate(all="ignore"); the whole array is checked
-        for finiteness once, and NumericalError names the first bad state.
-        """
+        """States x_0..x_H as one (H+1, n_p) array, checked for finiteness once;
+        NumericalError names the first bad state (f_p runs with FP warnings off)."""
         U = np.asarray(useq, dtype=float).reshape(self.N, self.m)[self._j]
         X = np.empty((self.H + 1, self.model.n_p))
         X[0] = self.x0
