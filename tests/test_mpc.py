@@ -66,16 +66,13 @@ def test_assemble_refuses_weights_of_the_wrong_size():
         assemble(academic_example(), make_cfg("output_only", 3, p=2), np.ones(1), np.zeros(0))
 
 
-def _exploding_lti():
-    """x+ = 1e150 x + u, y = x: from x_0 = 1 the state overflows at x_3."""
-    return LinearSystem(A=[[1e150]], B=[[1.0]], C=[[1.0]], D=[[0.0]], P_x=np.zeros((1, 0)),
-                        P_y=np.zeros((1, 0)), S=np.zeros((0, 0))).to_system_model()
-
-
 def test_rollout_to_a_non_finite_state_raises_numerical_error():
-    """Not a RuntimeWarning (the test settings make warnings errors): one check per rollout
-    names the first bad state, and the controller falls back to its last input."""
-    model, cfg = _exploding_lti(), make_cfg("output_only", 4)
+    """x+ = 1e150 x + u from x_0 = 1 overflows at x_3.  Not a RuntimeWarning (the test
+    settings make warnings errors): one check per rollout names the first bad state, and
+    the controller falls back to its last input."""
+    model = LinearSystem(A=[[1e150]], B=[[1.0]], C=[[1.0]], D=[[0.0]], P_x=np.zeros((1, 0)),
+                         P_y=np.zeros((1, 0)), S=np.zeros((0, 0))).to_system_model()
+    cfg = make_cfg("output_only", 4)
     ocp = assemble(model, cfg, np.array([1.0]), np.zeros(0))
     for evaluate in (ocp.rollout, ocp.cost, ocp.residuals, lambda u: solve(ocp, warm_start=u)):
         with pytest.raises(NumericalError, match="x_3"):
