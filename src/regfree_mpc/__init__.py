@@ -19,8 +19,8 @@ from .linear_analysis import (AnalysisReport, BoundsReport, NonresonanceReport,
                               pbh_stabilizable, relative_degree_and_zeros,
                               sigma_metric_dare, smallest_observability_window,
                               solve_regulator)
-from .models import (LinearSystem, SimNoiseSpec, SystemModel, academic_example,
-                     cement_mill, cement_mill_regulator, load_lti, rk4_discretize)
+from .models import (LinearSystem, SystemModel, academic_example, cement_mill,
+                     cement_mill_regulator, load_lti, rk4_discretize)
 from .mpc import (MpcConfig, MpcController, OcpSolution, SolverSettings,
                   assemble, solve)
 from .simulation import MetricsReport, ScenarioSpec, SimTrace, metrics, run

@@ -13,7 +13,7 @@ import numpy as np
 from .errors import ConfigError, DomainError, ResonanceError, ShapeError
 from .estimation import ObserverConfig
 from .linear_analysis import solve_regulator
-from .models import LinearSystem, SimNoiseSpec, cement_mill_regulator, resolve_model
+from .models import LinearSystem, cement_mill_regulator, resolve_model
 from .mpc import MpcConfig, SolverSettings
 from .simulation import ScenarioSpec
 
@@ -174,21 +174,17 @@ def build_scenario(sections, seed_override=None) -> ScenarioSpec:
     nj = model.n_p + model.q
     cfg = build_mpc_config(sections)
     observer = None
-    noise = SimNoiseSpec()
     if "observer" in sections and sections["observer"]:
         kind = _need(sections, "observer", "kind")
         if "L" in sections["observer"] and kind == "ekf":
             raise ConfigError("'L' is read only by the luenberger observer, not by 'ekf'",
                               line=sections["observer"]["L"][1])
         L = _opt(sections, "observer", "L")
-        observer = ObserverConfig(
-            kind=kind,
-            xhat0=_need(sections, "observer", "xhat0"),
-            L=None if L is None else np.asarray(L, dtype=float).reshape(nj, model.p),
-        )
         lo, hi = _opt(sections, "observer", "noise_lo"), _opt(sections, "observer", "noise_hi")
         try:
-            noise = SimNoiseSpec(lo=lo, hi=hi)
+            observer = ObserverConfig(kind=kind, xhat0=_need(sections, "observer", "xhat0"),
+                                      L=None if L is None else L.reshape(nj, model.p),
+                                      noise_lo=lo, noise_hi=hi)
         except DomainError as exc:
             key = "noise_lo" if hi is None else "noise_hi"
             raise ConfigError(str(exc), line=sections["observer"][key][1]) from exc
@@ -207,7 +203,6 @@ def build_scenario(sections, seed_override=None) -> ScenarioSpec:
         w0=w0,
         steps=_need(sections, "sim", "steps"),
         observer=observer,
-        noise=noise,
         seed=seed,
         regulator=_default_regulator(model),
         u_init=_opt(sections, "sim", "u_init"),

@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DetectabilityError, NumericalError
+from .errors import ConfigError, DetectabilityError, DomainError, NumericalError
 from .models import SystemModel
 
 Array = np.ndarray
@@ -21,9 +21,14 @@ _SIGMA0_SCALE = 100.0
 
 @dataclass(frozen=True)
 class ObserverConfig:
+    """The [observer] section: the estimator, and the additive noise on the outputs it
+    reads, uniform on [noise_lo, noise_hi] when both bounds are given, else none."""
+
     kind: str                       # "luenberger" | "ekf"
     xhat0: Array
     L: Optional[Array] = None       # luenberger gain, n x p
+    noise_lo: Optional[Array] = None
+    noise_hi: Optional[Array] = None
 
     def __post_init__(self):
         if self.kind not in ("luenberger", "ekf"):
@@ -33,6 +38,14 @@ class ObserverConfig:
             raise ConfigError("luenberger observer needs a gain L")
         if self.L is not None:
             object.__setattr__(self, "L", np.atleast_2d(np.asarray(self.L, dtype=float)))
+        if (self.noise_lo is None) != (self.noise_hi is None):
+            raise DomainError("uniform noise needs both bounds lo and hi")
+        if self.noise_lo is not None:
+            lo, hi = (np.atleast_1d(np.asarray(b, dtype=float)) for b in (self.noise_lo, self.noise_hi))
+            if lo.shape != hi.shape or np.any(lo > hi):
+                raise DomainError("noise bounds must satisfy lo <= hi componentwise")
+            object.__setattr__(self, "noise_lo", lo)
+            object.__setattr__(self, "noise_hi", hi)
 
 
 @dataclass(frozen=True)

@@ -60,32 +60,6 @@ def _jacobians(jac, fun, rows, x, u, w):
 
 
 @dataclass(frozen=True)
-class SimNoiseSpec:
-    """Additive output noise: uniform on [lo, hi] when both bounds are given, else none."""
-
-    lo: Optional[Array] = None          # per-coordinate lower bounds
-    hi: Optional[Array] = None
-
-    def __post_init__(self):
-        if (self.lo is None) != (self.hi is None):
-            raise DomainError("uniform noise needs both bounds lo and hi")
-        if self.lo is not None:
-            lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
-            hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
-            if lo.shape != hi.shape or np.any(lo > hi):
-                raise DomainError("noise bounds must satisfy lo <= hi componentwise")
-            object.__setattr__(self, "lo", lo)
-            object.__setattr__(self, "hi", hi)
-
-    def sample(self, rng, p):
-        if self.lo is None:
-            return np.zeros(p)
-        if self.lo.size != p:
-            raise ShapeError(f"noise bounds have {self.lo.size} entries for {p} outputs")
-        return rng.uniform(self.lo, self.hi)
-
-
-@dataclass(frozen=True)
 class SystemModel:
     """Discrete-time model x+ = f_p(x,u,w), w+ = s(w), y = h(x,u,w).
 

@@ -127,7 +127,7 @@ class Ocp:
         self.w_traj = np.array(ws)   # (H+1, q): w_0..w_H
         self.lo = model.input_lo
         self.hi = model.input_hi
-        self._jac_stacks, self._Jr = None, None   # the last J_r and the stacks it came from
+        self._Jr = None     # the last J_r, kept for a linear model
         N, m = self.N, self.m
         if config.variant == "input_regularized":
             if regulator is None:
@@ -175,10 +175,10 @@ class Ocp:
         r holds sqrt(w_k) Q^1/2 y_k for every output with weight w_k > 0
         (look_ahead counts the overlap of its two windows twice), then the
         variant's input penalty E vec(u) - c.  h and the Jacobians of f and h
-        are each evaluated once on the stacked rollout.  J_r is a function of
-        those Jacobian stacks alone: when they equal the last pass's element
-        for element, as on every pass of a linear model after the first, the
-        kept read-only J_r is returned as it is.  J_r is None unless jac.
+        are each evaluated once on the stacked rollout.  J_r is read-only.  A
+        model tagged linear has constant Jacobians, so its J_r is built on the
+        first pass and returned as it is on every later one; any other model's
+        is rebuilt on every pass.  J_r is None unless jac.
         """
         useq = np.asarray(useq, dtype=float).reshape(self.N, self.m)
         if xs is None:
@@ -190,13 +190,11 @@ class Ocp:
                             self.E @ useq.ravel() - self.c])
         if not jac:
             return r, None, xs
-        U = useq[self._j]
-        Hx, Hu, _ = self.model.jacobians_h(X, U, self.w_traj[:H])
-        Fx, Fu, _ = self.model.jacobians_f(X[:H - 1], U[:H - 1], self.w_traj[:H - 1])
-        # kept by reference: a model's Jacobians are fresh arrays or views of constant matrices
-        stacks = (Fx, Fu, Hx, Hu)
-        if self._jac_stacks is None or not all(map(np.array_equal, stacks, self._jac_stacks)):
-            self._jac_stacks, self._Jr = stacks, self._residual_jacobian(*stacks)
+        if self._Jr is None or self.model.linear is None:
+            U = useq[self._j]
+            Hx, Hu, _ = self.model.jacobians_h(X, U, self.w_traj[:H])
+            Fx, Fu, _ = self.model.jacobians_f(X[:H - 1], U[:H - 1], self.w_traj[:H - 1])
+            self._Jr = self._residual_jacobian(Fx, Fu, Hx, Hu)
         return r, self._Jr, xs
 
     def _residual_jacobian(self, Fx, Fu, Hx, Hu):
@@ -216,10 +214,7 @@ class Ocp:
 
     def cost(self, useq, xs=None):
         r, _, xs = self.residuals(useq, xs, jac=False)
-        J = float(r @ r)
-        if not np.isfinite(J):
-            raise NumericalError("non-finite OCP cost")
-        return J, xs
+        return _squared_norm(r), xs
 
     # -- closed-form reference for linear models ---------------------------
 
@@ -249,6 +244,15 @@ class Ocp:
             rows.append(self._sw[k] * (self._Qh @ row))
             rhs.append(-self._sw[k] * (self._Qh @ cst))
         return np.vstack(rows + [self.E]), np.concatenate(rhs + [self.c])
+
+
+def _squared_norm(r):
+    """J = r @ r, or NumericalError when it is not finite, overflow included."""
+    with np.errstate(over="ignore"):
+        J = float(r @ r)
+    if not np.isfinite(J):
+        raise NumericalError("non-finite OCP cost")
+    return J
 
 
 def _psd_sqrt(M):
@@ -288,7 +292,8 @@ def solve(ocp: Ocp, warm_start=None) -> OcpSolution:
     u + t d, halving t from 1.  A trial is accepted when the cost falls by at
     least 1e-4 times the model's predicted decrease
     pred(t) = -(2t r'J_r d + t^2 ||J_r d||^2), less a round-off allowance of
-    1e-14 max(1, |J|).  t is halved only while the trial still moves u,
+    1e-14 max(1, |J|); a trial whose rollout or cost is not finite is
+    rejected.  t is halved only while the trial still moves u,
     t ||d||_inf > 1e-13 max(1, ||u||_inf).  The solve ends when the
     projected-gradient residual meets the tolerance after at least one step,
     after 200 iterations, or when no trial that moves u is accepted, so a
@@ -313,9 +318,7 @@ def solve(ocp: Ocp, warm_start=None) -> OcpSolution:
 
     u = np.clip(u0.ravel(), lo, hi)
     r, Jr, xs = ocp.residuals(u)
-    J = float(r @ r)
-    if not np.isfinite(J):
-        raise NumericalError("OCP cost not finite at the initial iterate")
+    J = _squared_norm(r)
     it = 0
     while True:
         g = 2.0 * (Jr.T @ r)
@@ -331,7 +334,10 @@ def solve(ocp: Ocp, warm_start=None) -> OcpSolution:
         while t * d_max > min_move:
             # u + t d lies in the box; the clip only removes round-off
             un = np.clip(u + t * d, lo, hi)
-            Jn, xsn = ocp.cost(un)
+            try:
+                Jn, xsn = ocp.cost(un)
+            except NumericalError:
+                Jn = np.inf     # a trial that cannot be evaluated is rejected
             if J - Jn >= -_ARMIJO_SLOPE * t * (slope + t * curv) - allowance:
                 break
             t *= _ARMIJO_SHRINK

@@ -6,7 +6,7 @@ state (plant deviation plus memory deviation from the periodic feedforward).
 """
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -14,7 +14,7 @@ import numpy as np
 from .augmentation import memory_reference
 from .errors import ConfigError, NumericalError, ShapeError
 from .estimation import ObserverConfig, make_observer_state, observer_step
-from .models import SimNoiseSpec, SystemModel
+from .models import SystemModel
 from .mpc import MpcConfig, MpcController
 
 Array = np.ndarray
@@ -28,7 +28,6 @@ class ScenarioSpec:
     w0: Array
     steps: int
     observer: Optional[ObserverConfig] = None    # error feedback through it when set
-    noise: SimNoiseSpec = field(default_factory=SimNoiseSpec)
     seed: int = 0
     regulator: Optional[object] = None     # anything with pi_x(w), pi_u(w)
     u_init: Optional[Array] = None
@@ -36,14 +35,16 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.steps < 1:
             raise ConfigError("simulation length must be >= 1")
-        if self.observer is None and self.noise.lo is not None:
-            raise ConfigError("output noise needs an observer: state feedback reads no output")
-        model, lo, hi = self.model, self.noise.lo, self.noise.hi
+        model, ob = self.model, self.observer
+        nj, p = model.n_p + model.q, model.p
+        xhat0, L, lo, hi = (None,) * 4 if ob is None else (ob.xhat0, ob.L, ob.noise_lo, ob.noise_hi)
         for name, value, size in (("x0", self.x0, model.n_p), ("w0", self.w0, model.q),
-                                  ("u_init", self.u_init, model.m), ("noise lo", lo, model.p),
-                                  ("noise hi", hi, model.p)):
+                                  ("u_init", self.u_init, model.m), ("xhat0", xhat0, nj),
+                                  ("noise_lo", lo, p), ("noise_hi", hi, p)):
             if value is not None and np.size(value) != size:
                 raise ShapeError(f"{name} needs {size} entries for model {model.name!r}")
+        if L is not None and L.shape != (nj, p):
+            raise ShapeError(f"L needs shape ({nj}, {p}) for model {model.name!r}")
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float).reshape(model.n_p))
         object.__setattr__(self, "w0", np.asarray(self.w0, dtype=float).reshape(model.q))
 
@@ -156,7 +157,8 @@ def run(spec: ScenarioSpec) -> SimTrace:
         if sol is not None:
             V[t], IT[t], CV[t] = sol.value, sol.iterations, sol.converged
         if observing:
-            eta = spec.noise.sample(rng, p)
+            ob = spec.observer
+            eta = np.zeros(p) if ob.noise_lo is None else rng.uniform(ob.noise_lo, ob.noise_hi)
             ETA[t] = eta
             obs_state = observer_step(obs_state, u, y + eta, model, spec.observer)
         x = model.step(x, u, w)

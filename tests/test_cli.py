@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import os
 import shlex
 
@@ -8,6 +9,7 @@ import pytest
 from regfree_mpc import config as cfg
 from regfree_mpc.cli import build_parser, main
 from regfree_mpc.errors import ConfigError, NumericalError
+from regfree_mpc.estimation import ObserverConfig
 from regfree_mpc.simulation import run
 
 
@@ -80,8 +82,8 @@ def test_error_feedback_preset_settings():
     ob = spec.observer
     assert ob.kind == "ekf"
     assert np.allclose(ob.xhat0, [100.0, 50.0, 400.0, 100.0, 400.0])
-    assert np.allclose(spec.noise.lo, [-1.0, -1.0])
-    assert np.allclose(spec.noise.hi, [1.0, 1.0])
+    assert np.allclose(ob.noise_lo, [-1.0, -1.0])
+    assert np.allclose(ob.noise_hi, [1.0, 1.0])
     assert np.allclose(spec.x0, [120.0, 55.0, 450.0])
     assert np.allclose(spec.w0, [110.0, 425.0])
 
@@ -169,6 +171,11 @@ def test_readme_names_every_config_key():
     missing = [f"[{name}] {key}" for name, keys in cfg._SCHEMA.items() for key in keys
                if f"`{key}`" not in section or f"[{name}]" not in section]
     assert not missing
+
+
+def test_observer_config_is_the_observer_section():
+    """One library type holds every [observer] key, the output noise bounds included."""
+    assert [f.name for f in dataclasses.fields(ObserverConfig)] == list(cfg._SCHEMA["observer"])
 
 
 def test_unknown_section_and_syntax_errors():

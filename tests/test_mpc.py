@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -80,6 +81,39 @@ def test_rollout_to_a_non_finite_state_raises_numerical_error():
     ctrl = MpcController(model, cfg, initial_input=np.array([0.25]))
     u, sol = ctrl.step(np.array([1.0]), np.zeros(0))
     assert sol is None and np.array_equal(u, [0.25])
+
+
+def _scalar_model(f_p, h, jac_f, jac_h):
+    """n_p = m = p = 1, q = 0, no input box; jac_f and jac_h give (d/dx, d/du) at (K, 1) stacks."""
+    def stacked(jac):
+        return lambda x, u, w: tuple(J[:, :, None] for J in jac(x, u)) + (np.zeros((len(x), 1, 0)),)
+    return SystemModel(n_p=1, m=1, q=0, p=1, f_p=f_p, s=lambda w: w, h=h,
+                       jac_f=stacked(jac_f), jac_h=stacked(jac_h))
+
+
+def test_line_search_rejects_a_trial_that_cannot_be_evaluated():
+    """x+ = exp(u), y = x - 1e6 from u = 0: the first GN step, about 1e6, overflows exp and
+    then r @ r.  Those trials are rejected and t halves, down to u = ln 1e6."""
+    model = _scalar_model(lambda x, u, w: np.exp(u), lambda x, u, w: x - 1e6,
+                          lambda x, u: (np.zeros_like(x), np.exp(u)),
+                          lambda x, u: (np.ones_like(x), np.zeros_like(u)))
+    ocp = assemble(model, make_cfg("output_only", 2), np.zeros(1), np.zeros(0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve(ocp, warm_start=np.zeros((2, 1)))
+    assert np.isfinite(sol.value) and sol.value == pytest.approx(1e12)
+    assert sol.u_opt[0, 0] == pytest.approx(np.log(1e6))
+
+
+def test_overflowing_cost_raises_numerical_error():
+    """y = 1e200 (x + 1): every r is finite, r @ r is not.  Not a RuntimeWarning."""
+    model = _scalar_model(lambda x, u, w: x + u, lambda x, u, w: 1e200 * (x + 1.0),
+                          lambda x, u: (np.ones_like(x), np.ones_like(u)),
+                          lambda x, u: (1e200 * np.ones_like(x), np.zeros_like(u)))
+    ocp = assemble(model, make_cfg("output_only", 3), np.ones(1), np.zeros(0))
+    for evaluate in (ocp.cost, lambda u: solve(ocp, warm_start=u)):
+        with pytest.raises(NumericalError, match="non-finite OCP cost"):
+            evaluate(np.zeros((3, 1)))
 
 
 def test_rollout_is_one_array_of_the_model_steps():

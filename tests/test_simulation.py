@@ -7,7 +7,8 @@ from oracles import decrease_check, value_series
 from regfree_mpc import config as cfg, mpc as mpc_mod
 from regfree_mpc.errors import ConfigError, DomainError, NumericalError, ShapeError
 from regfree_mpc.linear_analysis import solve_regulator
-from regfree_mpc.models import SimNoiseSpec, academic_example, cement_mill, cement_mill_regulator
+from regfree_mpc.estimation import ObserverConfig
+from regfree_mpc.models import academic_example, cement_mill, cement_mill_regulator
 from regfree_mpc.mpc import MpcConfig
 from regfree_mpc.simulation import ScenarioSpec, SimTrace, metrics, run
 
@@ -29,29 +30,28 @@ def test_scenario_validation():
 def test_scenario_spec_refuses_vectors_of_the_wrong_shape():
     """Library callers get a ShapeError, not numpy broadcasting or a numpy traceback."""
     spec = cfg.parse_config(cfg.read_config_file("cement_mill_error_feedback"))   # m = p = 2
+    ob = spec.observer                                                            # n_p + q = 5
     for field_name, value in (("u_init", np.array([100.0])), ("x0", np.ones(2)),
                               ("w0", np.ones(3)),
-                              ("noise", SimNoiseSpec(lo=[-1.0], hi=[1.0]))):
+                              ("observer", dataclasses.replace(ob, noise_lo=[-1.0], noise_hi=[1.0])),
+                              ("observer", dataclasses.replace(ob, xhat0=np.ones(3))),
+                              ("observer", dataclasses.replace(ob, kind="luenberger",
+                                                               L=np.ones((4, 2)))),
+                              ("observer", dataclasses.replace(ob, kind="luenberger",
+                                                               L=np.ones((2, 5))))):
         with pytest.raises(ShapeError):
             dataclasses.replace(spec, **{field_name: value})
-    with pytest.raises(ShapeError):
-        spec.noise.sample(np.random.default_rng(0), 3)
-
-
-def test_scenario_spec_refuses_noise_without_an_observer():
-    """State feedback reads no output, so noise bounds without an observer would go unused."""
-    spec = cfg.parse_config(cfg.read_config_file("cement_mill_nominal"))
-    assert spec.observer is None
-    with pytest.raises(ConfigError, match="needs an observer"):
-        dataclasses.replace(spec, noise=SimNoiseSpec(lo=[-50.0, -50.0], hi=[50.0, 50.0]))
 
 
 def test_noise_is_uniform_exactly_when_both_bounds_are_given():
-    assert not SimNoiseSpec().sample(np.random.default_rng(0), 2).any()
-    assert SimNoiseSpec(lo=[-1.0], hi=[1.0]).sample(np.random.default_rng(0), 1).any()
-    for half in ({"lo": [-1.0]}, {"hi": [1.0]}):
+    spec = cfg.parse_config(cfg.read_config_file("cement_mill_error_feedback"))
+    quiet = dataclasses.replace(spec.observer, noise_lo=None, noise_hi=None)
+    assert not run(dataclasses.replace(spec, steps=2, observer=quiet)).eta.any()
+    assert run(dataclasses.replace(spec, steps=2)).eta.all()
+    for bounds in ({"noise_lo": [-1.0]}, {"noise_hi": [1.0]},
+                   {"noise_lo": [1.0], "noise_hi": [-1.0]}):
         with pytest.raises(DomainError):
-            SimNoiseSpec(**half)
+            ObserverConfig("ekf", np.zeros(5), **bounds)
 
 
 def test_academic_output_only_trace_values():
