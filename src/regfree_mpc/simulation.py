@@ -160,7 +160,7 @@ def run(spec: ScenarioSpec) -> SimTrace:
             ob = spec.observer
             eta = np.zeros(p) if ob.noise_lo is None else rng.uniform(ob.noise_lo, ob.noise_hi)
             ETA[t] = eta
-            obs_state = observer_step(obs_state, u, y + eta, model, spec.observer)
+            obs_state = observer_step(obs_state, u, y + eta, model, ob)
         x = model.step(x, u, w)
         w = np.atleast_1d(model.s(w))
 
