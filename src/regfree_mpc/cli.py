@@ -198,7 +198,7 @@ def main(argv=None):
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 1
-    except RegfreeMpcError as exc:
+    except (RegfreeMpcError, OSError) as exc:     # OSError: e.g. an --out that cannot be written
         kind = "numerical failure" if isinstance(exc, NumericalError) else type(exc).__name__
         sys.stderr.write(f"{kind}: {exc}\n")
         return 2

@@ -10,16 +10,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ResonanceError, ShapeError
+from .errors import ConfigError, DomainError, RegfreeMpcError, ResonanceError, ShapeError
 from .estimation import ObserverConfig
-from .linear_analysis import solve_regulator
+from .linear_analysis import horizon_bounds, solve_regulator
 from .models import LinearSystem, cement_mill_regulator, resolve_model
 from .mpc import MpcConfig, SolverSettings
 from .simulation import ScenarioSpec
 
 PRESET_DIR = os.path.join(os.path.dirname(__file__), "presets")
 
-_SCHEMA = {
+_SCHEMA = {     # every key is unique across sections, so a key names its line
     "model": {"name": "str"},
     "mpc": {
         "variant": "str", "N": "int", "Q": "vec", "R": "vec", "d": "int", "T": "int",
@@ -37,13 +37,12 @@ def _parse_value(kind, raw, line):
             return raw
         if kind == "int":
             return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "vec":
-            return np.array([float(tok) for tok in raw.split()], dtype=float)
+        value = np.array([float(tok) for tok in raw.split()]) if kind == "vec" else float(raw)
     except ValueError as exc:
         raise ConfigError(f"cannot parse {raw!r} as {kind}", line=line) from exc
-    raise ConfigError(f"unknown schema kind {kind}", line=line)
+    if not np.isfinite(value).all():
+        raise ConfigError(f"{raw!r} is not finite", line=line)
+    return value
 
 
 def parse_sections(text):
@@ -90,11 +89,6 @@ def _opt(sections, section, key, default=None):
     return default
 
 
-def _diag(vec):
-    vec = np.atleast_1d(np.asarray(vec, dtype=float))
-    return np.diag(vec)
-
-
 @dataclass(frozen=True)
 class AnalysisSpec:
     model_name: str
@@ -107,25 +101,21 @@ class AnalysisSpec:
 
 
 def build_mpc_config(sections) -> MpcConfig:
-    variant = _need(sections, "mpc", "variant")
-    for key, reader in (("d", "look_ahead"), ("T", "incremental_input")):
-        if key in sections["mpc"] and variant != reader:
-            raise ConfigError(f"{key!r} is read only by the {reader} variant, not by {variant!r}",
-                              line=sections["mpc"][key][1])
     tol = _opt(sections, "mpc", "gradient_tolerance")
-    try:
-        solver = SolverSettings() if tol is None else SolverSettings(gradient_tolerance=tol)
-    except DomainError as exc:
-        raise ConfigError(str(exc), line=sections["mpc"]["gradient_tolerance"][1]) from exc
-    return MpcConfig(
-        variant=variant,
+    mpc = MpcConfig(
+        variant=_need(sections, "mpc", "variant"),
         N=_need(sections, "mpc", "N"),
-        Q=_diag(_need(sections, "mpc", "Q")),
-        R=_diag(_need(sections, "mpc", "R")),
+        Q=np.diag(_need(sections, "mpc", "Q")),
+        R=np.diag(_need(sections, "mpc", "R")),
         d=_opt(sections, "mpc", "d"),
         T=_opt(sections, "mpc", "T"),
-        solver=solver,
+        solver=SolverSettings() if tol is None else SolverSettings(gradient_tolerance=tol),
     )
+    for key, reader in (("d", "look_ahead"), ("T", "incremental_input")):
+        if key in sections["mpc"] and mpc.variant != reader:
+            raise ConfigError(f"{key!r} is read only by the {reader} variant, "
+                              f"not by {mpc.variant!r}", key=key)
+    return mpc
 
 
 def _default_regulator(model):
@@ -153,8 +143,7 @@ def _model_of(sections):
     try:
         model = resolve_model(name)
     except (DomainError, ShapeError, OSError, ValueError) as exc:
-        raise ConfigError(f"cannot load model {name!r}: {exc}",
-                          line=sections["model"]["name"][1]) from exc
+        raise ConfigError(f"cannot load model {name!r}: {exc}", key="name") from exc
     nj = model.n_p + model.q
     for section, key, size in (("sim", "x0", model.n_p), ("sim", "w0", model.q),
                                ("sim", "u_init", model.m), ("mpc", "Q", model.p),
@@ -162,10 +151,10 @@ def _model_of(sections):
                                ("observer", "L", nj * model.p),
                                ("observer", "noise_lo", model.p),
                                ("observer", "noise_hi", model.p)):
-        value, line = sections.get(section, {}).get(key, (None, None))
+        value = _opt(sections, section, key)
         if value is not None and value.size != size:
             raise ConfigError(f"{key!r} needs {size} entries for model {model.name!r}, "
-                              f"got {value.size}", line=line)
+                              f"got {value.size}", key=key)
     return model
 
 
@@ -177,30 +166,20 @@ def build_scenario(sections, seed_override=None) -> ScenarioSpec:
     if "observer" in sections and sections["observer"]:
         kind = _need(sections, "observer", "kind")
         if "L" in sections["observer"] and kind == "ekf":
-            raise ConfigError("'L' is read only by the luenberger observer, not by 'ekf'",
-                              line=sections["observer"]["L"][1])
+            raise ConfigError("'L' is read only by the luenberger observer, not by 'ekf'", key="L")
         L = _opt(sections, "observer", "L")
-        lo, hi = _opt(sections, "observer", "noise_lo"), _opt(sections, "observer", "noise_hi")
-        try:
-            observer = ObserverConfig(kind=kind, xhat0=_need(sections, "observer", "xhat0"),
-                                      L=None if L is None else L.reshape(nj, model.p),
-                                      noise_lo=lo, noise_hi=hi)
-        except DomainError as exc:
-            key = "noise_lo" if hi is None else "noise_hi"
-            raise ConfigError(str(exc), line=sections["observer"][key][1]) from exc
-    seed = _opt(sections, "sim", "seed", 0)
-    if seed_override is not None:
-        seed = seed_override
+        observer = ObserverConfig(kind=kind, xhat0=_need(sections, "observer", "xhat0"),
+                                  L=None if L is None else L.reshape(nj, model.p),
+                                  noise_lo=_opt(sections, "observer", "noise_lo"),
+                                  noise_hi=_opt(sections, "observer", "noise_hi"))
+    seed = _opt(sections, "sim", "seed", 0) if seed_override is None else seed_override
     if seed < 0:
-        raise ConfigError("seed must be nonnegative")
-    w0 = _opt(sections, "sim", "w0")
-    if w0 is None:
-        w0 = np.zeros(model.q)
+        raise ConfigError("seed must be nonnegative", key="seed" if seed_override is None else None)
     return ScenarioSpec(
         model=model,
         mpc=cfg,
         x0=_need(sections, "sim", "x0"),
-        w0=w0,
+        w0=_opt(sections, "sim", "w0", np.zeros(model.q)),
         steps=_need(sections, "sim", "steps"),
         observer=observer,
         seed=seed,
@@ -213,27 +192,35 @@ def build_analysis(sections) -> AnalysisSpec:
     """The [mpc] design that analyze certifies: the T-periodic incremental one."""
     model = _model_of(sections)
     if model.linear is None:
-        raise ConfigError(f"analyze needs an exactly linear model, got {model.name!r}",
-                          line=sections["model"]["name"][1])
+        raise ConfigError(f"analyze needs an exactly linear model, got {model.name!r}", key="name")
     variant = _need(sections, "mpc", "variant")
     if variant != "incremental_input":
         raise ConfigError(f"analyze certifies the incremental_input variant, got {variant!r}",
-                          line=sections["mpc"]["variant"][1])
+                          key="variant")
     if "gradient_tolerance" in sections["mpc"]:
-        raise ConfigError("analyze does not read 'gradient_tolerance'",
-                          line=sections["mpc"]["gradient_tolerance"][1])
+        raise ConfigError("analyze does not read 'gradient_tolerance'", key="gradient_tolerance")
     mpc = build_mpc_config(sections)
+    gamma_s = _opt(sections, "analyze", "gamma_s", 1.0)
+    horizon_bounds(gamma_s, gamma_s, 1.0, mpc.N)    # refuses N and gamma_s as analyze will
     return AnalysisSpec(model_name=model.name, system=model.linear, T=mpc.T, N=mpc.N,
-                        Q=mpc.Q, R=mpc.R, gamma_s=_opt(sections, "analyze", "gamma_s", 1.0))
+                        Q=mpc.Q, R=mpc.R, gamma_s=gamma_s)
 
 
 def parse_config(text, seed_override=None):
-    """ScenarioSpec when [sim] is present, AnalysisSpec when only [analyze] is."""
+    """ScenarioSpec when [sim] is present, AnalysisSpec when only [analyze] is.
+
+    A library error that names a key present in the text is a ConfigError at its line."""
     sections = parse_sections(text)
-    if "sim" in sections:
-        return build_scenario(sections, seed_override=seed_override)
-    if "analyze" in sections:
-        return build_analysis(sections)
+    try:
+        if "sim" in sections:
+            return build_scenario(sections, seed_override=seed_override)
+        if "analyze" in sections:
+            return build_analysis(sections)
+    except RegfreeMpcError as exc:
+        lines = {key: line for keys in sections.values() for key, (_, line) in keys.items()}
+        if exc.key not in lines:
+            raise
+        raise ConfigError(str(exc), line=lines[exc.key]) from exc
     raise ConfigError("config needs a [sim] or an [analyze] section")
 
 

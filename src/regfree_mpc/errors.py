@@ -2,16 +2,20 @@
 
 
 class RegfreeMpcError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; `key` names the config key whose value is refused."""
+
+    def __init__(self, message, key=None):
+        super().__init__(message)
+        self.key = key
 
 
 class ConfigError(RegfreeMpcError):
     """Invalid configuration file or option."""
 
-    def __init__(self, message, line=None):
+    def __init__(self, message, line=None, key=None):
         if line is not None:
             message = f"line {line}: {message}"
-        super().__init__(message)
+        super().__init__(message, key)
         self.line = line
 
 

@@ -32,18 +32,20 @@ class ObserverConfig:
 
     def __post_init__(self):
         if self.kind not in ("luenberger", "ekf"):
-            raise ConfigError(f"unknown observer kind {self.kind!r}")
+            raise ConfigError(f"unknown observer kind {self.kind!r}", key="kind")
         object.__setattr__(self, "xhat0", np.asarray(self.xhat0, dtype=float))
         if self.kind == "luenberger" and self.L is None:
-            raise ConfigError("luenberger observer needs a gain L")
+            raise ConfigError("luenberger observer needs a gain L", key="kind")
         if self.L is not None:
             object.__setattr__(self, "L", np.atleast_2d(np.asarray(self.L, dtype=float)))
         if (self.noise_lo is None) != (self.noise_hi is None):
-            raise DomainError("uniform noise needs both bounds lo and hi")
+            raise DomainError("uniform noise needs both bounds lo and hi",
+                              key="noise_lo" if self.noise_hi is None else "noise_hi")
         if self.noise_lo is not None:
             lo, hi = (np.atleast_1d(np.asarray(b, dtype=float)) for b in (self.noise_lo, self.noise_hi))
             if lo.shape != hi.shape or np.any(lo > hi):
-                raise DomainError("noise bounds must satisfy lo <= hi componentwise")
+                raise DomainError("noise bounds must satisfy lo <= hi componentwise",
+                                  key="noise_hi")
             object.__setattr__(self, "noise_lo", lo)
             object.__setattr__(self, "noise_hi", hi)
 

@@ -406,16 +406,16 @@ def horizon_bounds(gamma_s, gamma_Ybar, epsilon_o, N, nu=None, c_o=None) -> Boun
     integer N above it has alpha_{N,s} > 0 despite the floor in N_nu.
     """
     if N <= 1:
-        raise DomainError("horizon N must be >= 2")
+        raise DomainError("horizon N must be >= 2", key="N")
     for name, v in (("gamma_s", gamma_s), ("gamma_Ybar", gamma_Ybar), ("epsilon_o", epsilon_o)):
-        if v <= 0.0:
-            raise DomainError(f"{name} must be positive")
+        if not 0.0 < v < math.inf:
+            raise DomainError(f"{name} must be positive and finite", key=name)
     alpha_N = alpha_of_horizon(gamma_s, gamma_Ybar, epsilon_o, N)
     N_1 = 1.0 + gamma_s * gamma_Ybar / epsilon_o ** 2
     alpha_Ns = N_Ybar_s = None
     if nu is not None and c_o is not None:
-        if nu < 1 or c_o <= 0.0:
-            raise DomainError("nu must be >= 1 and c_o positive")
+        if nu < 1 or not 0.0 < c_o < math.inf:
+            raise DomainError("nu must be >= 1 and c_o positive and finite")
         alpha_Ns = alpha_s_of_horizon(gamma_s, gamma_s, epsilon_o, c_o, nu, N)
         g = gamma_s * c_o
         theta = math.log(gamma_s * gamma_s * c_o / epsilon_o) / (math.log(g + 1.0) - math.log(g))

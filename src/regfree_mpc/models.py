@@ -31,14 +31,6 @@ def fd_jacobian(fun, x):
     return J
 
 
-def _fd_jacobians(fun, rows, x, u, w):
-    """Central-difference (Jx, Ju, Jw) of fun(x, u, w) at one point."""
-    Jx = fd_jacobian(lambda z: fun(z, u, w), x)
-    Ju = fd_jacobian(lambda z: fun(x, z, w), u) if u.size else np.zeros((rows, 0))
-    Jw = fd_jacobian(lambda z: fun(x, u, z), w) if w.size else np.zeros((rows, 0))
-    return Jx, Ju, Jw
-
-
 def _constant_jacobians(*blocks):
     """jac_f/jac_h callable that returns the same matrices at every point of a stack."""
     return lambda x, u, w: tuple(np.broadcast_to(M, (len(x),) + M.shape) for M in blocks)
@@ -52,10 +44,11 @@ def _jacobians(jac, fun, rows, x, u, w):
         x, u, w = x[None], u[None], w[None]
     if jac is not None:
         out = jac(x, u, w)
-    else:
-        pts = [_fd_jacobians(fun, rows, *pt) for pt in zip(x, u, w)]
-        out = tuple(np.array([pt[i] for pt in pts]).reshape(len(x), rows, a.shape[1])
-                    for i, a in enumerate((x, u, w)))
+    else:   # central differences over the joint point (x, u, w), split by columns
+        n, m, q = x.shape[1], u.shape[1], w.shape[1]
+        J = np.array([fd_jacobian(lambda z: fun(z[:n], z[n:n + m], z[n + m:]), np.concatenate(pt))
+                      for pt in zip(x, u, w)]).reshape(len(x), rows, n + m + q)
+        out = (J[..., :n], J[..., n:n + m], J[..., n + m:])
     return tuple(J[0] for J in out) if one else out
 
 
@@ -116,8 +109,6 @@ class SystemModel:
     def jacobian_s(self, w):
         if self.jac_s is not None:
             return self.jac_s(w)
-        if self.q == 0:
-            return np.zeros((0, 0))
         return fd_jacobian(self.s, w)
 
 

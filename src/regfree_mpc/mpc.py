@@ -32,8 +32,9 @@ class SolverSettings:
     gradient_tolerance: float = 1e-8
 
     def __post_init__(self):
-        if self.gradient_tolerance <= 0:
-            raise DomainError("gradient_tolerance must be positive")
+        if not 0.0 < self.gradient_tolerance < np.inf:
+            raise DomainError("gradient_tolerance must be positive and finite",
+                              key="gradient_tolerance")
 
 
 @dataclass(frozen=True)
@@ -48,22 +49,22 @@ class MpcConfig:
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {self.variant!r}")
+            raise ConfigError(f"unknown variant {self.variant!r}", key="variant")
         if self.N < 1:
-            raise ConfigError("horizon N must be >= 1")
+            raise ConfigError("horizon N must be >= 1", key="N")
         Q = np.atleast_2d(np.asarray(self.Q, dtype=float))
         R = np.atleast_2d(np.asarray(self.R, dtype=float))
         for name, M in (("Q", Q), ("R", R)):
             if not np.allclose(M, M.T):
-                raise ConfigError(f"{name} must be symmetric")
+                raise ConfigError(f"{name} must be symmetric", key=name)
             if np.linalg.eigvalsh(M)[0] < -1e-12 * max(1.0, np.linalg.norm(M)):
-                raise ConfigError(f"{name} must be positive semidefinite")
+                raise ConfigError(f"{name} must be positive semidefinite", key=name)
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "R", R)
         if self.variant == "look_ahead" and (self.d is None or self.d < 0):
-            raise ConfigError("look_ahead needs d >= 0")
+            raise ConfigError("look_ahead needs d >= 0", key="d")
         if self.variant == "incremental_input" and (self.T is None or self.T < 1):
-            raise ConfigError("incremental_input needs T >= 1")
+            raise ConfigError("incremental_input needs T >= 1", key="T")
 
     @cached_property
     def horizon(self):
@@ -82,12 +83,9 @@ class MpcConfig:
             wts[self.d + 1:] += 1.0
         sw = np.sqrt(wts)
         Rh = _psd_sqrt(self.R)
-        if self.variant == "input_regularized":
-            E = np.kron(np.eye(N), Rh)
-        elif self.variant == "incremental_input":     # u_k - u_{k-T}
-            E = np.kron(np.eye(N) - np.eye(N, k=-self.T), Rh)
-        else:
-            E = np.zeros((0, N * m))
+        # rows R^1/2 (u_k - u_{k-T}); input_regularized's T = N shifts nothing in
+        T = {"input_regularized": N, "incremental_input": self.T}.get(self.variant)
+        E = np.zeros((0, N * m)) if T is None else np.kron(np.eye(N) - np.eye(N, k=-T), Rh)
         arrays = (np.minimum(np.arange(H), N - 1), sw, np.flatnonzero(sw > 0.0),
                   _psd_sqrt(self.Q), Rh, E)
         for a in arrays:
@@ -129,23 +127,20 @@ class Ocp:
         self.hi = model.input_hi
         self._Jr = None     # the last J_r, kept for a linear model
         N, m = self.N, self.m
+        ref = ()    # ref_k of the penalty R^1/2 (u_k - ref_k) where it is not a decision variable
         if config.variant == "input_regularized":
             if regulator is None:
                 raise ConfigError("input_regularized needs a regulator solution for pi_u")
-            self.c = np.concatenate([Rh @ np.atleast_1d(regulator.pi_u(w)).reshape(m)
-                                     for w in self.w_traj[:N]])
+            ref = [np.atleast_1d(regulator.pi_u(w)).reshape(m) for w in self.w_traj[:N]]
         elif config.variant == "incremental_input":
             if memory is None:
                 raise ConfigError("incremental_input needs the memory of applied inputs")
             xi = np.asarray(memory, dtype=float)
             if xi.size != config.T * m:
                 raise ConfigError(f"memory must hold exactly T = {config.T} inputs")
-            history = xi.reshape(config.T, m)[::-1]   # u_{t-T}, ..., u_{t-1}
-            # u_{k-T} from the history while k < T
-            self.c = np.concatenate([Rh @ history[k] if k < config.T else np.zeros(m)
-                                     for k in range(N)])
-        else:
-            self.c = np.zeros(0)
+            ref = xi.reshape(config.T, m)[::-1]     # u_{t-T}, ..., u_{t-1}
+        self.c = np.zeros(len(self.E))
+        self.c[:min(len(ref), N) * m] = np.ravel([Rh @ r for r in ref[:N]])
 
     # -- residual form -----------------------------------------------------
 

@@ -34,7 +34,7 @@ class ScenarioSpec:
 
     def __post_init__(self):
         if self.steps < 1:
-            raise ConfigError("simulation length must be >= 1")
+            raise ConfigError("simulation length must be >= 1", key="steps")
         model, ob = self.model, self.observer
         nj, p = model.n_p + model.q, model.p
         xhat0, L, lo, hi = (None,) * 4 if ob is None else (ob.xhat0, ob.L, ob.noise_lo, ob.noise_hi)
@@ -50,11 +50,17 @@ class ScenarioSpec:
 
 
 def atomic_write(path, text):
-    """Write through a temporary file so readers never see a partial file."""
+    """Write through a temporary file so readers never see a partial file; a failed
+    write or replace removes the temporary file and raises its OSError."""
     tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 @dataclass
@@ -103,13 +109,12 @@ def _sigma_evaluator(spec: ScenarioSpec) -> Callable:
     if reg is None:
         return lambda x_p, w, memory: float("nan")
     model = spec.model
-    T = spec.mpc.T if spec.mpc.variant == "incremental_input" else None
 
     def sigma(x_p, w, memory):
         e = x_p - np.atleast_1d(reg.pi_x(w))
         val = float(e @ e)
-        if T is not None and memory is not None:
-            xi_ref = memory_reference(reg.pi_u, model.s, w, T, model.m)
+        if memory is not None:      # T = the number of inputs the memory holds
+            xi_ref = memory_reference(reg.pi_u, model.s, w, memory.size // model.m, model.m)
             d = memory - xi_ref
             val += float(d @ d)
         return val
@@ -135,7 +140,7 @@ def run(spec: ScenarioSpec) -> SimTrace:
     IT = np.zeros(K, dtype=int); CV = np.zeros(K, dtype=bool)
     XH = np.zeros((K, n + q)) if observing else None
     ETA = np.zeros((K, p)) if observing else None
-    MEM = np.zeros((K, m * spec.mpc.T)) if controller.memory is not None else None
+    MEM = np.zeros((K, controller.memory.size)) if controller.memory is not None else None
 
     x = spec.x0.copy()
     w = spec.w0.copy()

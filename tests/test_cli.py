@@ -134,7 +134,25 @@ def test_vector_of_wrong_length_reports_key_and_line(key, preset, delta):
     pytest.param("gradient_tolerance = 1e-06", "gradient_tolerance = 0", "gradient_tolerance",
                  "must be positive", id="gradient_tolerance"),
     pytest.param("kind = ekf", "kind = ekf\nL = " + " ".join(["0.5"] * 10), "L",
-                 "'L' is read only by the luenberger observer", id="L_under_ekf")])
+                 "'L' is read only by the luenberger observer", id="L_under_ekf"),
+    pytest.param("Q = 1.0 1.0", "Q = -1.0 1.0", "Q", "positive semidefinite", id="Q_not_psd"),
+    pytest.param("R = 0.01 0.01", "R = -0.01 0.01", "R", "positive semidefinite", id="R_not_psd"),
+    pytest.param("N = 6", "N = 0", "N", "N must be >= 1", id="N_zero"),
+    pytest.param("T = 1", "T = 0", "T", "needs T >= 1", id="T_zero"),
+    pytest.param("steps = 300", "steps = 0", "steps", "length must be >= 1", id="steps_zero"),
+    pytest.param("seed = 0", "seed = -1", "seed", "seed must be nonnegative", id="seed_negative"),
+    pytest.param("kind = ekf", "kind = foo", "kind", "unknown observer kind", id="kind_foo"),
+    pytest.param("kind = ekf", "kind = luenberger", "kind", "needs a gain L",
+                 id="luenberger_without_L"),
+    pytest.param("variant = incremental_input", "variant = foo", "variant", "unknown variant",
+                 id="variant_foo_next_to_T"),
+    pytest.param("R = 0.01 0.01", "R = inf 0.01", "R", "'inf 0.01' is not finite", id="R_inf"),
+    pytest.param("gradient_tolerance = 1e-06", "gradient_tolerance = nan", "gradient_tolerance",
+                 "'nan' is not finite", id="gradient_tolerance_nan"),
+    pytest.param("noise_lo = -1.0 -1.0", "noise_lo = nan -1.0", "noise_lo",
+                 "'nan -1.0' is not finite", id="noise_lo_nan"),
+    pytest.param("x0 = 120.0 55.0 450.0", "x0 = 120.0 -inf 450.0", "x0", "is not finite",
+                 id="x0_inf")])
 def test_refused_value_is_a_config_error_at_its_line(old, new, key, message, tmp_path, capsys):
     """simulate reports a value the library refuses as a config error at its key's line."""
     lines = cfg.read_config_file("cement_mill_error_feedback").splitlines()
@@ -179,12 +197,25 @@ def test_observer_config_is_the_observer_section():
 
 
 def test_unknown_section_and_syntax_errors():
-    with pytest.raises(ConfigError):
-        cfg.parse_sections("[weird]\n")
-    with pytest.raises(ConfigError):
-        cfg.parse_sections("name = academic\n")
-    with pytest.raises(ConfigError):
-        cfg.parse_sections("[model]\nname academic\n")
+    for text, message in (("[weird]\n", "line 1: unknown section [weird]"),
+                          ("name = academic\n", "line 1: key outside any section"),
+                          ("[model]\nname academic\n", "line 2: expected key = value"),
+                          ("[model]\nname = academic\nname = academic\n",
+                           "line 3: duplicate key 'name'"),
+                          ("[mpc]\nN = six\n", "line 2: cannot parse 'six' as int"),
+                          ("[mpc]\nQ = 1 one\n", "line 2: cannot parse '1 one' as vec")):
+        with pytest.raises(ConfigError) as err:
+            cfg.parse_sections(text)
+        assert str(err.value).startswith(message)
+    with pytest.raises(ConfigError) as err:
+        cfg.parse_config("[model]\nname = academic\n")
+    assert str(err.value) == "config needs a [sim] or an [analyze] section"
+
+
+def test_schema_keys_are_unique_across_sections():
+    """parse_config finds the line of a refused value by its key alone."""
+    keys = [key for keys in cfg._SCHEMA.values() for key in keys]
+    assert len(keys) == len(set(keys))
 
 
 def test_bad_horizon_rejected():
@@ -232,6 +263,13 @@ def test_cli_simulate_deterministic(tmp_path, capsys):
     assert main(["simulate", "--config", "academic_incremental", "--out", str(out1)]) == 0
     assert main(["simulate", "--config", "academic_incremental", "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+    # without --out the same trace goes to stdout; --verbose adds the metrics line on stderr
+    capsys.readouterr()
+    assert main(["simulate", "--config", "academic_incremental", "--verbose"]) == 0
+    out = capsys.readouterr()
+    assert out.out == out1.read_text()
+    assert out.err.startswith("seed=0 sup|y|=") and "violation=0" in out.err
+    assert out.err.count("\n") == 1
 
 
 def test_cli_seed_override_and_env(tmp_path, capsys, monkeypatch):
@@ -308,7 +346,14 @@ def test_model_that_cannot_be_loaded_is_a_config_error(case, tmp_path, capsys):
                  "line 14: unknown key 'T' in section [analyze]", id="analyze_T"),
     pytest.param({"name = academic": "name = cement_mill", "Q = 1.0": "Q = 1 1",
                   "R = 1.0": "R = 1 1"}, 1, "line 3: analyze needs an exactly linear model",
-                 id="nonlinear_model")])
+                 id="nonlinear_model"),
+    pytest.param({"N = 12": "N = 1"}, 1, "line 7: horizon N must be >= 2", id="N_one"),
+    pytest.param({"gamma_s = 1.0": "gamma_s = 0"}, 1,
+                 "line 13: gamma_s must be positive and finite", id="gamma_s_zero"),
+    pytest.param({"gamma_s = 1.0": "gamma_s = nan"}, 1, "line 13: 'nan' is not finite",
+                 id="gamma_s_nan"),
+    pytest.param({"gamma_s = 1.0": "gamma_s = inf"}, 1, "line 13: 'inf' is not finite",
+                 id="gamma_s_inf")])
 def test_analyze_certifies_the_mpc_design(edits, code, message, tmp_path, capsys):
     """analyze reads variant, N, Q, R and T from [mpc] alone, validated as for a scenario."""
     lines = cfg.read_config_file("academic_analyze").splitlines()
@@ -363,12 +408,16 @@ def test_cli_seed_sweep_rejects_empty_or_malformed_range(tmp_path, capsys, seed)
 
 
 def test_cli_seed_sweep_rejects_negative_start_before_writing(tmp_path, capsys):
-    """A sweep from a negative seed is refused before any worker writes its trace."""
+    """A sweep from a negative seed, or without --out, is refused before any worker writes."""
     out = tmp_path / "s.csv"
     assert main(["simulate", "--config", "academic_incremental",
                  "--seed=-2:1", "--out", str(out), "--jobs", "2"]) == 1
     assert "seed must be nonnegative" in capsys.readouterr().err
     assert list(tmp_path.glob("s_seed*.csv")) == []
+    assert main(["simulate", "--config", "academic_incremental", "--seed", "0:2"]) == 1
+    out = capsys.readouterr()
+    assert out.err == "config error: seed sweeps need --out for the per-seed trace files\n"
+    assert out.out == ""
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -411,6 +460,20 @@ def test_atomic_write_leaves_no_temp_files(tmp_path, capsys):
     assert main(["simulate", "--config", "academic_output_only", "--out", str(out)]) == 0
     leftovers = [f for f in os.listdir(tmp_path) if f.startswith("x.csv.tmp")]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("command, preset", [("analyze", "academic_analyze"),
+                                             ("solve", "academic_incremental"),
+                                             ("simulate", "academic_output_only")])
+def test_out_that_cannot_be_written_exits_2_and_leaves_no_temp_file(command, preset, tmp_path,
+                                                                    capsys):
+    """An --out that is a directory, or lies in a missing one, is one line on stderr, exit 2."""
+    (tmp_path / "dir").mkdir()
+    for out in (tmp_path / "dir", tmp_path / "missing" / "x.txt"):
+        assert main([command, "--config", preset, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(out) in err, err
+    assert os.listdir(tmp_path) == ["dir"] and os.listdir(tmp_path / "dir") == []
 
 
 def test_resonant_linear_model_has_no_regulator(tmp_path):

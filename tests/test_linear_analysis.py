@@ -420,6 +420,12 @@ def test_horizon_bounds_rejects_degenerate():
         horizon_bounds(1.0, 1.0, 1.0, N=1)
     with pytest.raises(DomainError):
         horizon_bounds(-1.0, 1.0, 1.0, N=5)
+    for bad in (np.nan, np.inf):
+        for args in ((bad, 1.0, 1.0), (1.0, bad, 1.0), (1.0, 1.0, bad)):
+            with pytest.raises(DomainError, match="must be positive and finite"):
+                horizon_bounds(*args, N=5)
+        with pytest.raises(DomainError, match="c_o positive"):
+            horizon_bounds(1.0, 1.0, 1.0, N=5, nu=1, c_o=bad)
 
 
 def test_alpha_N_monotone_in_N():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from regfree_mpc.errors import DomainError, ShapeError
-from regfree_mpc.models import (MILL_DT, _mill_ode, academic_example, cement_mill,
+from regfree_mpc.models import (MILL_DT, SystemModel, _mill_ode, academic_example, cement_mill,
                                 cement_mill_regulator, dump_lti, load_lti,
                                 mill_alpha, mill_phi, rk4_discretize, rk4_step)
 
@@ -180,6 +180,27 @@ def test_finite_difference_jacobians_stack(rng):
     assert model.jac_f is None and model.jac_h is None
     pts = [(rng.normal(size=2), rng.normal(size=1), rng.normal(size=1)) for _ in range(5)]
     assert_stack_matches_points(model, pts)
+
+
+@pytest.mark.parametrize("m, q", [(0, 1), (1, 0), (0, 0)])
+def test_finite_difference_jacobians_of_empty_input_or_exosystem(m, q, rng):
+    """One central-difference pass over the joint point (x, u, w) also serves m = 0 or q = 0."""
+    A = np.array([[0.5, 0.1], [0.0, 0.8]])
+    model = SystemModel(n_p=2, m=m, q=q, p=1,
+                        f_p=lambda x, u, w: A @ x + u.sum() + 2.0 * w.sum(),
+                        s=lambda w: -w, h=lambda x, u, w: x[..., :1] - 3.0 * u.sum(-1, keepdims=True))
+    x, u, w = rng.normal(size=(4, 2)), rng.normal(size=(4, m)), rng.normal(size=(4, q))
+    Fx, Fu, Fw = model.jacobians_f(x, u, w)
+    Hx, Hu, Hw = model.jacobians_h(x[0], u[0], w[0])
+    assert (Fx.shape, Fu.shape, Fw.shape) == ((4, 2, 2), (4, 2, m), (4, 2, q))
+    assert (Hx.shape, Hu.shape, Hw.shape) == ((1, 2), (1, m), (1, q))
+    np.testing.assert_allclose(Fx, np.broadcast_to(A, (4, 2, 2)), atol=1e-8)
+    np.testing.assert_allclose(Fu, np.ones((4, 2, m)), atol=1e-8)
+    np.testing.assert_allclose(Fw, np.full((4, 2, q), 2.0), atol=1e-8)
+    np.testing.assert_allclose(Hx, [[1.0, 0.0]], atol=1e-8)
+    np.testing.assert_allclose(Hu, np.full((1, m), -3.0), atol=1e-8)
+    np.testing.assert_allclose(model.jacobian_s(w[0]), -np.eye(q), atol=1e-8)
+    assert model.jacobian_s(w[0]).shape == (q, q)
 
 
 def test_linear_system_roundtrip_through_file(tmp_path, rng):

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_linear
 from regfree_mpc import blas, mpc
-from regfree_mpc.errors import ConfigError, NumericalError, ShapeError
+from regfree_mpc.errors import ConfigError, DomainError, NumericalError, ShapeError
 from regfree_mpc.linear_analysis import RegulatorSolution, solve_regulator
 from regfree_mpc.models import (LinearSystem, SystemModel, academic_example, cement_mill,
                                cement_mill_regulator)
@@ -30,6 +30,10 @@ def test_config_validation():
         MpcConfig(variant="incremental_input", N=3, Q=np.eye(1), R=np.eye(1))
     with pytest.raises(ConfigError):
         MpcConfig(variant="output_only", N=3, Q=-np.eye(1), R=np.eye(1))
+    for tol in (0.0, -1.0, np.nan, np.inf):     # NaN passes a plain "<= 0" test
+        with pytest.raises(DomainError) as err:
+            SolverSettings(gradient_tolerance=tol)
+        assert err.value.key == "gradient_tolerance"
 
 
 def test_assemble_requires_variant_inputs():
