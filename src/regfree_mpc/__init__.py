@@ -9,7 +9,7 @@ certificates and horizon bounds, and observer-based noisy error feedback.
 from .augmentation import augment_linear, cyclic_matrices, step_memory
 from .errors import (ConfigError, DegenerateSystemError, DetectabilityError,
                      DomainError, NumericalError, ObservabilityError,
-                     RegfreeMpcError, ResonanceError, ShapeError, StabilityError)
+                     RegfreeMpcError, ResonanceError, ShapeError)
 from .estimation import ObserverConfig, ObserverState, ekf_jacobians, observer_step
 from .linear_analysis import (AnalysisReport, BoundsReport, NonresonanceReport,
                               QuadraticCertificate, RegulatorSolution,

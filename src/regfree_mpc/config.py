@@ -138,16 +138,15 @@ def _default_regulator(model):
 
 
 def _model_of(sections):
-    """The named model, with every vector key present checked against its dimensions."""
+    """The named model, with Q, R, L and the noise bounds checked against its dimensions
+    (analyze has no ScenarioSpec, L is reshaped here, ObserverConfig compares lo with hi)."""
     name = _need(sections, "model", "name")
     try:
         model = resolve_model(name)
     except (DomainError, ShapeError, OSError, ValueError) as exc:
         raise ConfigError(f"cannot load model {name!r}: {exc}", key="name") from exc
     nj = model.n_p + model.q
-    for section, key, size in (("sim", "x0", model.n_p), ("sim", "w0", model.q),
-                               ("sim", "u_init", model.m), ("mpc", "Q", model.p),
-                               ("mpc", "R", model.m), ("observer", "xhat0", nj),
+    for section, key, size in (("mpc", "Q", model.p), ("mpc", "R", model.m),
                                ("observer", "L", nj * model.p),
                                ("observer", "noise_lo", model.p),
                                ("observer", "noise_hi", model.p)):
@@ -201,7 +200,7 @@ def build_analysis(sections) -> AnalysisSpec:
         raise ConfigError("analyze does not read 'gradient_tolerance'", key="gradient_tolerance")
     mpc = build_mpc_config(sections)
     gamma_s = _opt(sections, "analyze", "gamma_s", 1.0)
-    horizon_bounds(gamma_s, gamma_s, 1.0, mpc.N)    # refuses N and gamma_s as analyze will
+    horizon_bounds(gamma_s, 1.0, mpc.N)    # refuses N and gamma_s as analyze will
     return AnalysisSpec(model_name=model.name, system=model.linear, T=mpc.T, N=mpc.N,
                         Q=mpc.Q, R=mpc.R, gamma_s=gamma_s)
 
@@ -211,6 +210,8 @@ def parse_config(text, seed_override=None):
 
     A library error that names a key present in the text is a ConfigError at its line."""
     sections = parse_sections(text)
+    if "analyze" in sections and ("sim" in sections or "observer" in sections):
+        raise ConfigError("[analyze] excludes [sim] and [observer]")
     try:
         if "sim" in sections:
             return build_scenario(sections, seed_override=seed_override)
@@ -231,13 +232,9 @@ def preset_path(name):
     return path
 
 
-def list_presets():
-    return sorted(os.path.splitext(f)[0] for f in os.listdir(PRESET_DIR) if f.endswith(".cfg"))
-
-
 def read_config_file(path):
     """Config text from a file path, falling back to a shipped preset name."""
-    if os.path.exists(path):
+    if os.path.isfile(path):
         with open(path) as fh:
             return fh.read()
     base = os.path.splitext(os.path.basename(path))[0]

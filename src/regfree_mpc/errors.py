@@ -45,7 +45,3 @@ class DegenerateSystemError(RegfreeMpcError):
 
 class DetectabilityError(RegfreeMpcError):
     """Detectability prerequisite violated."""
-
-
-class StabilityError(RegfreeMpcError):
-    """Feedback gain fails the spectral radius check."""

@@ -156,8 +156,6 @@ def pbh_stabilizable(A, B) -> bool:
 
 def augmented_pair(sys: LinearSystem, T: int):
     """The T-memory augmented system, its PBH detectability verdict and the nonresonance prediction."""
-    if sys.m != sys.p:
-        raise ShapeError("augmented-pair test needs a square system")
     return _augmented_pair(sys, T, pbh_detectable(sys.A, sys.C), nonresonance(sys, T))
 
 
@@ -385,44 +383,40 @@ class BoundsReport:
     N_Ybar_s: Optional[float] = None
 
 
-def alpha_of_horizon(gamma_s, gamma_Ybar, epsilon_o, N):
-    return 1.0 - gamma_s * gamma_Ybar / (epsilon_o ** 2 * (N - 1))
-
-
-def alpha_s_of_horizon(gamma_s, gamma_Ybar_s, epsilon_o, c_o, nu, N):
+def alpha_s_of_horizon(gamma_s, epsilon_o, c_o, nu, N):
     N_nu = (N - nu) // nu
-    g = gamma_Ybar_s * c_o
-    return 1.0 - (gamma_Ybar_s * gamma_s * c_o / epsilon_o) * (g / (g + 1.0)) ** N_nu
+    g = gamma_s * c_o
+    return 1.0 - (gamma_s * gamma_s * c_o / epsilon_o) * (g / (g + 1.0)) ** N_nu
 
 
-def horizon_bounds(gamma_s, gamma_Ybar, epsilon_o, N, nu=None, c_o=None) -> BoundsReport:
-    """Suboptimality index and stabilizing-horizon thresholds.
+def horizon_bounds(gamma_s, epsilon_o, N, nu=None, c_o=None) -> BoundsReport:
+    """Suboptimality index and stabilizing-horizon thresholds on an unbounded
+    level set Ybar, where gamma_Ybar = gamma_{Ybar,s} = gamma_s.
 
     alpha_N = 1 - gamma_s gamma_Ybar / (eps_o^2 (N-1)) and
     N_1 = 1 + gamma_s gamma_Ybar / eps_o^2.  With an observability window
     (nu, c_o) the exponential variant alpha_{N,s} and its threshold
-    N_{Ybar,s} are added, for an unbounded level set Ybar, where
-    gamma_{Ybar,s} = gamma_s.  The threshold is rounded outward so that every
+    N_{Ybar,s} are added.  The threshold is rounded outward so that every
     integer N above it has alpha_{N,s} > 0 despite the floor in N_nu.
     """
     if N <= 1:
         raise DomainError("horizon N must be >= 2", key="N")
-    for name, v in (("gamma_s", gamma_s), ("gamma_Ybar", gamma_Ybar), ("epsilon_o", epsilon_o)):
+    for name, v in (("gamma_s", gamma_s), ("epsilon_o", epsilon_o)):
         if not 0.0 < v < math.inf:
             raise DomainError(f"{name} must be positive and finite", key=name)
-    alpha_N = alpha_of_horizon(gamma_s, gamma_Ybar, epsilon_o, N)
-    N_1 = 1.0 + gamma_s * gamma_Ybar / epsilon_o ** 2
+    alpha_N = 1.0 - gamma_s * gamma_s / (epsilon_o ** 2 * (N - 1))
+    N_1 = 1.0 + gamma_s * gamma_s / epsilon_o ** 2
     alpha_Ns = N_Ybar_s = None
     if nu is not None and c_o is not None:
         if nu < 1 or not 0.0 < c_o < math.inf:
             raise DomainError("nu must be >= 1 and c_o positive and finite")
-        alpha_Ns = alpha_s_of_horizon(gamma_s, gamma_s, epsilon_o, c_o, nu, N)
+        alpha_Ns = alpha_s_of_horizon(gamma_s, epsilon_o, c_o, nu, N)
         g = gamma_s * c_o
         theta = math.log(gamma_s * gamma_s * c_o / epsilon_o) / (math.log(g + 1.0) - math.log(g))
         # floored N_nu needs N_nu >= floor(theta)+1, i.e. N >= nu*(floor(theta)+2)
         N_Ybar_s = nu * (math.floor(theta) + 1) + nu - 1 if theta >= 0.0 else 2 * nu - 1
     return BoundsReport(gamma_s=gamma_s, epsilon_o=epsilon_o,
-                        gamma_Ybar=gamma_Ybar, alpha_N=alpha_N, N_1=N_1,
+                        gamma_Ybar=gamma_s, alpha_N=alpha_N, N_1=N_1,
                         nu=nu, c_o=c_o, alpha_Ns=alpha_Ns, N_Ybar_s=N_Ybar_s)
 
 
@@ -503,8 +497,7 @@ def analyze_linear(sys: LinearSystem, T: int, N: int, Q, R,
     sigma_metric = sigma_metric_dare(aug, Q, R)
     eps_o = epsilon_o_generalized_eig(aug, Q, R, sigma_metric)
     nu, c_o = smallest_observability_window(aug, Q, R, sigma_metric)
-    bounds = horizon_bounds(gamma_s=gamma_s, gamma_Ybar=gamma_s, epsilon_o=eps_o,
-                            N=N, nu=nu, c_o=c_o)
+    bounds = horizon_bounds(gamma_s=gamma_s, epsilon_o=eps_o, N=N, nu=nu, c_o=c_o)
     rd = zeros = minphase = None
     if sys.m == 1 and sys.p == 1:
         try:

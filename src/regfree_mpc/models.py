@@ -367,16 +367,7 @@ def cement_mill_regulator(w):
 
 # ---------------------------------------------------------------------------
 # plain-text LTI matrix files: header "n_p m q p", then A B C D P_x P_y S
-# row-major, whitespace separated
-
-def dump_lti(sys, path):
-    lines = [f"{sys.n_p} {sys.m} {sys.q} {sys.p}"]
-    for M in (sys.A, sys.B, sys.C, sys.D, sys.P_x, sys.P_y, sys.S):
-        for row in np.atleast_2d(M):
-            lines.append(" ".join(repr(float(v)) for v in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
+# row-major, whitespace separated, every entry finite
 
 def load_lti(path):
     with open(path) as fh:
@@ -388,6 +379,8 @@ def load_lti(path):
     need = n * n + n * m + p * n + p * m + n * q + p * q + q * q
     if len(vals) != need:
         raise ShapeError(f"{path}: expected {need} matrix entries, found {len(vals)}")
+    if not np.isfinite(vals).all():
+        raise DomainError(f"{path}: matrix entries must be finite")
     out = []
     at = 0
     for rows, cols in ((n, n), (n, m), (p, n), (p, m), (n, q), (p, q), (q, q)):

@@ -55,6 +55,8 @@ class MpcConfig:
         Q = np.atleast_2d(np.asarray(self.Q, dtype=float))
         R = np.atleast_2d(np.asarray(self.R, dtype=float))
         for name, M in (("Q", Q), ("R", R)):
+            if M.size == 0:
+                raise ConfigError(f"{name} must be non-empty", key=name)
             if not np.allclose(M, M.T):
                 raise ConfigError(f"{name} must be symmetric", key=name)
             if np.linalg.eigvalsh(M)[0] < -1e-12 * max(1.0, np.linalg.norm(M)):
@@ -207,8 +209,8 @@ class Ocp:
         Jr.flags.writeable = False
         return Jr
 
-    def cost(self, useq, xs=None):
-        r, _, xs = self.residuals(useq, xs, jac=False)
+    def cost(self, useq):
+        r, _, xs = self.residuals(useq, jac=False)
         return _squared_norm(r), xs
 
     # -- closed-form reference for linear models ---------------------------

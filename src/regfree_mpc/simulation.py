@@ -42,7 +42,8 @@ class ScenarioSpec:
                                   ("u_init", self.u_init, model.m), ("xhat0", xhat0, nj),
                                   ("noise_lo", lo, p), ("noise_hi", hi, p)):
             if value is not None and np.size(value) != size:
-                raise ShapeError(f"{name} needs {size} entries for model {model.name!r}")
+                raise ShapeError(f"{name!r} needs {size} entries for model {model.name!r}, "
+                                 f"got {np.size(value)}", key=name)
         if L is not None and L.shape != (nj, p):
             raise ShapeError(f"L needs shape ({nj}, {p}) for model {model.name!r}")
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float).reshape(model.n_p))

@@ -20,6 +20,16 @@ def random_linear(rng, n, m, p=None, q=0, T=1, spectral=0.9, feedthrough=0.3):
     return LinearSystem(A=A, B=B, C=C, D=D, P_x=P_x, P_y=P_y, S=S)
 
 
+def write_lti(sys, path):
+    """The plain-text LTI file that `load_lti` reads: header "n_p m q p", then the
+    matrices A B C D P_x P_y S row by row, each entry as its exact repr."""
+    lines = [f"{sys.n_p} {sys.m} {sys.q} {sys.p}"]
+    for M in (sys.A, sys.B, sys.C, sys.D, sys.P_x, sys.P_y, sys.S):
+        lines += [" ".join(repr(float(v)) for v in row) for row in np.atleast_2d(M)]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def periodic_exosystem(q, T):
     """S with S^T = I: 2x2 rotation blocks by 2*pi/T plus identity padding."""
     S = np.eye(q)

@@ -8,7 +8,7 @@ argument.  Only tests use them, so they live beside the tests.
 import numpy as np
 from scipy import linalg as sla
 
-from regfree_mpc.errors import DetectabilityError, StabilityError
+from regfree_mpc.errors import DetectabilityError, DomainError
 from regfree_mpc.linear_analysis import (QuadraticCertificate, RegulatorSolution, dare,
                                          pbh_detectable)
 from regfree_mpc.models import LinearSystem
@@ -66,7 +66,7 @@ def classical_regulator_feedback(sys: LinearSystem, reg: RegulatorSolution, K):
     K = np.atleast_2d(np.asarray(K, dtype=float))
     rho = float(max(abs(np.linalg.eigvals(sys.A + sys.B @ K))))
     if rho >= 1.0:
-        raise StabilityError(f"A + BK has spectral radius {rho:.6f} >= 1")
+        raise DomainError(f"A + BK has spectral radius {rho:.6f} >= 1")
     return RegulatorFeedback(reg.pi_x, reg.pi_u, K)
 
 

@@ -62,7 +62,7 @@ def test_acceptance_3_improved_bound(academic_analysis):
     in_window = 2.8 <= N_s <= 3.8
     # the invariant must hold regardless of the window
     for N in list(range(int(N_s) + 1, int(N_s) + 40)) + [2000, 10000]:
-        assert alpha_s_of_horizon(1.0, 1.0, b.epsilon_o, c_o, nu, N) > 0.0
+        assert alpha_s_of_horizon(1.0, b.epsilon_o, c_o, nu, N) > 0.0
     assert elapsed < 1.0
     note = ("inside the target window" if in_window else
             "outside [2.8, 3.8]; discrepancy documented: the worst-case lifted "
@@ -105,7 +105,7 @@ def test_acceptance_5_incremental_stabilization():
     aug = augment_linear(model.linear, 1)
     metric = sigma_metric_dare(aug, np.eye(1), np.eye(1))
     eps_o = epsilon_o_generalized_eig(aug, np.eye(1), np.eye(1), metric)
-    alpha = horizon_bounds(1.0, 1.0, eps_o, N=N).alpha_N
+    alpha = horizon_bounds(1.0, eps_o, N=N).alpha_N
     z = np.hstack([tr12.x, tr12.memory])
     sigma_P = np.einsum("ti,ij,tj->t", z, metric.P, z)
     margins = decrease_check(V, sigma_P, alpha, eps_o)

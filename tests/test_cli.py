@@ -33,7 +33,7 @@ def test_preset_read_by_name_closes_its_file():
 
 
 def test_presets_all_parse():
-    names = cfg.list_presets()
+    names = [f[:-len(".cfg")] for f in os.listdir(cfg.PRESET_DIR) if f.endswith(".cfg")]
     assert "cement_mill_error_feedback" in names
     for name in names:
         text = cfg.read_config_file(name)
@@ -210,6 +210,10 @@ def test_unknown_section_and_syntax_errors():
     with pytest.raises(ConfigError) as err:
         cfg.parse_config("[model]\nname = academic\n")
     assert str(err.value) == "config needs a [sim] or an [analyze] section"
+    for extra in ("[sim]\nsteps = 3\n", "[observer]\nkind = ekf\n"):    # a command would ignore one
+        with pytest.raises(ConfigError) as err:
+            cfg.parse_config(cfg.read_config_file("academic_analyze") + extra)
+        assert str(err.value) == "[analyze] excludes [sim] and [observer]"
 
 
 def test_schema_keys_are_unique_across_sections():
@@ -303,10 +307,16 @@ def test_cli_analyze_refuses_seed(capsys):
     assert exc.value.code == 2
 
 
-def test_cli_bad_path_exit_code(capsys):
-    assert main(["analyze", "--config", "/does/not/exist.cfg"]) == 1
-    err = capsys.readouterr().err
-    assert "config error" in err
+def test_cli_bad_path_exit_code(capsys, tmp_path, monkeypatch):
+    """A path that names no file, a directory included, is not found; a bare name that
+    names no file is looked up as a preset."""
+    (tmp_path / "adir").mkdir()
+    monkeypatch.chdir(tmp_path)
+    for path, message in (("/does/not/exist.cfg", "config file not found: /does/not/exist.cfg"),
+                          ("./adir", "config file not found: ./adir"),
+                          ("adir", "unknown preset 'adir'")):
+        assert main(["analyze", "--config", path]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_cli_wrong_spec_kind(capsys):
@@ -314,7 +324,26 @@ def test_cli_wrong_spec_kind(capsys):
     assert main(["simulate", "--config", "academic_analyze"]) == 1
 
 
-@pytest.mark.parametrize("case", ("unknown_name", "missing_file", "non_numeric", "short_file"))
+@pytest.mark.parametrize("dims, key, entries", [
+    pytest.param("2 0 0 1", "R", "0.5 0 0 0.5 1 0", id="no_input"),
+    pytest.param("2 1 0 0", "Q", "0.5 0 0 0.5 1 0", id="no_output")])
+def test_empty_weight_is_a_config_error_at_its_line(dims, key, entries, tmp_path, capsys):
+    """A model without inputs or outputs leaves R or Q empty, which MpcConfig refuses."""
+    mfile = tmp_path / "plant.txt"
+    mfile.write_text(f"{dims}\n{entries}\n")
+    Q, R = ("", "1") if key == "Q" else ("1", "")
+    cfg_file = tmp_path / "empty.cfg"
+    cfg_file.write_text(f"[model]\nname = lti:{mfile}\n[mpc]\nvariant = output_only\nN = 4\n"
+                        f"Q = {Q}\nR = {R}\n[sim]\nsteps = 3\nx0 = 1 0\n")
+    line = 6 if key == "Q" else 7
+    for command in ("simulate", "solve"):
+        assert main([command, "--config", str(cfg_file)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: line {line}: {key} must be non-empty"), err
+
+
+@pytest.mark.parametrize("case", ("unknown_name", "missing_file", "non_numeric", "short_file",
+                                  "non_finite"))
 def test_model_that_cannot_be_loaded_is_a_config_error(case, tmp_path, capsys):
     """Every failure to load [model] name exits 1 at its line, for both kinds of config."""
     mfile = tmp_path / "plant.txt"
@@ -322,6 +351,8 @@ def test_model_that_cannot_be_loaded_is_a_config_error(case, tmp_path, capsys):
         mfile.write_text("1 1 1 1\n0.5 1 one 0 0 1 1\n")
     elif case == "short_file":
         mfile.write_text("1 1 1 1\n0.5 1 1 0\n")
+    elif case == "non_finite":
+        mfile.write_text("1 1 1 1\n0.5 1 1 0 nan 1 1\n")
     name = "foo" if case == "unknown_name" else f"lti:{mfile}"
     design = "[mpc]\nvariant = incremental_input\nN = 8\nQ = 1\nR = 1\nT = 1\n"
     for command, tail in (("analyze", "[analyze]\ngamma_s = 1\n"),
@@ -478,11 +509,12 @@ def test_out_that_cannot_be_written_exits_2_and_leaves_no_temp_file(command, pre
 
 def test_resonant_linear_model_has_no_regulator(tmp_path):
     """Resonance (S = 1.5 is a transmission zero) leaves the scenario without a regulator."""
-    from regfree_mpc.models import LinearSystem, dump_lti
+    from conftest import write_lti
+    from regfree_mpc.models import LinearSystem
     sys_ = LinearSystem(A=[[0.5]], B=[[1.0]], C=[[1.0]], D=[[-1.0]],
                         P_x=[[1.0]], P_y=[[1.0]], S=[[1.5]])
     mfile = tmp_path / "plant.txt"
-    dump_lti(sys_, mfile)
+    write_lti(sys_, mfile)
     spec = cfg.parse_config(f"[model]\nname = lti:{mfile}\n"
                             "[mpc]\nvariant = output_only\nN = 4\nQ = 1\nR = 0\n"
                             "[sim]\nsteps = 3\nx0 = 0\nw0 = 1\n")
@@ -490,11 +522,12 @@ def test_resonant_linear_model_has_no_regulator(tmp_path):
 
 
 def test_cli_lti_model_file_route(tmp_path, capsys):
-    from regfree_mpc.models import LinearSystem, dump_lti
+    from conftest import write_lti
+    from regfree_mpc.models import LinearSystem
     sys_ = LinearSystem(A=[[0.5]], B=[[1.0]], C=[[1.0]], D=[[0.0]],
                         P_x=[[0.0]], P_y=[[1.0]], S=[[1.0]])
     mfile = tmp_path / "plant.txt"
-    dump_lti(sys_, mfile)
+    write_lti(sys_, mfile)
     cfg_text = (f"[model]\nname = lti:{mfile}\n"
                 "[mpc]\nvariant = incremental_input\nN = 8\nQ = 1\nR = 0.1\nT = 1\n"
                 "[sim]\nsteps = 40\nx0 = 0\nw0 = 2\nseed = 0\nu_init = 0\n")

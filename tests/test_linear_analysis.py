@@ -11,7 +11,7 @@ from regfree_mpc import config as cfg
 from regfree_mpc.augmentation import augment_linear
 from regfree_mpc.errors import (DegenerateSystemError, DetectabilityError,
                                 DomainError, NumericalError, ResonanceError,
-                                ShapeError, StabilityError)
+                                ShapeError)
 from regfree_mpc.linear_analysis import (alpha_s_of_horizon, analyze_linear,
                                          augmented_pair, dare, epsilon_o_generalized_eig,
                                          horizon_bounds, lqr_gain,
@@ -404,32 +404,32 @@ def test_observability_constant_homogeneity(academic_augmented):
 def test_horizon_bounds_reference_numbers(academic_augmented):
     aug, Q, R, metric = academic_augmented
     eps = epsilon_o_generalized_eig(aug, Q, R, metric)
-    rep = horizon_bounds(gamma_s=1.0, gamma_Ybar=1.0, epsilon_o=eps, N=12)
+    rep = horizon_bounds(gamma_s=1.0, epsilon_o=eps, N=12)
     assert 9.8 <= rep.N_1 <= 10.1
     assert rep.alpha_N == pytest.approx(1.0 - 1.0 / (eps ** 2 * 11.0))
 
 
 def test_horizon_bounds_plain_arithmetic():
-    rep = horizon_bounds(gamma_s=1.0, gamma_Ybar=1.0, epsilon_o=1.0, N=3)
+    rep = horizon_bounds(gamma_s=1.0, epsilon_o=1.0, N=3)
     assert rep.alpha_N == pytest.approx(0.5)
     assert rep.N_1 == pytest.approx(2.0)
 
 
 def test_horizon_bounds_rejects_degenerate():
     with pytest.raises(DomainError):
-        horizon_bounds(1.0, 1.0, 1.0, N=1)
+        horizon_bounds(1.0, 1.0, N=1)
     with pytest.raises(DomainError):
-        horizon_bounds(-1.0, 1.0, 1.0, N=5)
+        horizon_bounds(-1.0, 1.0, N=5)
     for bad in (np.nan, np.inf):
-        for args in ((bad, 1.0, 1.0), (1.0, bad, 1.0), (1.0, 1.0, bad)):
+        for args in ((bad, 1.0), (1.0, bad)):
             with pytest.raises(DomainError, match="must be positive and finite"):
                 horizon_bounds(*args, N=5)
         with pytest.raises(DomainError, match="c_o positive"):
-            horizon_bounds(1.0, 1.0, 1.0, N=5, nu=1, c_o=bad)
+            horizon_bounds(1.0, 1.0, N=5, nu=1, c_o=bad)
 
 
 def test_alpha_N_monotone_in_N():
-    vals = [horizon_bounds(1.0, 1.0, 0.3343, N=N).alpha_N for N in range(2, 60)]
+    vals = [horizon_bounds(1.0, 0.3343, N=N).alpha_N for N in range(2, 60)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
@@ -437,11 +437,11 @@ def test_alpha_Ns_tends_to_one_and_threshold_is_safe(academic_augmented):
     aug, Q, R, metric = academic_augmented
     eps = epsilon_o_generalized_eig(aug, Q, R, metric)
     nu, c_o = smallest_observability_window(aug, Q, R, metric)
-    rep = horizon_bounds(1.0, 1.0, eps, N=12, nu=nu, c_o=c_o)
+    rep = horizon_bounds(1.0, eps, N=12, nu=nu, c_o=c_o)
     threshold = rep.N_Ybar_s
     for N in list(range(int(threshold) + 1, int(threshold) + 60)) + [1000, 5000]:
-        assert alpha_s_of_horizon(1.0, 1.0, eps, c_o, nu, N) > 0.0
-    assert alpha_s_of_horizon(1.0, 1.0, eps, c_o, nu, 100000) == pytest.approx(1.0, abs=1e-12)
+        assert alpha_s_of_horizon(1.0, eps, c_o, nu, N) > 0.0
+    assert alpha_s_of_horizon(1.0, eps, c_o, nu, 100000) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_alpha_Ns_threshold_safe_random_constants(rng):
@@ -450,10 +450,10 @@ def test_alpha_Ns_threshold_safe_random_constants(rng):
         c_o = float(rng.uniform(0.1, 60.0))
         nu = int(rng.integers(1, 5))
         g = float(rng.uniform(0.5, 4.0))
-        rep = horizon_bounds(g, g, eps, N=max(2, 2 * nu), nu=nu, c_o=c_o)
+        rep = horizon_bounds(g, eps, N=max(2, 2 * nu), nu=nu, c_o=c_o)
         t = rep.N_Ybar_s
         for N in range(int(t) + 1, int(t) + 4 * nu + 2):
-            assert alpha_s_of_horizon(g, g, eps, c_o, nu, N) > 0.0, (eps, c_o, nu, g, N)
+            assert alpha_s_of_horizon(g, eps, c_o, nu, N) > 0.0, (eps, c_o, nu, g, N)
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +561,7 @@ def test_classical_feedback_manifold_invariance():
 def test_classical_feedback_rejects_unstable_gain():
     sys = scalar_sys(A=1.2, B=1.0, C=1.0, D=0.0)
     reg = solve_regulator(sys)
-    with pytest.raises(StabilityError):
+    with pytest.raises(DomainError, match="spectral radius"):
         classical_regulator_feedback(sys, reg, K=[[0.0]])
 
 

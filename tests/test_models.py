@@ -3,7 +3,7 @@ import pytest
 
 from regfree_mpc.errors import DomainError, ShapeError
 from regfree_mpc.models import (MILL_DT, SystemModel, _mill_ode, academic_example, cement_mill,
-                                cement_mill_regulator, dump_lti, load_lti,
+                                cement_mill_regulator, load_lti,
                                 mill_alpha, mill_phi, rk4_discretize, rk4_step)
 
 
@@ -204,10 +204,10 @@ def test_finite_difference_jacobians_of_empty_input_or_exosystem(m, q, rng):
 
 
 def test_linear_system_roundtrip_through_file(tmp_path, rng):
-    from conftest import random_linear
+    from conftest import random_linear, write_lti
     sys = random_linear(rng, n=3, m=2, q=2, T=4)
     path = tmp_path / "sys.txt"
-    dump_lti(sys, path)
+    write_lti(sys, path)
     back = load_lti(path)
     for name in ("A", "B", "C", "D", "P_x", "P_y", "S"):
         assert np.array_equal(getattr(sys, name), getattr(back, name))

@@ -168,7 +168,7 @@ def test_decrease_check_academic():
     aug = augment_linear(model.linear, 1)
     metric = sigma_metric_dare(aug, np.eye(1), np.eye(1))
     eps_o = epsilon_o_generalized_eig(aug, np.eye(1), np.eye(1), metric)
-    alpha = horizon_bounds(1.0, 1.0, eps_o, N=N).alpha_N
+    alpha = horizon_bounds(1.0, eps_o, N=N).alpha_N
     z = np.hstack([trace.x, trace.memory])
     sigma_P = np.einsum("ti,ij,tj->t", z, metric.P, z)
     margins = decrease_check(V, sigma_P, alpha, eps_o)
@@ -189,7 +189,7 @@ def test_decrease_check_below_threshold_not_asserted():
     aug = augment_linear(model.linear, 1)
     metric = sigma_metric_dare(aug, np.eye(1), np.eye(1))
     eps_o = epsilon_o_generalized_eig(aug, np.eye(1), np.eye(1), metric)
-    alpha = horizon_bounds(1.0, 1.0, eps_o, N=12).alpha_N   # reference alpha
+    alpha = horizon_bounds(1.0, eps_o, N=12).alpha_N   # reference alpha
     z = np.hstack([trace.x, trace.memory])
     sigma_P = np.einsum("ti,ij,tj->t", z, metric.P, z)
     margins = decrease_check(trace.value, sigma_P, alpha, eps_o)
