@@ -52,9 +52,9 @@ def step_memory(xi, u_applied, m):
     return np.concatenate([u, xi[:-m]])
 
 
-def memory_reference(pi_u, s_fun, w, T, m):
-    """Manifold value of the memory: (pi_u(s^{T-1} w), ..., pi_u(w)), newest first."""
+def memory_reference(regulator, s_fun, w, T, m):
+    """Memory on the manifold, newest first: pi_u(s^k w) = regulator(s^k w)[1], k = T-1..0."""
     ws = [np.asarray(w, dtype=float)]
     for _ in range(T - 1):
         ws.append(np.asarray(s_fun(ws[-1]), dtype=float))
-    return np.concatenate([np.atleast_1d(pi_u(wk)).reshape(m) for wk in reversed(ws)])
+    return np.concatenate([np.atleast_1d(regulator(wk)[1]).reshape(m) for wk in reversed(ws)])

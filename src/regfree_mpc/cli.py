@@ -1,6 +1,7 @@
 """Command-line front end: analyze, solve, simulate."""
 
 import argparse
+import math
 import os
 import sys
 
@@ -9,19 +10,6 @@ from .errors import ConfigError, NumericalError, RegfreeMpcError
 from .linear_analysis import analyze_linear
 from .mpc import MpcController, assemble, solve
 from .simulation import atomic_write, metrics, run
-
-
-def _resolve_seed(seed):
-    """Precedence: --seed flag, then REGFREE_MPC_SEED, then the config file (None)."""
-    if seed is not None:
-        return seed
-    env = os.environ.get("REGFREE_MPC_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"REGFREE_MPC_SEED is not an integer: {env!r}") from exc
-    return None
 
 
 def format_analysis(rep):
@@ -92,6 +80,12 @@ def cmd_solve(args):
     return 0
 
 
+def _failures(trace):
+    """'k of K solves failed, first at t=j', or '' when every solve succeeded."""
+    k = sum(map(math.isnan, trace.value))
+    return f"{k} of {trace.steps} solves failed, first at t={trace.failed_at}" if k else ""
+
+
 def _simulate_one(spec, out_path, verbose):
     trace = run(spec)
     if out_path:
@@ -100,6 +94,9 @@ def _simulate_one(spec, out_path, verbose):
             sys.stderr.write(f"trace written to {out_path}\n")
     else:
         sys.stdout.write(trace.to_csv())
+    failures = _failures(trace)
+    if failures:
+        sys.stderr.write(failures + "\n")
     if verbose and spec.regulator is not None:
         rep = metrics(trace, spec)
         sys.stderr.write(
@@ -114,15 +111,13 @@ def _seeded_out(path, seed):
 
 
 def _seed_range(seed_arg):
-    """Seeds of a sweep a:b, i.e. range(a, b); an empty, malformed or negative range is an error."""
+    """Seeds of a sweep a:b, i.e. range(a, b); an empty or malformed range is an error."""
     try:
         a, b = (int(tok) for tok in seed_arg.split(":"))
     except ValueError:
         raise ConfigError(f"seed sweep must be a:b with integers a < b, got {seed_arg!r}") from None
     if b <= a:
         raise ConfigError(f"seed sweep {seed_arg!r} is empty; it needs a < b")
-    if a < 0:
-        raise ConfigError("seed must be nonnegative")
     return range(a, b)
 
 
@@ -131,7 +126,7 @@ def _run_sweep_entry(packed):
     spec = cfg.parse_config(text, seed_override=seed)
     trace = run(spec)
     trace.write_csv(out_path)
-    return seed, trace.failed_at
+    return seed, _failures(trace)
 
 
 def cmd_simulate(args):
@@ -141,8 +136,8 @@ def cmd_simulate(args):
         seeds = _seed_range(args.seed)
         if args.out is None:
             raise ConfigError("seed sweeps need --out for the per-seed trace files")
-    # parsed once before any run: a sweep's workers re-parse it with their own seeds
-    spec = cfg.parse_config(text, seed_override=None if sweep else _resolve_seed(args.seed))
+    # parsed once before any run (a sweep with its first seed), so a refused value writes nothing
+    spec = cfg.parse_config(text, seed_override=seeds[0] if sweep else args.seed)
     if isinstance(spec, cfg.AnalysisSpec):
         raise ConfigError("simulate needs a scenario config with a [sim] section")
     if not sweep:
@@ -156,9 +151,9 @@ def cmd_simulate(args):
         import multiprocessing as mp
         with mp.Pool(jobs) as pool:
             results = pool.map(_run_sweep_entry, work)
-    for seed, failed in results:
-        if args.verbose:
-            sys.stderr.write(f"seed {seed}: {'failed at ' + str(failed) if failed is not None else 'ok'}\n")
+    for seed, failures in results:
+        if failures or args.verbose:
+            sys.stderr.write(f"seed {seed}: {failures or 'ok'}\n")
     return 0
 
 

@@ -102,7 +102,7 @@ class AnalysisSpec:
 
 def build_mpc_config(sections) -> MpcConfig:
     tol = _opt(sections, "mpc", "gradient_tolerance")
-    mpc = MpcConfig(
+    return MpcConfig(
         variant=_need(sections, "mpc", "variant"),
         N=_need(sections, "mpc", "N"),
         Q=np.diag(_need(sections, "mpc", "Q")),
@@ -111,24 +111,12 @@ def build_mpc_config(sections) -> MpcConfig:
         T=_opt(sections, "mpc", "T"),
         solver=SolverSettings() if tol is None else SolverSettings(gradient_tolerance=tol),
     )
-    for key, reader in (("d", "look_ahead"), ("T", "incremental_input")):
-        if key in sections["mpc"] and mpc.variant != reader:
-            raise ConfigError(f"{key!r} is read only by the {reader} variant, "
-                              f"not by {mpc.variant!r}", key=key)
-    return mpc
 
 
 def _default_regulator(model):
     """Diagnostics regulator: analytic for the mill, Sylvester for linear models."""
     if model.name == "cement_mill":
-        class _MillRegulator:
-            def pi_x(self, w):
-                return cement_mill_regulator(w)[0]
-
-            def pi_u(self, w):
-                return cement_mill_regulator(w)[1]
-
-        return _MillRegulator()
+        return cement_mill_regulator
     if model.linear is not None:
         try:
             return solve_regulator(model.linear)
@@ -162,10 +150,8 @@ def build_scenario(sections, seed_override=None) -> ScenarioSpec:
     nj = model.n_p + model.q
     cfg = build_mpc_config(sections)
     observer = None
-    if "observer" in sections and sections["observer"]:
+    if "observer" in sections:
         kind = _need(sections, "observer", "kind")
-        if "L" in sections["observer"] and kind == "ekf":
-            raise ConfigError("'L' is read only by the luenberger observer, not by 'ekf'", key="L")
         L = _opt(sections, "observer", "L")
         observer = ObserverConfig(kind=kind, xhat0=_need(sections, "observer", "xhat0"),
                                   L=None if L is None else L.reshape(nj, model.p),

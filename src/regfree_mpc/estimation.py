@@ -36,6 +36,8 @@ class ObserverConfig:
         object.__setattr__(self, "xhat0", np.asarray(self.xhat0, dtype=float))
         if self.kind == "luenberger" and self.L is None:
             raise ConfigError("luenberger observer needs a gain L", key="kind")
+        if self.kind == "ekf" and self.L is not None:
+            raise ConfigError("'L' is read only by the luenberger observer, not by 'ekf'", key="L")
         if self.L is not None:
             object.__setattr__(self, "L", np.atleast_2d(np.asarray(self.L, dtype=float)))
         if (self.noise_lo is None) != (self.noise_hi is None):

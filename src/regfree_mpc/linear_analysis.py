@@ -44,11 +44,10 @@ class RegulatorSolution:
         object.__setattr__(self, "Pi", np.atleast_2d(np.asarray(self.Pi, dtype=float)))
         object.__setattr__(self, "Gamma", np.atleast_2d(np.asarray(self.Gamma, dtype=float)))
 
-    def pi_x(self, w):
-        return self.Pi @ np.asarray(w, dtype=float)
-
-    def pi_u(self, w):
-        return self.Gamma @ np.asarray(w, dtype=float)
+    def __call__(self, w):
+        """The regulator map w -> (pi_x(w), pi_u(w)) = (Pi w, Gamma w)."""
+        w = np.asarray(w, dtype=float)
+        return self.Pi @ w, self.Gamma @ w
 
 
 def regulator_residuals(sys: LinearSystem, reg: RegulatorSolution):

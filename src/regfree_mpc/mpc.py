@@ -67,6 +67,10 @@ class MpcConfig:
             raise ConfigError("look_ahead needs d >= 0", key="d")
         if self.variant == "incremental_input" and (self.T is None or self.T < 1):
             raise ConfigError("incremental_input needs T >= 1", key="T")
+        for key, reader in (("d", "look_ahead"), ("T", "incremental_input")):
+            if getattr(self, key) is not None and self.variant != reader:
+                raise ConfigError(f"{key!r} is read only by the {reader} variant, "
+                                  f"not by {self.variant!r}", key=key)
 
     @cached_property
     def horizon(self):
@@ -111,7 +115,7 @@ class Ocp:
     def __init__(self, model: SystemModel, config: MpcConfig, x0, w0,
                  memory=None, regulator=None):
         """incremental_input needs the newest-first input `memory`; input_regularized
-        needs a `regulator` whose pi_u(w) is evaluated along the w trajectory."""
+        needs the `regulator` map w -> (pi_x(w), pi_u(w)), evaluated along the w trajectory."""
         if config.Q.shape[0] != model.p or config.R.shape[0] != model.m:
             raise ShapeError(f"Q and R must be {model.p} x {model.p} and {model.m} x {model.m}")
         self.model = model
@@ -133,7 +137,7 @@ class Ocp:
         if config.variant == "input_regularized":
             if regulator is None:
                 raise ConfigError("input_regularized needs a regulator solution for pi_u")
-            ref = [np.atleast_1d(regulator.pi_u(w)).reshape(m) for w in self.w_traj[:N]]
+            ref = [np.atleast_1d(regulator(w)[1]).reshape(m) for w in self.w_traj[:N]]
         elif config.variant == "incremental_input":
             if memory is None:
                 raise ConfigError("incremental_input needs the memory of applied inputs")

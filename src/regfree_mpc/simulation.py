@@ -29,7 +29,7 @@ class ScenarioSpec:
     steps: int
     observer: Optional[ObserverConfig] = None    # error feedback through it when set
     seed: int = 0
-    regulator: Optional[object] = None     # anything with pi_x(w), pi_u(w)
+    regulator: Optional[Callable] = None   # the map w -> (pi_x(w), pi_u(w))
     u_init: Optional[Array] = None
 
     def __post_init__(self):
@@ -112,12 +112,13 @@ def _sigma_evaluator(spec: ScenarioSpec) -> Callable:
     model = spec.model
 
     def sigma(x_p, w, memory):
-        e = x_p - np.atleast_1d(reg.pi_x(w))
-        val = float(e @ e)
-        if memory is not None:      # T = the number of inputs the memory holds
-            xi_ref = memory_reference(reg.pi_u, model.s, w, memory.size // model.m, model.m)
-            d = memory - xi_ref
-            val += float(d @ d)
+        with np.errstate(over="ignore"):        # a distance too large for a float reads inf
+            e = x_p - np.atleast_1d(reg(w)[0])
+            val = float(e @ e)
+            if memory is not None:      # T = the number of inputs the memory holds
+                xi_ref = memory_reference(reg, model.s, w, memory.size // model.m, model.m)
+                d = memory - xi_ref
+                val += float(d @ d)
         return val
 
     return sigma
@@ -179,7 +180,6 @@ def run(spec: ScenarioSpec) -> SimTrace:
 
 @dataclass(frozen=True)
 class MetricsReport:
-    sigma: Array
     max_constraint_violation: float
     l2_ratio: float
     decay_rate: float
@@ -207,8 +207,7 @@ def metrics(trace: SimTrace, spec: ScenarioSpec) -> MetricsReport:
     den = float(sig[0] + e2[0] + np.sum(eta2))
     l2 = num / den if den > 0 else float("inf")
     decay = _fit_decay(sig)
-    return MetricsReport(sigma=trace.sigma,
-                         max_constraint_violation=viol,
+    return MetricsReport(max_constraint_violation=viol,
                          l2_ratio=l2,
                          decay_rate=decay,
                          sup_output=float(ynorm.max(initial=0.0)),

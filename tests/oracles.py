@@ -49,16 +49,17 @@ def linear_ioss_certificate(A, C, B=None, D=None):
 
 
 class RegulatorFeedback:
-    """u = pi_u(w) + K (x - pi_x(w)): the classical trajectory-stabilizing baseline."""
+    """u = pi_u(w) + K (x - pi_x(w)): the classical trajectory-stabilizing baseline,
+    with the regulator map w -> (pi_x(w), pi_u(w))."""
 
-    def __init__(self, pi_x, pi_u, K):
-        self.pi_x = pi_x
-        self.pi_u = pi_u
+    def __init__(self, regulator, K):
+        self.regulator = regulator
         self.K = np.atleast_2d(np.asarray(K, dtype=float))
 
     def __call__(self, x_p, w):
+        x_ref, u_ref = self.regulator(w)
         x_p = np.asarray(x_p, dtype=float)
-        return np.atleast_1d(self.pi_u(w)) + self.K @ (x_p - np.atleast_1d(self.pi_x(w)))
+        return np.atleast_1d(u_ref) + self.K @ (x_p - np.atleast_1d(x_ref))
 
 
 def classical_regulator_feedback(sys: LinearSystem, reg: RegulatorSolution, K):
@@ -67,7 +68,7 @@ def classical_regulator_feedback(sys: LinearSystem, reg: RegulatorSolution, K):
     rho = float(max(abs(np.linalg.eigvals(sys.A + sys.B @ K))))
     if rho >= 1.0:
         raise DomainError(f"A + BK has spectral radius {rho:.6f} >= 1")
-    return RegulatorFeedback(reg.pi_x, reg.pi_u, K)
+    return RegulatorFeedback(reg, K)
 
 
 def value_series(model, config, states, ws, memories=None, regulator=None):

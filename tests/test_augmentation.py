@@ -120,10 +120,11 @@ def test_augmented_regulator_is_zero_increment(rng):
         lin = augment_linear(sys, T)
         aug_reg = solve_regulator(lin)
         w = rng.normal(size=2)
-        xi_ref = memory_reference(reg.pi_u, lambda v: sys.S @ v, w, T, sys.m)
-        want = np.concatenate([reg.pi_x(w), xi_ref])
-        assert np.allclose(aug_reg.pi_x(w), want, atol=1e-8)
-        assert np.allclose(aug_reg.pi_u(w), 0.0, atol=1e-8)
+        xi_ref = memory_reference(reg, lambda v: sys.S @ v, w, T, sys.m)
+        want = np.concatenate([reg(w)[0], xi_ref])
+        x_aug, u_aug = aug_reg(w)
+        assert np.allclose(x_aug, want, atol=1e-8)
+        assert np.allclose(u_aug, 0.0, atol=1e-8)
 
 
 def incremental_value(model, T, N, x0, w0, history):

@@ -274,37 +274,30 @@ def test_cli_simulate_deterministic(tmp_path, capsys):
     assert out.out == out1.read_text()
     assert out.err.startswith("seed=0 sup|y|=") and "violation=0" in out.err
     assert out.err.count("\n") == 1
+    assert main(["simulate", "--config", "academic_incremental", "--out", str(out2),
+                 "--verbose"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == f"trace written to {out2}" and err[1].startswith("seed=0 sup|y|=")
 
 
-def test_cli_seed_override_and_env(tmp_path, capsys, monkeypatch):
+def test_cli_seed_override(tmp_path, capsys):
     out1 = tmp_path / "s1.csv"
     out2 = tmp_path / "s2.csv"
-    out3 = tmp_path / "s3.csv"
     assert main(["simulate", "--config", "cement_mill_error_feedback",
                  "--seed", "7", "--out", str(out1)]) == 0
-    monkeypatch.setenv("REGFREE_MPC_SEED", "7")
     assert main(["simulate", "--config", "cement_mill_error_feedback",
-                 "--out", str(out2)]) == 0
-    monkeypatch.delenv("REGFREE_MPC_SEED")
-    assert main(["simulate", "--config", "cement_mill_error_feedback",
-                 "--seed", "8", "--out", str(out3)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
-    assert out1.read_bytes() != out3.read_bytes()
-
-
-def test_cli_solve_ignores_seed_env(capsys, monkeypatch):
-    """`solve` runs no noise generator, so REGFREE_MPC_SEED cannot affect it."""
-    assert main(["solve", "--config", "cement_mill_nominal"]) == 0
-    plain = capsys.readouterr().out
-    monkeypatch.setenv("REGFREE_MPC_SEED", "abc")
-    assert main(["solve", "--config", "cement_mill_nominal"]) == 0
-    assert capsys.readouterr().out == plain
+                 "--seed", "8", "--out", str(out2)]) == 0
+    assert out1.read_bytes() != out2.read_bytes()
 
 
 def test_cli_analyze_refuses_seed(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["analyze", "--config", "academic_analyze", "--seed", "1"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:      # a seed that is not an integer is usage too
+        main(["simulate", "--config", "academic_incremental", "--seed", "abc"])
+    assert exc.value.code == 2
+    assert "must be an integer, or a:b for a sweep" in capsys.readouterr().err
 
 
 def test_cli_bad_path_exit_code(capsys, tmp_path, monkeypatch):
@@ -320,8 +313,41 @@ def test_cli_bad_path_exit_code(capsys, tmp_path, monkeypatch):
 
 
 def test_cli_wrong_spec_kind(capsys):
-    assert main(["analyze", "--config", "academic_incremental"]) == 1
-    assert main(["simulate", "--config", "academic_analyze"]) == 1
+    scenario = "a scenario config with a [sim]"
+    for command, preset, needs in (("analyze", "academic_incremental", "a config with an [analyze]"),
+                                   ("simulate", "academic_analyze", scenario),
+                                   ("solve", "academic_analyze", scenario)):
+        assert main([command, "--config", preset]) == 1
+        assert capsys.readouterr().err == f"config error: {command} needs {needs} section\n"
+
+
+def test_empty_observer_section_is_error_feedback_without_a_kind(tmp_path, capsys):
+    """A bare [observer] header is present, so the loop would run error feedback: it needs kind."""
+    text = cfg.read_config_file("cement_mill_error_feedback")
+    head, _, tail = text.partition("[observer]")
+    cfg_file = tmp_path / "bare.cfg"
+    cfg_file.write_text(head + "[observer]\n[sim]" + tail.partition("[sim]")[2])
+    assert main(["simulate", "--config", str(cfg_file)]) == 1
+    assert capsys.readouterr().err == \
+        "config error: missing required key 'kind' in section [observer]\n"
+
+
+def test_failed_solves_are_reported_and_an_overflowing_sigma_reads_inf(tmp_path, capsys):
+    """From x0 = 1e308 every solve fails and sigma overflows: the trace records inf with no
+    RuntimeWarning, and stderr counts the failed solves, for a sweep's failed seed too."""
+    text = cfg.read_config_file("academic_output_only")
+    cfg_file = tmp_path / "far.cfg"
+    cfg_file.write_text(text.replace("steps = 10", "steps = 3").replace("x0 = 1.0", "x0 = 1e308"))
+    assert main(["simulate", "--config", str(cfg_file)]) == 0
+    out = capsys.readouterr()
+    rows = [row.split(",") for row in out.out.splitlines()]
+    col = rows[0].index("sigma")
+    assert [row[col] for row in rows[1:]] == ["inf"] * 3
+    assert out.err == "3 of 3 solves failed, first at t=0\n"
+    assert main(["simulate", "--config", str(cfg_file), "--seed", "0:2",
+                 "--out", str(tmp_path / "s.csv")]) == 0
+    assert capsys.readouterr().err == "".join(
+        f"seed {s}: 3 of 3 solves failed, first at t=0\n" for s in (0, 1))
 
 
 @pytest.mark.parametrize("dims, key, entries", [

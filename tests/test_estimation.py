@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_linear
-from regfree_mpc.errors import DetectabilityError, NumericalError
+from regfree_mpc.errors import ConfigError, DetectabilityError, NumericalError
 from regfree_mpc.estimation import (ObserverConfig, ObserverState,
                                     check_joint_detectability, ekf_jacobians,
                                     joint_output, joint_step,
@@ -12,6 +12,12 @@ from regfree_mpc.models import LinearSystem, SystemModel, academic_example, ceme
 
 def tracking_lti(rng):
     return random_linear(rng, n=2, m=1, p=1, q=1, T=1)
+
+
+def test_ekf_refuses_a_gain():
+    with pytest.raises(ConfigError, match="'L' is read only by the luenberger observer") as err:
+        ObserverConfig(kind="ekf", xhat0=np.zeros(2), L=np.ones((2, 1)))
+    assert err.value.key == "L"
 
 
 def test_ekf_jacobians_linear_exact(rng):

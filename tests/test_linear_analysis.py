@@ -67,7 +67,7 @@ def test_solve_regulator_resonance():
 def test_solve_regulator_empty_exosystem():
     reg = solve_regulator(academic_example().linear)
     assert reg.Pi.shape == (1, 0) and reg.Gamma.shape == (1, 0)
-    assert reg.pi_x(np.zeros(0)) == pytest.approx([0.0])
+    assert reg(np.zeros(0))[0] == pytest.approx([0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -538,10 +538,10 @@ def test_classical_feedback_deadbeat():
     reg = solve_regulator(sys)
     fb = classical_regulator_feedback(sys, reg, K=[[-0.5]])
     w = np.array([2.0])
-    x = reg.pi_x(w) + np.array([1.0])
+    x = reg(w)[0] + np.array([1.0])
     u = fb(x, w)
     x_next = sys.A @ x + sys.B @ u + sys.P_x @ w
-    assert x_next == pytest.approx(reg.pi_x(w), abs=1e-12)
+    assert x_next == pytest.approx(reg(w)[0], abs=1e-12)
 
 
 def test_classical_feedback_manifold_invariance():
@@ -549,13 +549,13 @@ def test_classical_feedback_manifold_invariance():
     reg = solve_regulator(sys)
     fb = classical_regulator_feedback(sys, reg, K=[[-0.2]])
     w = np.array([1.7])
-    x = reg.pi_x(w)
+    x = reg(w)[0]
     for _ in range(20):
         u = fb(x, w)
-        assert u == pytest.approx(reg.pi_u(w), abs=1e-12)
+        assert u == pytest.approx(reg(w)[1], abs=1e-12)
         x = sys.A @ x + sys.B @ u + sys.P_x @ w
         w = sys.S @ w
-        assert np.linalg.norm(x - reg.pi_x(w)) < 1e-10
+        assert np.linalg.norm(x - reg(w)[0]) < 1e-10
 
 
 def test_classical_feedback_rejects_unstable_gain():
@@ -573,8 +573,7 @@ def test_classical_feedback_mill_linearization():
     Fx, Fu, _ = mill.jacobians_f(x_ref, u_ref, w)
     K, _ = lqr_gain(Fx, Fu, np.eye(3), np.eye(2))
     assert max(abs(np.linalg.eigvals(Fx + Fu @ K))) < 1.0
-    fb = RegulatorFeedback(lambda ww: cement_mill_regulator(ww)[0],
-                           lambda ww: cement_mill_regulator(ww)[1], K)
+    fb = RegulatorFeedback(cement_mill_regulator, K)
     x = x_ref + np.array([2.0, 1.0, 3.0])
     errs = []
     for _ in range(400):

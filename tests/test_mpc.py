@@ -30,6 +30,11 @@ def test_config_validation():
         MpcConfig(variant="incremental_input", N=3, Q=np.eye(1), R=np.eye(1))
     with pytest.raises(ConfigError):
         MpcConfig(variant="output_only", N=3, Q=-np.eye(1), R=np.eye(1))
+    for variant, kw, key in (("output_only", {"T": 1}, "T"),
+                             ("incremental_input", {"T": 1, "d": 0}, "d")):
+        with pytest.raises(ConfigError, match=f"'{key}' is read only by the") as err:
+            MpcConfig(variant=variant, N=3, Q=np.eye(1), R=np.eye(1), **kw)
+        assert err.value.key == key
     for tol in (0.0, -1.0, np.nan, np.inf):     # NaN passes a plain "<= 0" test
         with pytest.raises(DomainError) as err:
             SolverSettings(gradient_tolerance=tol)
@@ -138,8 +143,8 @@ class _ConstantFeedforward:
     def __init__(self, value):
         self.value = np.asarray(value, dtype=float)
 
-    def pi_u(self, w):
-        return self.value
+    def __call__(self, w):
+        return None, self.value
 
 
 @pytest.mark.parametrize("variant, m", [pytest.param(v, m, id=v if m == 1 else f"{v}-mimo")
@@ -265,11 +270,11 @@ def test_input_regularized_zero_on_manifold(rng):
     reg = solve_regulator(sys)
     w = rng.normal(size=2)
     cfg = make_cfg("input_regularized", 5, p=2, m=2)
-    ocp = assemble(model, cfg, reg.pi_x(w), w, regulator=reg)
+    ocp = assemble(model, cfg, reg(w)[0], w, regulator=reg)
     sol = solve(ocp)
     assert sol.value == pytest.approx(0.0, abs=1e-16)
     for k in range(5):
-        assert np.allclose(sol.u_opt[k], reg.pi_u(ocp.w_traj[k]), atol=1e-8)
+        assert np.allclose(sol.u_opt[k], reg(ocp.w_traj[k])[1], atol=1e-8)
 
 
 def test_incremental_zero_on_manifold_mill():
@@ -340,7 +345,8 @@ def test_residuals_linearise_the_horizon_in_one_stacked_call(monkeypatch, varian
         monkeypatch.setattr(SystemModel, name, recorded)
     w = np.array([110.0, 425.0])
     x_ref, u_ref = cement_mill_regulator(w)
-    cfg = MpcConfig(variant=variant, N=N, Q=np.eye(2), R=1e-2 * np.eye(2), T=1)
+    cfg = MpcConfig(variant=variant, N=N, Q=np.eye(2), R=1e-2 * np.eye(2),
+                    T=1 if variant == "incremental_input" else None)
     ocp = assemble(mill, cfg, x_ref + np.array([2.0, 1.0, 3.0]), w, memory=u_ref)
     ocp.residuals(np.tile(u_ref, (N, 1)) + np.linspace(-3.0, 3.0, 2 * N).reshape(N, 2))
     assert [len(c) for c in calls.values()] == [1, 1]

@@ -82,19 +82,12 @@ def test_manifold_invariance_all_variants():
     w = np.array([110.0, 425.0])
     x_ref, u_ref = cement_mill_regulator(w)
 
-    class MillReg:
-        def pi_x(self, ww):
-            return cement_mill_regulator(ww)[0]
-
-        def pi_u(self, ww):
-            return cement_mill_regulator(ww)[1]
-
     for variant, kw in (("output_only", {}),
                         ("input_regularized", {}),
                         ("incremental_input", {"T": 1})):
         mpc = MpcConfig(variant=variant, N=5, Q=np.eye(2), R=1e-2 * np.eye(2), **kw)
         spec = ScenarioSpec(model=mill, mpc=mpc, x0=x_ref, w0=w, steps=20,
-                            regulator=MillReg(), u_init=u_ref)
+                            regulator=cement_mill_regulator, u_init=u_ref)
         trace = run(spec)
         assert np.max(trace.sigma) < 1e-8, variant
         assert np.max(np.abs(trace.y)) < 1e-6, variant
@@ -138,17 +131,10 @@ def test_metrics_on_manifold_sigma_zero():
     w = np.array([110.0, 425.0])
     x_ref, u_ref = cement_mill_regulator(w)
 
-    class MillReg:
-        def pi_x(self, ww):
-            return cement_mill_regulator(ww)[0]
-
-        def pi_u(self, ww):
-            return cement_mill_regulator(ww)[1]
-
     mpc = MpcConfig(variant="incremental_input", N=4, Q=np.eye(2),
                     R=1e-2 * np.eye(2), T=1)
     spec = ScenarioSpec(model=mill, mpc=mpc, x0=x_ref, w0=w, steps=10,
-                        regulator=MillReg(), u_init=u_ref)
+                        regulator=cement_mill_regulator, u_init=u_ref)
     trace = run(spec)
     assert np.max(np.abs(trace.sigma)) < 1e-10
 
