@@ -313,8 +313,8 @@ def test_cli_bad_path_exit_code(capsys, tmp_path, monkeypatch):
 
 
 def test_cli_wrong_spec_kind(capsys):
-    scenario = "a scenario config with a [sim]"
-    for command, preset, needs in (("analyze", "academic_incremental", "a config with an [analyze]"),
+    analysis, scenario = "a config with an [analyze]", "a scenario config with a [sim]"
+    for command, preset, needs in (("analyze", "academic_incremental", analysis),
                                    ("simulate", "academic_analyze", scenario),
                                    ("solve", "academic_analyze", scenario)):
         assert main([command, "--config", preset]) == 1
