@@ -10,7 +10,7 @@ from .augmentation import augment_linear, cyclic_matrices, step_memory
 from .errors import (ConfigError, DegenerateSystemError, DetectabilityError,
                      DomainError, NumericalError, ObservabilityError,
                      RegfreeMpcError, ResonanceError, ShapeError)
-from .estimation import ObserverConfig, ObserverState, ekf_jacobians, observer_step
+from .estimation import ObserverConfig, ObserverState, observer_step
 from .linear_analysis import (AnalysisReport, BoundsReport, NonresonanceReport,
                               QuadraticCertificate, RegulatorSolution,
                               analyze_linear, augmented_pair, dare,

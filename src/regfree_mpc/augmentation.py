@@ -17,16 +17,8 @@ def cyclic_matrices(m, T):
     """(E0, E1, E2) for input dimension m and period T."""
     if T < 1:
         raise DomainError("period T must be >= 1")
-    mT = m * T
-    E0 = np.zeros((mT, mT))
-    E0[:m, (T - 1) * m:] = np.eye(m)
-    for i in range(1, T):
-        E0[i * m:(i + 1) * m, (i - 1) * m:i * m] = np.eye(m)
-    E1 = np.zeros((mT, m))
-    E1[:m, :] = np.eye(m)
-    E2 = np.zeros((mT, m))
-    E2[(T - 1) * m:, :] = np.eye(m)
-    return E0, E1, E2
+    I = np.eye(m * T)
+    return np.roll(I, m, axis=0), I[:, :m], I[:, m * (T - 1):]
 
 
 def augment_linear(sys: LinearSystem, T: int) -> LinearSystem:

@@ -31,7 +31,7 @@ def format_analysis(rep):
     b = rep.bounds
     out.append(f"epsilon_o={b.epsilon_o:.6g}")
     out.append(f"gamma_s={b.gamma_s:.6g}")
-    out.append(f"gamma_Ybar={b.gamma_Ybar:.6g}")
+    out.append(f"gamma_Ybar={b.gamma_s:.6g}")
     out.append(f"N_1={b.N_1:.6g}")
     out.append(f"alpha_N={b.alpha_N:.6g}")
     if b.nu is not None:
@@ -97,7 +97,7 @@ def _simulate_one(spec, out_path, verbose):
     failures = _failures(trace)
     if failures:
         sys.stderr.write(failures + "\n")
-    if verbose and spec.regulator is not None:
+    if verbose:
         rep = metrics(trace, spec)
         sys.stderr.write(
             f"seed={spec.seed} sup|y|={rep.sup_output:.6g} "

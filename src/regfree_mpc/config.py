@@ -211,20 +211,13 @@ def parse_config(text, seed_override=None):
     raise ConfigError("config needs a [sim] or an [analyze] section")
 
 
-def preset_path(name):
-    path = os.path.join(PRESET_DIR, f"{name}.cfg")
-    if not os.path.exists(path):
-        raise ConfigError(f"unknown preset {name!r}")
-    return path
-
-
 def read_config_file(path):
     """Config text from a file path, falling back to a shipped preset name."""
-    if os.path.isfile(path):
-        with open(path) as fh:
-            return fh.read()
-    base = os.path.splitext(os.path.basename(path))[0]
-    if base == path:
-        with open(preset_path(path)) as fh:
-            return fh.read()
-    raise ConfigError(f"config file not found: {path}")
+    if not os.path.isfile(path):
+        if os.path.splitext(os.path.basename(path))[0] != path:
+            raise ConfigError(f"config file not found: {path}")
+        name, path = path, os.path.join(PRESET_DIR, f"{path}.cfg")
+        if not os.path.exists(path):
+            raise ConfigError(f"unknown preset {name!r}")
+    with open(path) as fh:
+        return fh.read()

@@ -1,8 +1,11 @@
 """State estimators over the joint state (x^p, w) for noisy error feedback.
 
-Both observers follow the predictor form: the estimate consumed by the
-controller at time t incorporates measurements up to t-1, and one step maps
-(x_hat_t, u_t, y_t) to x_hat_{t+1} = f(x_hat_t, u_t) + L_t (y_t - y_hat_t).
+Both observers are predictors: the estimate consumed by the controller at
+time t incorporates measurements up to t-1.  One step maps (x_hat_t, u_t, y_t)
+to x_hat_{t+1}, with y_hat_t = h(x_hat_t, u_t):
+- Luenberger: x_hat_{t+1} = f(x_hat_t, u_t) + L (y_t - y_hat_t);
+- EKF, measurement update then prediction:
+  x_hat_{t+1} = f(x_hat_t + K_t (y_t - y_hat_t), u_t).
 """
 
 from dataclasses import dataclass
@@ -89,21 +92,14 @@ def joint_output_jacobian(model: SystemModel, xhat, u):
     return np.hstack([Hx, Hw])
 
 
-def ekf_jacobians(model: SystemModel, xhat, u):
-    """Joint linearization (F, H) at one point."""
-    xhat = np.asarray(xhat, dtype=float)
-    return joint_state_jacobian(model, xhat, u), joint_output_jacobian(model, xhat, u)
-
-
 def check_joint_detectability(model: SystemModel):
     """For linear models, gate observer construction on joint PBH detectability."""
     if model.linear is None:
-        return True
+        return
     from .linear_analysis import pbh_detectable
-    F, H = ekf_jacobians(model, np.zeros(model.n_p + model.q), np.zeros(model.m))
-    if not pbh_detectable(F, H):
+    xj, u = np.zeros(model.n_p + model.q), np.zeros(model.m)
+    if not pbh_detectable(joint_state_jacobian(model, xj, u), joint_output_jacobian(model, xj, u)):
         raise DetectabilityError("joint (plant, exosystem) pair is not detectable")
-    return True
 
 
 def observer_step(state: ObserverState, u_applied, y_measured,
@@ -141,7 +137,5 @@ def observer_step(state: ObserverState, u_applied, y_measured,
 def make_observer_state(model: SystemModel, config: ObserverConfig) -> ObserverState:
     check_joint_detectability(model)
     nj = model.n_p + model.q
-    xhat0 = config.xhat0.reshape(nj)
-    if config.kind == "ekf":
-        return ObserverState(xhat=xhat0.copy(), Sigma=_SIGMA0_SCALE * np.eye(nj))
-    return ObserverState(xhat=xhat0.copy(), Sigma=None)
+    return ObserverState(xhat=config.xhat0.reshape(nj).copy(),
+                         Sigma=_SIGMA0_SCALE * np.eye(nj) if config.kind == "ekf" else None)

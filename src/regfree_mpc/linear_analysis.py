@@ -109,7 +109,6 @@ class NonresonanceEntry:
 
 @dataclass(frozen=True)
 class NonresonanceReport:
-    T: int
     entries: tuple
     passed: bool
 
@@ -125,7 +124,7 @@ def nonresonance(sys: LinearSystem, T: int) -> NonresonanceReport:
         lam = complex(np.exp(2j * np.pi * k / T))
         smin, tol = _min_singular_value(rosenbrock(sys, lam))
         entries.append(NonresonanceEntry(k=k, lam=lam, smin=smin, passed=smin > tol))
-    return NonresonanceReport(T=T, entries=tuple(entries), passed=all(e.passed for e in entries))
+    return NonresonanceReport(entries=tuple(entries), passed=all(e.passed for e in entries))
 
 
 def _pbh(A, M, stack_rows):
@@ -275,14 +274,12 @@ def sigma_metric_dare(sys: LinearSystem, Q, R) -> QuadraticCertificate:
 
 
 def gen_eig_range(M, P):
-    """(min, max) generalized eigenvalues of (M, P) with P > 0, via whitening."""
-    P = np.atleast_2d(np.asarray(P, dtype=float))
+    """(min, max) generalized eigenvalues of (M, P) with P > 0."""
+    from scipy import linalg as sla
     try:
-        L = np.linalg.cholesky(P)
+        vals = sla.eigh(M, P, eigvals_only=True)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("metric is not positive definite") from exc
-    Li = np.linalg.inv(L)
-    vals = np.linalg.eigvalsh(Li @ M @ Li.T)
     return float(vals[0]), float(vals[-1])
 
 
@@ -373,7 +370,6 @@ def smallest_observability_window(sys: LinearSystem, Q, R,
 class BoundsReport:
     gamma_s: float
     epsilon_o: float
-    gamma_Ybar: float
     alpha_N: float
     N_1: float
     nu: Optional[int] = None
@@ -414,8 +410,7 @@ def horizon_bounds(gamma_s, epsilon_o, N, nu=None, c_o=None) -> BoundsReport:
         theta = math.log(gamma_s * gamma_s * c_o / epsilon_o) / (math.log(g + 1.0) - math.log(g))
         # floored N_nu needs N_nu >= floor(theta)+1, i.e. N >= nu*(floor(theta)+2)
         N_Ybar_s = nu * (math.floor(theta) + 1) + nu - 1 if theta >= 0.0 else 2 * nu - 1
-    return BoundsReport(gamma_s=gamma_s, epsilon_o=epsilon_o,
-                        gamma_Ybar=gamma_s, alpha_N=alpha_N, N_1=N_1,
+    return BoundsReport(gamma_s=gamma_s, epsilon_o=epsilon_o, alpha_N=alpha_N, N_1=N_1,
                         nu=nu, c_o=c_o, alpha_Ns=alpha_Ns, N_Ybar_s=N_Ybar_s)
 
 
@@ -466,7 +461,6 @@ def relative_degree_and_zeros(sys: LinearSystem):
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    sys: LinearSystem
     T: int
     N: int
     regulator: RegulatorSolution
@@ -504,7 +498,7 @@ def analyze_linear(sys: LinearSystem, T: int, N: int, Q, R,
             zeros = tuple(zeros_list)
         except DegenerateSystemError:
             pass
-    return AnalysisReport(sys=sys, T=T, N=N, regulator=reg,
+    return AnalysisReport(T=T, N=N, regulator=reg,
                           residual_dynamics=r_dyn, residual_output=r_out,
                           detectable=det, stabilizable=stab, nonres=nonres,
                           augmented_detectable=verdict, augmented_predicted=predicted,

@@ -267,13 +267,8 @@ def mill_phi(x2):
     return v * (v > 0.0)
 
 
-def mill_alpha(x2, u2):
-    """Separator recycle fraction, in (0,1) for positive phi and u2."""
-    return _recycle(mill_phi(x2), u2)
-
-
 def _recycle(p, u2):
-    """mill_alpha at grinding rate p = mill_phi(x2)."""
+    """Separator recycle fraction at grinding rate p = mill_phi(x2), in (0,1) for p, u2 > 0."""
     g = p ** 0.8 * u2 ** 4
     return g / (MILL_ALPHA_C + g)
 

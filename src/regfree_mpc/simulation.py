@@ -192,19 +192,21 @@ def metrics(trace: SimTrace, spec: ScenarioSpec) -> MetricsReport:
     model = spec.model
     lo, hi = model.input_lo, model.input_hi
     viol = float(np.max(np.maximum(lo - trace.u, trace.u - hi), initial=0.0))
-    ynorm = np.linalg.norm(trace.y, axis=1)
     half = trace.steps // 2
-    # empirical finite-gain ratio: accumulated error over initial error plus noise
-    if trace.xhat is not None:
-        truth = np.hstack([trace.x, trace.w])
-        e2 = np.sum((truth - trace.xhat) ** 2, axis=1)
-        eta2 = np.sum(trace.eta ** 2, axis=1)
-    else:
-        e2 = np.zeros(trace.steps)
-        eta2 = np.zeros(trace.steps)
-    sig = np.where(np.isfinite(trace.sigma), trace.sigma, 0.0)
-    num = float(np.sum(e2 + sig))
-    den = float(sig[0] + e2[0] + np.sum(eta2))
+    # a norm or sum too large for a float reads inf
+    with np.errstate(over="ignore"):
+        ynorm = np.linalg.norm(trace.y, axis=1)
+        # empirical finite-gain ratio: accumulated error over initial error plus noise
+        if trace.xhat is not None:
+            truth = np.hstack([trace.x, trace.w])
+            e2 = np.sum((truth - trace.xhat) ** 2, axis=1)
+            eta2 = np.sum(trace.eta ** 2, axis=1)
+        else:
+            e2 = np.zeros(trace.steps)
+            eta2 = np.zeros(trace.steps)
+        sig = np.where(np.isfinite(trace.sigma), trace.sigma, 0.0)
+        num = float(np.sum(e2 + sig))
+        den = float(sig[0] + e2[0] + np.sum(eta2))
     l2 = num / den if den > 0 else float("inf")
     decay = _fit_decay(sig)
     return MetricsReport(max_constraint_violation=viol,

@@ -280,6 +280,21 @@ def test_cli_simulate_deterministic(tmp_path, capsys):
     assert err[0] == f"trace written to {out2}" and err[1].startswith("seed=0 sup|y|=")
 
 
+def test_cli_verbose_prints_metrics_without_a_regulator(tmp_path, capsys):
+    """The metrics read no regulator, so --verbose prints them for a resonant linear model too:
+    A = 0.5, B = 1, C = 1, D = -1 has a transmission zero at S = 1.5."""
+    mfile = tmp_path / "resonant.txt"
+    mfile.write_text("1 1 1 1\n0.5\n1\n1\n-1\n1\n1\n1.5\n")
+    cfg_file = tmp_path / "resonant.cfg"
+    cfg_file.write_text(f"[model]\nname = lti:{mfile}\n[mpc]\nvariant = output_only\nN = 4\n"
+                        "Q = 1\nR = 0\n[sim]\nsteps = 3\nx0 = 1\nw0 = 1\n")
+    assert cfg.parse_config(cfg_file.read_text()).regulator is None
+    out = tmp_path / "t.csv"
+    assert main(["simulate", "--config", str(cfg_file), "--out", str(out), "--verbose"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == f"trace written to {out}" and err[1].startswith("seed=0 sup|y|=")
+
+
 def test_cli_seed_override(tmp_path, capsys):
     out1 = tmp_path / "s1.csv"
     out2 = tmp_path / "s2.csv"
@@ -344,6 +359,9 @@ def test_failed_solves_are_reported_and_an_overflowing_sigma_reads_inf(tmp_path,
     col = rows[0].index("sigma")
     assert [row[col] for row in rows[1:]] == ["inf"] * 3
     assert out.err == "3 of 3 solves failed, first at t=0\n"
+    # the --verbose metrics overflow the same way: sup|y| reads inf
+    assert main(["simulate", "--config", str(cfg_file), "--verbose"]) == 0
+    assert capsys.readouterr().err.splitlines()[-1] == "seed=0 sup|y|=inf second_half=inf violation=0"
     assert main(["simulate", "--config", str(cfg_file), "--seed", "0:2",
                  "--out", str(tmp_path / "s.csv")]) == 0
     assert capsys.readouterr().err == "".join(

@@ -4,8 +4,8 @@ import pytest
 from conftest import random_linear
 from regfree_mpc.errors import ConfigError, DetectabilityError, NumericalError
 from regfree_mpc.estimation import (ObserverConfig, ObserverState,
-                                    check_joint_detectability, ekf_jacobians,
-                                    joint_output, joint_step,
+                                    check_joint_detectability, joint_output,
+                                    joint_output_jacobian, joint_state_jacobian, joint_step,
                                     make_observer_state, observer_step)
 from regfree_mpc.models import LinearSystem, SystemModel, academic_example, cement_mill
 
@@ -25,7 +25,7 @@ def test_ekf_jacobians_linear_exact(rng):
     model = sys.to_system_model()
     xj = rng.normal(size=3)
     u = rng.normal(size=1)
-    F, H = ekf_jacobians(model, xj, u)
+    F, H = joint_state_jacobian(model, xj, u), joint_output_jacobian(model, xj, u)
     F_want = np.block([[sys.A, sys.P_x], [np.zeros((1, 2)), sys.S]])
     H_want = np.hstack([sys.C, -sys.P_y])
     assert np.allclose(F, F_want)
@@ -38,7 +38,7 @@ def test_ekf_jacobians_mill_match_fd(rng):
         xj = np.concatenate([rng.uniform([100, 44, 400], [130, 56, 450]),
                              rng.uniform([100, 410], [120, 430])])
         u = rng.uniform(mill.input_lo, mill.input_hi)
-        F, H = ekf_jacobians(mill, xj, u)
+        F, H = joint_state_jacobian(mill, xj, u), joint_output_jacobian(mill, xj, u)
         h = 1e-6
         for i in range(5):
             d = np.zeros(5); d[i] = h * (1 + abs(xj[i]))
@@ -84,6 +84,8 @@ def test_observer_prediction_rejects_non_finite_state():
         state = make_observer_state(model, config)
         with pytest.raises(NumericalError):
             observer_step(state, np.array([np.nan]), np.array([1.0]), model, config)
+        with pytest.raises(NumericalError, match="non-finite measurement"):
+            observer_step(state, np.array([1.0]), np.array([np.inf]), model, config)
 
 
 def luenberger_config(sys, L, xhat0):
@@ -214,4 +216,4 @@ def test_joint_detectability_gate():
     # the same disturbance seen through the output is fine
     ok = LinearSystem(A=[[0.5]], B=[[1.0]], C=[[1.0]], D=[[0.0]],
                       P_x=[[0.0]], P_y=[[1.0]], S=[[1.0]])
-    assert check_joint_detectability(ok.to_system_model())
+    check_joint_detectability(ok.to_system_model())

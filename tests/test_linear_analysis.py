@@ -97,6 +97,8 @@ def test_nonresonance_requires_square(rng):
     sys = random_linear(rng, n=2, m=2, p=1)
     with pytest.raises(ShapeError):
         nonresonance(sys, T=1)
+    with pytest.raises(DomainError, match="period T must be >= 1"):
+        nonresonance(random_linear(rng, n=2, m=1, p=1), T=0)
 
 
 def test_nonresonance_complex_roots(rng):
@@ -358,6 +360,8 @@ def test_epsilon_o_homogeneity(academic_augmented):
     from regfree_mpc.linear_analysis import QuadraticCertificate
     half_metric = QuadraticCertificate(P=0.5 * metric.P)
     assert epsilon_o_generalized_eig(aug, Q, R, half_metric) == pytest.approx(2.0 * base, rel=1e-10)
+    with pytest.raises(NumericalError, match="metric is not positive definite"):
+        epsilon_o_generalized_eig(aug, Q, R, QuadraticCertificate(P=0.0 * metric.P))
 
 
 def test_singular_stage_cost_form_has_no_margin():
@@ -371,6 +375,8 @@ def test_observability_window_academic(academic_augmented):
     aug, Q, R, metric = academic_augmented
     with pytest.raises(ObservabilityError):
         observability_constant(aug, Q, R, metric, nu=1)
+    with pytest.raises(DomainError, match="nu must be >= 1"):
+        observability_constant(aug, Q, R, metric, nu=0)
     nu, c_o = smallest_observability_window(aug, Q, R, metric)
     assert nu == 2
     assert c_o == pytest.approx(32.8159040498, rel=1e-6)   # frozen
@@ -481,6 +487,8 @@ def test_relative_degree_degenerate():
                        P_x=np.zeros((1, 0)), P_y=np.zeros((1, 0)), S=np.zeros((0, 0)))
     with pytest.raises(DegenerateSystemError):
         relative_degree_and_zeros(sys)
+    with pytest.raises(ShapeError, match="SISO"):
+        relative_degree_and_zeros(random_linear(np.random.default_rng(0), n=2, m=2, p=2))
 
 
 def test_minimum_phase_flag(rng):

@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from regfree_mpc.errors import DomainError, ShapeError
-from regfree_mpc.models import (MILL_DT, SystemModel, _mill_ode, academic_example, cement_mill,
-                                cement_mill_regulator, load_lti,
-                                mill_alpha, mill_phi, rk4_discretize, rk4_step)
+from regfree_mpc.models import (MILL_DT, LinearSystem, SystemModel, _mill_ode, _recycle,
+                                academic_example, cement_mill, cement_mill_regulator, load_lti,
+                                mill_phi, rk4_discretize, rk4_step)
 
 
 def test_rk4_identity_vector_field():
@@ -84,7 +86,7 @@ def test_mill_phi_values_and_clamp():
 
 
 def test_mill_alpha_regression():
-    a = mill_alpha(50.0, 170.0)
+    a = _recycle(mill_phi(50.0), 170.0)
     assert 0.0 < a < 1.0
     # frozen after an independent evaluation of the recycle expression
     assert a == pytest.approx(0.7840925899157734, abs=1e-9)
@@ -97,6 +99,8 @@ def test_mill_dimensions_and_box():
     assert mill.input_hi == pytest.approx([150.0, 180.0])
     w = np.array([107.0, 423.0])
     assert mill.s(w) == pytest.approx(w)
+    with pytest.raises(DomainError, match="lo <= hi"):
+        dataclasses.replace(mill, input_lo=mill.input_hi + 1.0)
 
 
 def test_mill_regulator_is_exact_fixed_point():
@@ -218,6 +222,12 @@ def test_lti_file_errors(tmp_path):
     path.write_text("2 1 0 1\n1.0 2.0\n")
     with pytest.raises(ShapeError):
         load_lti(path)
+    path.write_text("1 1\n")
+    with pytest.raises(ShapeError, match="missing dimension header"):
+        load_lti(path)
+    with pytest.raises(ShapeError, match="B has shape"):
+        LinearSystem(A=np.eye(2), B=[[1.0]], C=[[1.0, 0.0]], D=[[0.0]],
+                     P_x=np.zeros((2, 0)), P_y=np.zeros((1, 0)), S=np.zeros((0, 0)))
 
 
 def test_linear_to_system_model_consistency(rng):

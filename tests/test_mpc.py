@@ -30,6 +30,8 @@ def test_config_validation():
         MpcConfig(variant="incremental_input", N=3, Q=np.eye(1), R=np.eye(1))
     with pytest.raises(ConfigError):
         MpcConfig(variant="output_only", N=3, Q=-np.eye(1), R=np.eye(1))
+    with pytest.raises(ConfigError, match="Q must be symmetric"):
+        MpcConfig(variant="output_only", N=3, Q=np.array([[1.0, 0.5], [0.0, 1.0]]), R=np.eye(1))
     for variant, kw, key in (("output_only", {"T": 1}, "T"),
                              ("incremental_input", {"T": 1, "d": 0}, "d")):
         with pytest.raises(ConfigError, match=f"'{key}' is read only by the") as err:
@@ -47,6 +49,9 @@ def test_assemble_requires_variant_inputs():
         assemble(model, make_cfg("input_regularized", 3), np.ones(1), np.zeros(0))
     with pytest.raises(ConfigError):
         assemble(model, make_cfg("incremental_input", 3, T=1), np.ones(1), np.zeros(0))
+    with pytest.raises(ConfigError, match="memory must hold exactly T = 2 inputs"):
+        assemble(model, make_cfg("incremental_input", 3, T=2), np.ones(1), np.zeros(0),
+                 memory=np.zeros(1))
 
 
 def test_horizon_data_are_built_once_per_config_and_read_only():
@@ -137,6 +142,8 @@ def test_rollout_is_one_array_of_the_model_steps():
     for k in range(ocp.H):
         want.append(mill.step(want[-1], u[min(k, 3)], w))
     assert np.array_equal(X, want)
+    with pytest.raises(NumericalError, match="exactly linear"):
+        ocp.dense_matrices()
 
 
 class _ConstantFeedforward:

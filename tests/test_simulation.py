@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +21,21 @@ def academic_scenario(variant, N, steps, x0=1.0, T=None, R=1.0, u_init=None):
     mpc = MpcConfig(variant=variant, N=N, Q=np.eye(1), R=R * np.eye(1), T=T)
     return ScenarioSpec(model=model, mpc=mpc, x0=[x0], w0=np.zeros(0), steps=steps,
                         regulator=solve_regulator(model.linear), u_init=u_init)
+
+
+def test_mill_loop_imports_no_scipy():
+    """Importing scipy.linalg takes about 0.4 s, as long as a mill run's whole start-up
+    without it, so the routines that use scipy import it inside their bodies."""
+    src = os.path.dirname(os.path.dirname(cfg.__file__))
+    code = ("import dataclasses, sys\n"
+            "import regfree_mpc, regfree_mpc.config as cfg\n"
+            "spec = cfg.parse_config(cfg.read_config_file('cement_mill_error_feedback'))\n"
+            "regfree_mpc.simulation.run(dataclasses.replace(spec, steps=3))\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n")
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_scenario_validation():
