@@ -2,7 +2,8 @@
 
 A model is the triple (f_p, s, h) on plant state x^p, exosystem state w and
 input u, together with an input box.  Continuous-time vector fields enter
-through one classical RK4 step per sample (`rk4_discretize`).
+through one classical RK4 step per sample (`rk4_discretize`), taken on
+Python floats at one point and on numpy rows only in the stacked Jacobian.
 """
 
 from dataclasses import dataclass
@@ -175,27 +176,45 @@ class LinearSystem:
 
 
 def rk4_step(ode, x, u, w, dt):
-    """One classical RK4 step of x' = ode(x,u,w) with u, w frozen."""
-    k1 = ode(x, u, w)
-    k2 = ode(x + 0.5 * dt * k1, u, w)
-    k3 = ode(x + 0.5 * dt * k2, u, w)
-    k4 = ode(x + dt * k3, u, w)
-    return x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    """One classical RK4 step of x' = ode(x,u,w) with u, w frozen, at one point.
+
+    The stages run on Python floats, whose IEEE arithmetic gives the bits
+    numpy float64 gives.  Where numpy reads inf or NaN but a float operation
+    raises (an overflowing `**`) or turns complex (a negative base to a
+    fractional power), every coordinate of the step is NaN.
+    """
+    x, u, w = x.tolist(), u.tolist(), w.tolist()
+    h = 0.5 * dt
+    try:
+        k1 = ode(x, u, w)
+        k2 = ode([a + h * k for a, k in zip(x, k1)], u, w)
+        k3 = ode([a + h * k for a, k in zip(x, k2)], u, w)
+        k4 = ode([a + dt * k for a, k in zip(x, k3)], u, w)
+    except ArithmeticError:
+        return np.full(len(x), np.nan)
+    out = np.array([a + dt / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                    for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)])
+    return np.full(len(x), np.nan) if out.dtype.kind == "c" else out
 
 
 def rk4_step_jacobians(ode_jac, ode, x, u, w, dt):
     """(Fx, Fu) of the RK4 map at a stack of K points, chained through the four stages.
 
-    x, u, w are (K, n), (K, m), (K, q); `ode` broadcasts over the leading
-    axis and `ode_jac` is evaluated once, on the 4K stacked stage points.
+    x, u, w are (K, n), (K, m), (K, q).  `ode` gets the stages as coordinate
+    rows of K values; `ode_jac` is evaluated once, on the 4K stacked stage
+    points.
     """
     K, n = x.shape
     I = np.eye(n)
-    k1 = ode(x, u, w)
+
+    def stage(xs):   # the coordinate-form ode on a stack, as a (K, n) array
+        return np.array(ode(xs.T, u.T, w.T)).T
+
+    k1 = stage(x)
     x2 = x + 0.5 * dt * k1
-    k2 = ode(x2, u, w)
+    k2 = stage(x2)
     x3 = x + 0.5 * dt * k2
-    k3 = ode(x3, u, w)
+    k3 = stage(x3)
     x4 = x + dt * k3
     A, B = ode_jac(np.concatenate([x, x2, x3, x4]), np.tile(u, (4, 1)), np.tile(w, (4, 1)))
     A1, A2, A3, A4 = A.reshape(4, K, n, n)
@@ -216,8 +235,10 @@ def rk4_discretize(ode, dt, *, n_p, m, q, p, h, input_lo=None, input_hi=None,
                    ode_jac=None, jac_h=None, name="rk4"):
     """SystemModel whose f_p is one RK4 step of ode, with a constant exosystem w+ = w.
 
-    `ode` and `ode_jac` take one point or a (K, ·) stack along the leading
-    axis; `jac_h`, if given, takes stacks (see `SystemModel`).
+    `ode(x, u, w)` takes coordinates and returns the n coordinates of x':
+    x[i] is a float in the point step `f_p` and a row of K values in the
+    stacked stages of `jac_f`.  `ode_jac` and `jac_h`, if given, take (K, ·)
+    stacks (see `SystemModel`).
     """
     if dt <= 0:
         raise DomainError("dt must be positive")
@@ -257,9 +278,9 @@ MILL_INPUT_LO = np.array([80.0, 165.0])
 MILL_INPUT_HI = np.array([150.0, 180.0])
 
 
-# The mill functions take a point or a (K, ·) stack: x.T[i] is coordinate i
-# of either.  The clamp v * (v > 0) works on both and, unlike np.maximum,
-# adds no call overhead to the per-point rollout.
+# The mill functions take coordinates: x[i] is a float at one point and a row
+# of K values on a stack.  The clamp v * (v > 0) works on both and, unlike
+# np.maximum, adds no call overhead to the per-point rollout.
 
 def mill_phi(x2):
     """Grinding-rate curve, clamped at zero."""
@@ -275,17 +296,14 @@ def _recycle(p, u2):
 
 # The right-hand sides are divided by MILL_SCALE: the circuit is written in
 # the singularly perturbed form diag(MILL_SCALE) x' = g(x, u).
+_S1, _S2, _S3 = MILL_SCALE.tolist()
+
 
 def _mill_ode(x, u, w):
-    xt, ut = x.T, u.T
-    x3 = xt[2]
-    p = mill_phi(xt[1])
-    a = _recycle(p, ut[1])
-    return np.array([
-        -xt[0] + (1.0 - a) * p,
-        -p + ut[0] + x3,
-        -x3 + a * p,
-    ]).T / MILL_SCALE
+    x3 = x[2]
+    p = mill_phi(x[1])
+    a = _recycle(p, u[1])
+    return [(-x[0] + (1.0 - a) * p) / _S1, (-p + u[0] + x3) / _S2, (-x3 + a * p) / _S3]
 
 
 def _mill_ode_jac(x, u, w):

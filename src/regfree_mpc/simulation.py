@@ -207,7 +207,8 @@ def metrics(trace: SimTrace, spec: ScenarioSpec) -> MetricsReport:
         sig = np.where(np.isfinite(trace.sigma), trace.sigma, 0.0)
         num = float(np.sum(e2 + sig))
         den = float(sig[0] + e2[0] + np.sum(eta2))
-    l2 = num / den if den > 0 else float("inf")
+    # an overflowed numerator reads inf, not inf / inf = NaN
+    l2 = num / den if den > 0 and np.isfinite(num) else float("inf")
     decay = _fit_decay(sig)
     return MetricsReport(max_constraint_violation=viol,
                          l2_ratio=l2,

@@ -1,8 +1,9 @@
 """Reference computations that back the acceptance tests.
 
 The i-IOSS certificate, the classical regulator feedback baseline, cold-start
-value series and the per-step decrease margins of the paper's Lyapunov
-argument.  Only tests use them, so they live beside the tests.
+value series, the per-step decrease margins of the paper's Lyapunov
+argument and an array-form RK4 step.  Only tests use them, so they live
+beside the tests.
 """
 
 import numpy as np
@@ -87,3 +88,21 @@ def decrease_check(values, sigma_series, alpha_ref, eps_o):
     sigma_series = np.asarray(sigma_series, dtype=float)
     margins = values[1:] - values[:-1] + alpha_ref * eps_o * sigma_series[:-1]
     return margins
+
+
+def rk4_step_arrays(ode, x, u, w, dt):
+    """One classical RK4 step with every stage a numpy float64 array.
+
+    The reference for the float point step of `models.rk4_step`: the same
+    operation order, with `ode`'s coordinates collected into an array.
+    """
+    def k(xs):
+        return np.array(ode(xs, u, w), dtype=float)
+
+    x = np.asarray(x, dtype=float)
+    with np.errstate(all="ignore"):     # an overflow reads inf or NaN
+        k1 = k(x)
+        k2 = k(x + 0.5 * dt * k1)
+        k3 = k(x + 0.5 * dt * k2)
+        k4 = k(x + dt * k3)
+        return x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)

@@ -2,11 +2,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from regfree_mpc.errors import DomainError, ShapeError
+from oracles import rk4_step_arrays
+from regfree_mpc.errors import DomainError, NumericalError, ShapeError
 from regfree_mpc.models import (MILL_DT, LinearSystem, SystemModel, _mill_ode, _recycle,
-                                academic_example, cement_mill, cement_mill_regulator, load_lti,
-                                mill_phi, rk4_discretize, rk4_step)
+                                academic_example, cement_mill, cement_mill_regulator,
+                                fd_jacobian, load_lti, mill_phi, rk4_discretize, rk4_step)
 
 
 def test_rk4_identity_vector_field():
@@ -17,13 +19,24 @@ def test_rk4_identity_vector_field():
 
 
 def test_rk4_linear_decay_matches_truncated_exponential():
-    model = rk4_discretize(lambda x, u, w: -x, dt=0.1, n_p=1, m=0, q=0, p=1,
+    model = rk4_discretize(lambda x, u, w: [-x[0]], dt=0.1, n_p=1, m=0, q=0, p=1,
                            h=lambda x, u, w: x)
     out = model.f_p(np.array([1.0]), np.zeros(0), np.zeros(0))
     # one RK4 step on x' = -x is the degree-4 Taylor polynomial of exp(-dt)
     expected = 1.0 - 0.1 + 0.1 ** 2 / 2 - 0.1 ** 3 / 6 + 0.1 ** 4 / 24
     assert out[0] == pytest.approx(expected, abs=1e-15)
     assert out[0] == pytest.approx(0.9048375, abs=1e-9)
+
+
+def test_rk4_point_step_reads_nan_where_floats_turn_complex():
+    """(-1.0) ** 0.5 is complex on Python floats and NaN on numpy arrays: the float step
+    reads NaN, with no warning, and the plant step raises NumericalError."""
+    model = rk4_discretize(lambda x, u, w: [-(x[0] ** 0.5)], dt=0.1, n_p=1, m=0, q=0, p=1,
+                           h=lambda x, u, w: x)
+    x, none = np.array([-1.0]), np.zeros(0)
+    assert np.isnan(model.f_p(x, none, none)).all()
+    with pytest.raises(NumericalError, match="non-finite state update"):
+        model.step(x, none, none)
 
 
 def test_rk4_rejects_nonpositive_dt():
@@ -53,6 +66,25 @@ def test_rk4_order_on_mill_model():
     e1 = np.linalg.norm(one_step(h) - reference(h))
     e2 = np.linalg.norm(one_step(h / 2.0) - reference(h / 2.0))
     assert 20.0 < e1 / e2 < 44.0
+
+
+_MILL = cement_mill()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(x=st.tuples(st.floats(-500.0, 500.0), st.floats(-100.0, 300.0), st.floats(-1e3, 2e3)),
+       u=st.tuples(st.floats(-100.0, 400.0),
+                   st.one_of(st.floats(-100.0, 400.0), st.floats(-1e100, 1e100))))
+@example(x=(110.0, -5.0, 425.0), u=(110.0, 170.0))       # phi clamps below x2 = 0
+@example(x=(110.0, 160.0, 425.0), u=(110.0, 170.0))      # and above x2 = 147.8
+@example(x=(110.0, 55.0, 425.0), u=(100.0, 1e100))       # u2 ** 4 overflows
+def test_mill_point_step_is_bitwise_the_array_form_rk4(x, u):
+    """The float point step gives, bit for bit, the RK4 step taken on float64 arrays,
+    in and beyond the operating region and on inputs outside the box (NaN where it
+    overflows)."""
+    x, u, w = np.array(x), np.array(u), np.array([110.0, 425.0])
+    want = rk4_step_arrays(_mill_ode, x, u, w, MILL_DT)
+    assert np.array_equal(_MILL.f_p(x, u, w), want, equal_nan=True)
 
 
 def test_rk4_substep_insensitivity():
@@ -164,6 +196,32 @@ def test_mill_jacobians_match_finite_differences(rng):
     pts += [(np.array([110.0, x2, 425.0]), u, w) for x2 in (-5.0, 0.0, 150.0, 160.0)]
     assert mill_phi(-5.0) == mill_phi(160.0) == 0.0
     assert_stack_matches_points(mill, pts)
+
+
+def test_stacked_rk4_jacobian_of_a_coordinate_form_ode(rng):
+    """A 2-state coordinate-form ode with its Jacobian: the stacked jacobians_f, chained
+    through the stages on coordinate rows, match central differences of the float f_p."""
+    def ode(x, u, w):
+        return [x[1], -x[0] - 0.5 * x[1] * (x[0] * x[0] - 1.0) + u[0]]
+
+    def ode_jac(x, u, w):
+        x0, x1 = x.T
+        A = np.zeros((len(x), 2, 2))
+        A[:, 0, 1] = 1.0
+        A[:, 1, 0] = -1.0 - x1 * x0
+        A[:, 1, 1] = -0.5 * (x0 * x0 - 1.0)
+        return A, np.broadcast_to([[0.0], [1.0]], (len(x), 2, 1))
+
+    model = rk4_discretize(ode, dt=0.1, n_p=2, m=1, q=0, p=1, h=lambda x, u, w: x[..., :1],
+                           ode_jac=ode_jac)
+    X, U, W = rng.normal(size=(6, 2)), rng.normal(size=(6, 1)), np.zeros((6, 0))
+    Fx, Fu, Fw = model.jacobians_f(X, U, W)
+    assert (Fx.shape, Fu.shape, Fw.shape) == ((6, 2, 2), (6, 2, 1), (6, 2, 0))
+    for k, (x, u, w) in enumerate(zip(X, U, W)):
+        np.testing.assert_allclose(Fx[k], fd_jacobian(lambda z: model.f_p(z, u, w), x),
+                                   rtol=1e-7, atol=1e-9)
+        np.testing.assert_allclose(Fu[k], fd_jacobian(lambda z: model.f_p(x, z, w), u),
+                                   rtol=1e-7, atol=1e-9)
 
 
 def assert_stack_matches_points(model, pts):

@@ -97,6 +97,21 @@ def test_rollout_to_a_non_finite_state_raises_numerical_error():
     assert sol is None and np.array_equal(u, [0.25])
 
 
+def test_overflowing_mill_step_reads_nan_and_the_rollout_names_its_state():
+    """u2 = 1e100 overflows u2 ** 4.  The mill's point step reads NaN with no RuntimeWarning
+    (the test settings make warnings errors), so the plant step and the rollout raise
+    NumericalError, the rollout's naming x_1."""
+    mill = cement_mill()
+    x0, u, w = np.array([120.0, 55.0, 450.0]), np.array([100.0, 1e100]), np.array([110.0, 425.0])
+    assert not np.isfinite(mill.f_p(x0, u, w)).any()
+    with pytest.raises(NumericalError, match="non-finite state update"):
+        mill.step(x0, u, w)
+    cfg = MpcConfig(variant="look_ahead", N=4, Q=np.eye(2), R=np.zeros((2, 2)), d=1)
+    ocp = assemble(mill, cfg, x0, w)
+    with pytest.raises(NumericalError, match="non-finite predicted state x_1 "):
+        ocp.rollout(np.tile(u, (4, 1)))
+
+
 def _scalar_model(f_p, h, jac_f, jac_h):
     """n_p = m = p = 1, q = 0, no input box; jac_f and jac_h give (d/dx, d/du) at (K, 1) stacks."""
     def stacked(jac):

@@ -144,6 +144,18 @@ def test_metrics_noiseless_run():
     assert rep.max_constraint_violation == 0.0
 
 
+def test_metrics_l2_ratio_of_an_overflowing_trace_reads_inf():
+    """From x0 = 1e308 with an observer, the error sum and its denominator both overflow
+    to inf; the ratio reads inf, not inf / inf = NaN."""
+    model = academic_example()
+    spec = ScenarioSpec(model=model, mpc=MpcConfig(variant="output_only", N=8, Q=np.eye(1),
+                                                   R=np.zeros((1, 1))),
+                        x0=[1e308], w0=np.zeros(0), steps=3,
+                        observer=ObserverConfig(kind="luenberger", xhat0=[0.0], L=[[0.5]]),
+                        regulator=solve_regulator(model.linear))
+    assert metrics(run(spec), spec).l2_ratio == np.inf
+
+
 def test_metrics_on_manifold_sigma_zero():
     mill = cement_mill()
     w = np.array([110.0, 425.0])
