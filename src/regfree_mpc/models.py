@@ -60,9 +60,9 @@ class SystemModel:
     Jacobian callables are optional; central finite differences are used
     where they are absent.  `h` takes one point or a stack of K points,
     (K, n_p), (K, m), (K, q), and returns (p,) or (K, p); `jac_f` and `jac_h`
-    take such stacks and return (K, ...) arrays.  `linear` tags
-    models that are exactly linear, enabling the closed-form reference
-    `Ocp.dense_matrices`.
+    take such stacks and return (K, ...) arrays.  `linear` tags exactly
+    linear models: their OCP keeps J_r after its first `Ocp.jacobian` call,
+    and `Ocp.dense_matrices` gives their closed-form reference.
     """
 
     n_p: int
@@ -198,13 +198,14 @@ def rk4_step(ode, x, u, w, dt):
 
 
 def rk4_step_jacobians(ode_jac, ode, x, u, w, dt):
-    """(Fx, Fu) of the RK4 map at a stack of K points, chained through the four stages.
+    """(Fx, Fu, Fw) of the RK4 map at a stack of K points, chained through the four stages.
 
     x, u, w are (K, n), (K, m), (K, q).  `ode` gets the stages as coordinate
-    rows of K values; `ode_jac` is evaluated once, on the 4K stacked stage
-    points.
+    rows of K values; `ode_jac` returns (Gx, Gu, Gw) and is evaluated once, on
+    the 4K stacked stage points.  [Gu Gw] is chained as one block.
     """
     K, n = x.shape
+    m = u.shape[1]
     I = np.eye(n)
 
     def stage(xs):   # the coordinate-form ode on a stack, as a (K, n) array
@@ -216,9 +217,9 @@ def rk4_step_jacobians(ode_jac, ode, x, u, w, dt):
     x3 = x + 0.5 * dt * k2
     k3 = stage(x3)
     x4 = x + dt * k3
-    A, B = ode_jac(np.concatenate([x, x2, x3, x4]), np.tile(u, (4, 1)), np.tile(w, (4, 1)))
-    A1, A2, A3, A4 = A.reshape(4, K, n, n)
-    B1, B2, B3, B4 = B.reshape(4, K, n, u.shape[1])
+    Gx, Gu, Gw = ode_jac(np.concatenate([x, x2, x3, x4]), np.tile(u, (4, 1)), np.tile(w, (4, 1)))
+    A1, A2, A3, A4 = Gx.reshape(4, K, n, n)
+    B1, B2, B3, B4 = np.concatenate([Gu, Gw], axis=-1).reshape(4, K, n, m + w.shape[1])
     K1x, K1u = A1, B1
     K2x = A2 @ (I + 0.5 * dt * K1x)
     K2u = A2 @ (0.5 * dt * K1u) + B2
@@ -227,8 +228,8 @@ def rk4_step_jacobians(ode_jac, ode, x, u, w, dt):
     K4x = A4 @ (I + dt * K3x)
     K4u = A4 @ (dt * K3u) + B4
     Fx = I + dt / 6.0 * (K1x + 2.0 * K2x + 2.0 * K3x + K4x)
-    Fu = dt / 6.0 * (K1u + 2.0 * K2u + 2.0 * K3u + K4u)
-    return Fx, Fu
+    Fuw = dt / 6.0 * (K1u + 2.0 * K2u + 2.0 * K3u + K4u)
+    return Fx, Fuw[..., :m], Fuw[..., m:]
 
 
 def rk4_discretize(ode, dt, *, n_p, m, q, p, h, input_lo=None, input_hi=None,
@@ -238,7 +239,7 @@ def rk4_discretize(ode, dt, *, n_p, m, q, p, h, input_lo=None, input_hi=None,
     `ode(x, u, w)` takes coordinates and returns the n coordinates of x':
     x[i] is a float in the point step `f_p` and a row of K values in the
     stacked stages of `jac_f`.  `ode_jac` and `jac_h`, if given, take (K, ·)
-    stacks (see `SystemModel`).
+    stacks (see `SystemModel`); `ode_jac` returns (Gx, Gu, Gw), as `jac_f` does.
     """
     if dt <= 0:
         raise DomainError("dt must be positive")
@@ -249,8 +250,7 @@ def rk4_discretize(ode, dt, *, n_p, m, q, p, h, input_lo=None, input_hi=None,
     jac_f = None
     if ode_jac is not None:
         def jac_f(x, u, w):
-            Fx, Fu = rk4_step_jacobians(ode_jac, ode, x, u, w, dt)
-            return Fx, Fu, np.zeros((len(x), n_p, q))
+            return rk4_step_jacobians(ode_jac, ode, x, u, w, dt)
 
     return SystemModel(n_p=n_p, m=m, q=q, p=p, f_p=f_p, s=lambda w: w, h=h,
                        input_lo=input_lo, input_hi=input_hi,
@@ -334,7 +334,7 @@ def _mill_ode_jac(x, u, w):
     Gx[..., 2, 1] = a * dp + p * da_dx2
     Gx[..., 2, 2] = -1.0
     Gu[..., 2, 1] = p * da_du2
-    return Gx / MILL_SCALE[:, None], Gu / MILL_SCALE[:, None]
+    return Gx / MILL_SCALE[:, None], Gu / MILL_SCALE[:, None], np.zeros(x.shape[:-1] + (3, 2))
 
 
 def _mill_h(x, u, w):
@@ -388,6 +388,8 @@ def load_lti(path):
     if len(tokens) < 4:
         raise ShapeError(f"{path}: missing dimension header")
     n, m, q, p = (int(t) for t in tokens[:4])
+    if min(n, m, q, p) < 0:
+        raise ShapeError(f"{path}: dimension header {n} {m} {q} {p} has a negative entry")
     vals = [float(t) for t in tokens[4:]]
     need = n * n + n * m + p * n + p * m + n * q + p * q + q * q
     if len(vals) != need:

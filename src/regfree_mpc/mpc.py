@@ -2,10 +2,11 @@
 
 All four stage-cost variants share a single-shooting parameterization in the
 physical input sequence and one residual form, J(u) = ||r(u)||^2, written once
-in `Ocp.residuals`.  Every model runs the same Gauss-Newton solver: each
-iteration minimises its model exactly over the input box with a primal
-active-set method, and a line search along the feasible segment accepts a
-trial by the model's predicted decrease.  It reports the projected-gradient
+in `Ocp.cost`, which returns J, r and the rollout that `Ocp.jacobian`
+linearises.  Every model runs the same Gauss-Newton solver: each iteration
+minimises its model exactly over the input box with a primal active-set
+method, and a line search along the feasible segment accepts a trial by the
+model's predicted decrease.  It reports the projected-gradient
 stationarity residual.  `Ocp.dense_matrices` builds the output rows of an
 exactly linear model's residual in closed form, as an independent reference.
 """
@@ -129,9 +130,7 @@ class Ocp:
         for _ in range(self.H):
             ws.append(np.asarray(model.s(ws[-1]), dtype=float))
         self.w_traj = np.array(ws)   # (H+1, q): w_0..w_H
-        self.lo = model.input_lo
-        self.hi = model.input_hi
-        self._Jr = None     # the last J_r, kept for a linear model
+        self._Jr = None     # J_r of a linear model, built on the first `jacobian` call
         N, m = self.N, self.m
         ref = ()    # ref_k of the penalty R^1/2 (u_k - ref_k) where it is not a decision variable
         if config.variant == "input_regularized":
@@ -170,33 +169,36 @@ class Ocp:
         """Outputs y_0..y_{H-1} along the rollout xs as (H, p), from one stacked h call."""
         return self.model.h(np.asarray(xs[:self.H]), useq[self._j], self.w_traj[:self.H])
 
-    def residuals(self, useq, xs=None, jac=True):
-        """Stacked residual r(u) with J(u) = r @ r, its Jacobian J_r and the rollout.
+    def cost(self, useq):
+        """J(u) = r @ r, the stacked residual r(u) and the rollout xs, as (J, r, xs).
 
         r holds sqrt(w_k) Q^1/2 y_k for every output with weight w_k > 0
         (look_ahead counts the overlap of its two windows twice), then the
-        variant's input penalty E vec(u) - c.  h and the Jacobians of f and h
-        are each evaluated once on the stacked rollout.  J_r is read-only.  A
-        model tagged linear has constant Jacobians, so its J_r is built on the
-        first pass and returned as it is on every later one; any other model's
-        is rebuilt on every pass.  J_r is None unless jac.
+        variant's input penalty E vec(u) - c.  One rollout, one stacked h call.
         """
         useq = np.asarray(useq, dtype=float).reshape(self.N, self.m)
-        if xs is None:
-            xs = self.rollout(useq)
-        H, k = self.H, self._out
-        X = xs[:H]
-        Y = self.outputs(useq, X)
+        xs = self.rollout(useq)
+        k = self._out
+        Y = self.outputs(useq, xs)
         r = np.concatenate([((Y[k] @ self._Qh.T) * self._sw[k, None]).ravel(),
                             self.E @ useq.ravel() - self.c])
-        if not jac:
-            return r, None, xs
-        if self._Jr is None or self.model.linear is None:
-            U = useq[self._j]
-            Hx, Hu, _ = self.model.jacobians_h(X, U, self.w_traj[:H])
-            Fx, Fu, _ = self.model.jacobians_f(X[:H - 1], U[:H - 1], self.w_traj[:H - 1])
-            self._Jr = self._residual_jacobian(Fx, Fu, Hx, Hu)
-        return r, self._Jr, xs
+        return _squared_norm(r), r, xs
+
+    def jacobian(self, useq, xs):
+        """Read-only J_r at u along its rollout xs, from one stacked call each of
+        the Jacobians of f and h.  A model tagged linear has constant Jacobians:
+        its J_r is built on the first call and kept.  Any other model's is not.
+        """
+        if self._Jr is not None:
+            return self._Jr
+        H, W = self.H, self.w_traj
+        X, U = xs[:H], np.reshape(useq, (self.N, self.m))[self._j]
+        Hx, Hu, _ = self.model.jacobians_h(X, U, W[:H])
+        Fx, Fu, _ = self.model.jacobians_f(X[:H - 1], U[:H - 1], W[:H - 1])
+        Jr = self._residual_jacobian(Fx, Fu, Hx, Hu)
+        if self.model.linear is not None:
+            self._Jr = Jr
+        return Jr
 
     def _residual_jacobian(self, Fx, Fu, Hx, Hu):
         """J_r from the stacked Jacobians: a forward pass carries the sensitivity
@@ -212,10 +214,6 @@ class Ocp:
         Jr = np.vstack([rows.reshape(-1, N * m), self.E])
         Jr.flags.writeable = False
         return Jr
-
-    def cost(self, useq):
-        r, _, xs = self.residuals(useq, jac=False)
-        return _squared_norm(r), xs
 
     # -- closed-form reference for linear models ---------------------------
 
@@ -294,12 +292,13 @@ def solve(ocp: Ocp, warm_start=None) -> OcpSolution:
     least 1e-4 times the model's predicted decrease
     pred(t) = -(2t r'J_r d + t^2 ||J_r d||^2), less a round-off allowance of
     1e-14 max(1, |J|); a trial whose rollout or cost is not finite is
-    rejected.  t is halved only while the trial still moves u,
-    t ||d||_inf > 1e-13 max(1, ||u||_inf).  The solve ends when the
-    projected-gradient residual meets the tolerance after at least one step,
-    after 200 iterations, or when no trial that moves u is accepted, so a
-    stationary start whose exact step would not move u ends at once.
-    `converged` is judged at the returned iterate.
+    rejected, and an accepted one's (J, r, rollout) from `Ocp.cost` is the
+    next iterate as it stands, so each point is evaluated once.  t is halved
+    only while the trial still moves u, t ||d||_inf > 1e-13 max(1, ||u||_inf).
+    The solve ends when the projected-gradient residual meets the tolerance
+    after at least one step, after 200 iterations, or when no trial that
+    moves u is accepted, so a stationary start whose exact step would not
+    move u ends at once.  `converged` is judged at the returned iterate.
 
     The minimiser is canonical: trailing input blocks whose J_r columns are
     all zero take the value of the last block the cost sees, unless that
@@ -309,19 +308,18 @@ def solve(ocp: Ocp, warm_start=None) -> OcpSolution:
     """
     tol = ocp.config.solver.gradient_tolerance
     N, m = ocp.N, ocp.m
-    lo = np.tile(ocp.lo, N)
-    hi = np.tile(ocp.hi, N)
-
+    box = ocp.model.input_lo, ocp.model.input_hi
+    lo, hi = (np.tile(b, N) for b in box)
     if warm_start is None:
-        u0 = np.tile(_box_centre(ocp.lo, ocp.hi), (N, 1))
+        u0 = np.tile(_box_centre(*box), (N, 1))
     else:
         u0 = np.asarray(warm_start, dtype=float).reshape(N, m)
 
     u = np.clip(u0.ravel(), lo, hi)
-    r, Jr, xs = ocp.residuals(u)
-    J = _squared_norm(r)
+    J, r, xs = ocp.cost(u)
     it = 0
     while True:
+        Jr = ocp.jacobian(u, xs)
         g = 2.0 * (Jr.T @ r)
         stat = _stationarity(u, g, lo, hi)
         if (it > 0 and stat <= tol) or it >= _MAX_ITERATIONS:
@@ -336,7 +334,7 @@ def solve(ocp: Ocp, warm_start=None) -> OcpSolution:
             # u + t d lies in the box; the clip only removes round-off
             un = np.clip(u + t * d, lo, hi)
             try:
-                Jn, xsn = ocp.cost(un)
+                Jn, rn, xsn = ocp.cost(un)
             except NumericalError:
                 Jn = np.inf     # a trial that cannot be evaluated is rejected
             if J - Jn >= -_ARMIJO_SLOPE * t * (slope + t * curv) - allowance:
@@ -344,15 +342,14 @@ def solve(ocp: Ocp, warm_start=None) -> OcpSolution:
             t *= _ARMIJO_SHRINK
         else:
             break   # no trial that moves u is accepted
-        u, J = un, Jn
-        r, Jr, xs = ocp.residuals(u, xsn)
+        u, J, r, xs = un, Jn, rn, xsn
         it += 1
     seen = np.flatnonzero(np.any(Jr, axis=0).reshape(N, m).any(axis=1))
     if seen.size and seen[-1] < N - 1:
         tail = u.reshape(N, m).copy()
         tail[seen[-1] + 1:] = tail[seen[-1]]
         if not np.array_equal(tail.ravel(), u):     # else (J, xs) already belong to it
-            Jt, xst = ocp.cost(tail)
+            Jt, _, xst = ocp.cost(tail)
             if Jt <= J:     # a zero column at one point need not mean the cost never sees it
                 u, J, xs = tail, Jt, xst
     return OcpSolution(u_opt=u.reshape(N, m), x_pred=xs[:N + 1], value=J,

@@ -244,6 +244,7 @@ def test_acceptance_9_error_feedback_robustness():
 
 
 def test_acceptance_10_solver_correctness(rng):
+    from test_mpc import residual_and_jacobian
     t0 = time.perf_counter()
     mill = cement_mill()
     academic = academic_example()
@@ -265,7 +266,7 @@ def test_acceptance_10_solver_correctness(rng):
         for _ in range(50):
             w0, useq, x0 = make()
             ocp = assemble(model, cfg_m, x0, w0, memory=mem)
-            r, Jr, _ = ocp.residuals(useq)
+            r, Jr, _ = residual_and_jacobian(ocp, useq)
             g = (2.0 * Jr.T @ r).reshape(useq.shape)
             gfd = np.zeros_like(g)
             h = 1e-5
@@ -306,7 +307,7 @@ def test_acceptance_10_solver_correctness(rng):
             sol = solve(ocp)
         else:
             warm = np.vstack([prev.u_opt[1:], prev.u_opt[-1:]])
-            J_warm, _ = ocp.cost(warm)
+            J_warm, _, _ = ocp.cost(warm)
             sol = solve(ocp, warm_start=warm)
             assert sol.value <= J_warm * (1.0 + 1e-12) + 1e-15
         prev = sol

@@ -199,29 +199,35 @@ def test_mill_jacobians_match_finite_differences(rng):
 
 
 def test_stacked_rk4_jacobian_of_a_coordinate_form_ode(rng):
-    """A 2-state coordinate-form ode with its Jacobian: the stacked jacobians_f, chained
-    through the stages on coordinate rows, match central differences of the float f_p."""
+    """A 2-state coordinate-form ode that reads w, with its three-block Jacobian: the stacked
+    jacobians_f, chained through the stages on coordinate rows, match central differences
+    of the float f_p in x, u and w."""
     def ode(x, u, w):
-        return [x[1], -x[0] - 0.5 * x[1] * (x[0] * x[0] - 1.0) + u[0]]
+        return [x[1], -x[0] - 0.5 * x[1] * (x[0] * x[0] - 1.0) + u[0] + w[0] * x[0]]
 
     def ode_jac(x, u, w):
         x0, x1 = x.T
         A = np.zeros((len(x), 2, 2))
         A[:, 0, 1] = 1.0
-        A[:, 1, 0] = -1.0 - x1 * x0
+        A[:, 1, 0] = -1.0 - x1 * x0 + w[:, 0]
         A[:, 1, 1] = -0.5 * (x0 * x0 - 1.0)
-        return A, np.broadcast_to([[0.0], [1.0]], (len(x), 2, 1))
+        Gw = np.zeros((len(x), 2, 1))
+        Gw[:, 1, 0] = x0
+        return A, np.broadcast_to([[0.0], [1.0]], (len(x), 2, 1)), Gw
 
-    model = rk4_discretize(ode, dt=0.1, n_p=2, m=1, q=0, p=1, h=lambda x, u, w: x[..., :1],
+    model = rk4_discretize(ode, dt=0.1, n_p=2, m=1, q=1, p=1, h=lambda x, u, w: x[..., :1],
                            ode_jac=ode_jac)
-    X, U, W = rng.normal(size=(6, 2)), rng.normal(size=(6, 1)), np.zeros((6, 0))
+    X, U, W = rng.normal(size=(6, 2)), rng.normal(size=(6, 1)), rng.normal(size=(6, 1))
     Fx, Fu, Fw = model.jacobians_f(X, U, W)
-    assert (Fx.shape, Fu.shape, Fw.shape) == ((6, 2, 2), (6, 2, 1), (6, 2, 0))
+    assert (Fx.shape, Fu.shape, Fw.shape) == ((6, 2, 2), (6, 2, 1), (6, 2, 1))
     for k, (x, u, w) in enumerate(zip(X, U, W)):
         np.testing.assert_allclose(Fx[k], fd_jacobian(lambda z: model.f_p(z, u, w), x),
                                    rtol=1e-7, atol=1e-9)
         np.testing.assert_allclose(Fu[k], fd_jacobian(lambda z: model.f_p(x, z, w), u),
                                    rtol=1e-7, atol=1e-9)
+        np.testing.assert_allclose(Fw[k], fd_jacobian(lambda z: model.f_p(x, u, z), w),
+                                   rtol=1e-7, atol=1e-9)
+        assert np.abs(Fw[k]).max() > 1e-3
 
 
 def assert_stack_matches_points(model, pts):
@@ -283,6 +289,10 @@ def test_lti_file_errors(tmp_path):
     path.write_text("1 1\n")
     with pytest.raises(ShapeError, match="missing dimension header"):
         load_lti(path)
+    for text in ("1 -1 1 1\n0.5 0.7 0.9\n", "-1 1 0 1\n"):
+        path.write_text(text)
+        with pytest.raises(ShapeError, match="dimension header .* has a negative entry"):
+            load_lti(path)
     with pytest.raises(ShapeError, match="B has shape"):
         LinearSystem(A=np.eye(2), B=[[1.0]], C=[[1.0, 0.0]], D=[[0.0]],
                      P_x=np.zeros((2, 0)), P_y=np.zeros((1, 0)), S=np.zeros((0, 0)))

@@ -6,17 +6,24 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_linear
-from regfree_mpc import blas, mpc
+from regfree_mpc import blas, config, models, mpc
 from regfree_mpc.errors import ConfigError, DomainError, NumericalError, ShapeError
 from regfree_mpc.linear_analysis import RegulatorSolution, solve_regulator
 from regfree_mpc.models import (LinearSystem, SystemModel, academic_example, cement_mill,
                                cement_mill_regulator)
 from regfree_mpc.mpc import (VARIANTS, MpcConfig, MpcController, SolverSettings,
                              assemble, solve)
+from regfree_mpc.simulation import run
 
 
 def make_cfg(variant, N, p=1, m=1, **kw):
     return MpcConfig(variant=variant, N=N, Q=np.eye(p), R=np.eye(m), **kw)
+
+
+def residual_and_jacobian(ocp, u):
+    """(r, J_r, xs) at u from the OCP's two evaluator calls."""
+    _, r, xs = ocp.cost(u)
+    return r, ocp.jacobian(u, xs), xs
 
 
 def test_config_validation():
@@ -89,7 +96,7 @@ def test_rollout_to_a_non_finite_state_raises_numerical_error():
                          P_y=np.zeros((1, 0)), S=np.zeros((0, 0))).to_system_model()
     cfg = make_cfg("output_only", 4)
     ocp = assemble(model, cfg, np.array([1.0]), np.zeros(0))
-    for evaluate in (ocp.rollout, ocp.cost, ocp.residuals, lambda u: solve(ocp, warm_start=u)):
+    for evaluate in (ocp.rollout, ocp.cost, lambda u: solve(ocp, warm_start=u)):
         with pytest.raises(NumericalError, match="x_3"):
             evaluate(np.zeros((4, 1)))
     ctrl = MpcController(model, cfg, initial_input=np.array([0.25]))
@@ -207,7 +214,7 @@ def test_cost_matches_hand_expansion(variant, m):
 
     for seq in seqs:
         u0, u1, u2 = useq = np.reshape(seq, (3, m))
-        J, _ = ocp.cost(useq)
+        J, _, _ = ocp.cost(useq)
         x2 = 0.25 * x0 + 0.5 * B @ u0 + B @ u1
         y = (x0 - u0, 0.5 * x0 + B @ u0 - u1, x2 - u2, 0.5 * x2 + B @ u2 - u2)
         want = sum(float(v @ v) for v in y[:3])
@@ -237,7 +244,7 @@ def test_residuals_match_dense_reference(rng, variant):
                    memory=memory, regulator=reg)
     A, b = ocp.dense_matrices()
     u = rng.normal(size=(4, 2))
-    r, Jr, _ = ocp.residuals(u)
+    r, Jr, _ = residual_and_jacobian(ocp, u)
     assert np.allclose(Jr, A, rtol=1e-12, atol=1e-12)
     assert np.allclose(r, A @ u.ravel() - b, rtol=1e-12, atol=1e-12)
 
@@ -269,7 +276,7 @@ def test_residuals_match_dense_reference_on_random_systems(seed, variant, n, m, 
                    rng.normal(size=q), memory=memory, regulator=reg)
     A, b = ocp.dense_matrices()
     u = rng.uniform(lo, hi, size=(N, m))
-    r, Jr, _ = ocp.residuals(u)
+    r, Jr, _ = residual_and_jacobian(ocp, u)
     assert np.allclose(Jr, A, rtol=1e-12, atol=1e-12)
     assert np.allclose(r, A @ u.ravel() - b, rtol=1e-12, atol=1e-12)
 
@@ -277,11 +284,11 @@ def test_residuals_match_dense_reference_on_random_systems(seed, variant, n, m, 
 def test_output_only_gradient_matches_hand_expansion():
     model = academic_example()
     ocp = assemble(model, make_cfg("output_only", 2), np.array([0.0]), np.zeros(0))
-    r, Jr, _ = ocp.residuals(np.zeros((2, 1)))
+    r, Jr, _ = residual_and_jacobian(ocp, np.zeros((2, 1)))
     g = 2.0 * Jr.T @ r
     # J = u0^2 + (u0 - u1)^2 at x0 = 0: grad = (2u0 + 2(u0-u1), -2(u0-u1)) = 0
     assert np.allclose(g, 0.0)
-    r, Jr, _ = ocp.residuals(np.array([[1.0], [0.0]]))
+    r, Jr, _ = residual_and_jacobian(ocp, np.array([[1.0], [0.0]]))
     g = 2.0 * Jr.T @ r
     assert np.allclose(g.ravel(), [2 * (1.0 - 0.0) * (-1) * (-1) + 2 * 1.0, -2.0])
 
@@ -336,15 +343,15 @@ def test_gradient_matches_finite_differences(rng):
                 x0 = rng.normal(size=1)
                 useq = rng.normal(size=(cfg.N, 1))
             ocp = assemble(model, cfg, x0, w0, memory=memory, regulator=reg)
-            r, Jr, _ = ocp.residuals(useq)
+            r, Jr, _ = residual_and_jacobian(ocp, useq)
             g = (2.0 * Jr.T @ r).reshape(cfg.N, model.m)
             gfd = np.zeros_like(g)
             h = 1e-5
             for k in range(cfg.N):
                 for j in range(model.m):
                     d = np.zeros_like(useq); d[k, j] = h
-                    Jp, _ = ocp.cost(useq + d)
-                    Jm, _ = ocp.cost(useq - d)
+                    Jp, _, _ = ocp.cost(useq + d)
+                    Jm, _, _ = ocp.cost(useq - d)
                     gfd[k, j] = (Jp - Jm) / (2 * h)
             scale = max(1.0, float(np.max(np.abs(gfd))))
             worst = max(worst, float(np.max(np.abs(g - gfd))) / scale)
@@ -353,7 +360,7 @@ def test_gradient_matches_finite_differences(rng):
 
 @pytest.mark.parametrize("variant,N", [("incremental_input", 48), ("output_only", 1)])
 def test_residuals_linearise_the_horizon_in_one_stacked_call(monkeypatch, variant, N):
-    """One residual pass makes one jacobians_f and one jacobians_h call, equal to the per-point ones.
+    """One linearisation makes one jacobians_f and one jacobians_h call, equal to the per-point ones.
 
     At N = 1 without look-ahead the rollout has one step, so the f stack is empty.
     """
@@ -370,7 +377,7 @@ def test_residuals_linearise_the_horizon_in_one_stacked_call(monkeypatch, varian
     cfg = MpcConfig(variant=variant, N=N, Q=np.eye(2), R=1e-2 * np.eye(2),
                     T=1 if variant == "incremental_input" else None)
     ocp = assemble(mill, cfg, x_ref + np.array([2.0, 1.0, 3.0]), w, memory=u_ref)
-    ocp.residuals(np.tile(u_ref, (N, 1)) + np.linspace(-3.0, 3.0, 2 * N).reshape(N, 2))
+    residual_and_jacobian(ocp, np.tile(u_ref, (N, 1)) + np.linspace(-3.0, 3.0, 2 * N).reshape(N, 2))
     assert [len(c) for c in calls.values()] == [1, 1]
     (fargs, fout, forig), = calls["jacobians_f"]
     (hargs, hout, horig), = calls["jacobians_h"]
@@ -397,8 +404,8 @@ def test_residual_jacobian_is_rebuilt_whenever_the_linearisation_moves():
     u2 = u1 + np.linspace(-3.0, 3.0, 12).reshape(6, 2)
     seen = []
     for u in (u1, u2, u1, u2):
-        _, Jr, _ = ocp.residuals(u)
-        _, want, _ = fresh().residuals(u)
+        _, Jr, _ = residual_and_jacobian(ocp, u)
+        _, want, _ = residual_and_jacobian(fresh(), u)
         assert Jr.tobytes() == want.tobytes()
         assert not Jr.flags.writeable
         seen.append(Jr)
@@ -412,14 +419,88 @@ def test_residual_jacobian_of_a_linear_model_is_built_once(rng):
     model = sys.to_system_model(input_lo=-0.2 * np.ones(2), input_hi=0.2 * np.ones(2))
     cfg = make_cfg("incremental_input", 12, p=2, m=2, T=1)
     ocp = assemble(model, cfg, 5.0 * rng.normal(size=4), np.zeros(0), memory=np.zeros(2))
-    _, first, _ = ocp.residuals(np.zeros((12, 2)))
-    _, second, _ = ocp.residuals(rng.uniform(-0.2, 0.2, (12, 2)))
+    _, first, _ = residual_and_jacobian(ocp, np.zeros((12, 2)))
+    _, second, _ = residual_and_jacobian(ocp, rng.uniform(-0.2, 0.2, (12, 2)))
     assert second is first
     builds, orig = [], ocp._residual_jacobian
     ocp = assemble(model, cfg, ocp.x0, np.zeros(0), memory=np.zeros(2))
     ocp._residual_jacobian = lambda *a: builds.append(1) or orig.__func__(ocp, *a)
     sol = solve(ocp)
     assert sol.iterations >= 1 and builds == [1]
+
+
+def test_each_rollout_makes_one_stacked_h_call(monkeypatch):
+    """The solver evaluates every point once: a cold mill solve and a short nominal run call
+    the stacked h exactly once per rollout, and linearise once per iterate."""
+    counts = {"rollout": 0, "h": 0, "jacobians_f": 0, "iterates": 0}
+    h, rollout, jac_f, solve_ = models._mill_h, mpc.Ocp.rollout, SystemModel.jacobians_f, mpc.solve
+
+    def count(key, n=1):
+        counts[key] += n
+
+    monkeypatch.setattr(models, "_mill_h", lambda x, u, w: count("h", np.ndim(x) == 2) or h(x, u, w))
+    monkeypatch.setattr(mpc.Ocp, "rollout", lambda self, u: count("rollout") or rollout(self, u))
+    monkeypatch.setattr(SystemModel, "jacobians_f",
+                        lambda self, x, u, w: count("jacobians_f", np.ndim(x) == 2) or jac_f(self, x, u, w))
+
+    def solve(ocp, warm_start=None):
+        sol = solve_(ocp, warm_start=warm_start)
+        count("iterates", sol.iterations + 1)
+        return sol
+
+    monkeypatch.setattr(mpc, "solve", solve)
+    w = np.array([110.0, 425.0])
+    cfg = MpcConfig(variant="incremental_input", N=6, Q=np.eye(2), R=1e-2 * np.eye(2), T=1)
+    sol = mpc.solve(assemble(cement_mill(), cfg, np.array([120.0, 55.0, 450.0]), w,
+                             memory=np.array([115.0, 172.5])))
+    assert sol.iterations >= 2
+    assert counts["h"] == counts["rollout"] > sol.iterations
+    assert counts["jacobians_f"] == counts["iterates"] == sol.iterations + 1
+    spec = config.parse_config(config.read_config_file("cement_mill_nominal"))
+    run(dataclasses.replace(spec, steps=10))
+    assert counts["h"] == counts["rollout"] >= counts["iterates"] >= sol.iterations + 11
+    assert counts["jacobians_f"] == counts["iterates"]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), variant=st.sampled_from(VARIANTS),
+       n=st.integers(1, 4), m=st.integers(1, 3), p=st.integers(1, 3), q=st.integers(0, 2),
+       N=st.integers(1, 6), extra=st.integers(0, 2), box=st.floats(0.05, 3.0))
+def test_solver_invariants_on_random_systems(seed, variant, n, m, p, q, N, extra, box):
+    """Property over random LTI systems, boxes and every variant: each point the solver hands
+    to Ocp.cost lies in the box, the returned value, predicted states and KKT residual are those
+    of a fresh Ocp.cost and Ocp.jacobian at u_opt bit for bit, and a re-solve warm-started at
+    u_opt does not raise the value beyond the line search's round-off allowance,
+    1e-14 max(1, |J|) per accepted step.
+
+    `extra` is d for look_ahead and T - 1 for incremental_input.  The warm start is drawn
+    around the box, so it is often projected.
+    """
+    rng = np.random.default_rng(seed)
+    sys = random_linear(rng, n=n, m=m, p=p, q=q, T=2, spectral=1.1)
+    lo, hi = -box * rng.uniform(0.1, 1.0, m), box * rng.uniform(0.1, 1.0, m)
+    kw, memory, reg = {}, None, None
+    if variant == "look_ahead":
+        kw["d"] = extra
+    elif variant == "incremental_input":
+        kw["T"] = extra + 1
+        memory = rng.normal(size=(extra + 1) * m)
+    elif variant == "input_regularized":
+        reg = RegulatorSolution(Pi=rng.normal(size=(n, q)), Gamma=rng.normal(size=(m, q)))
+    cfg = MpcConfig(variant=variant, N=N, Q=np.diag(rng.uniform(0.1, 2.0, p)),
+                    R=np.diag(rng.uniform(0.0, 1.0, m)), **kw)
+    ocp = assemble(sys.to_system_model(input_lo=lo, input_hi=hi), cfg, 3.0 * rng.normal(size=n),
+                   rng.normal(size=q), memory=memory, regulator=reg)
+    seen, cost = [], ocp.cost
+    ocp.cost = lambda u: seen.append(np.ravel(u).copy()) or cost(u)
+    sol = solve(ocp, warm_start=rng.uniform(2.0 * lo, 2.0 * hi, size=(N, m)))
+    assert seen and all(np.all((lo <= u.reshape(N, m)) & (u.reshape(N, m) <= hi)) for u in seen)
+    J, r, xs = cost(sol.u_opt)
+    assert sol.value == J and np.array_equal(sol.x_pred, xs[:N + 1])
+    u, g = sol.u_opt.ravel(), 2.0 * (ocp.jacobian(sol.u_opt, xs).T @ r)
+    assert sol.kkt_residual == np.max(np.abs(u - np.clip(u - g, np.tile(lo, N), np.tile(hi, N))))
+    again = solve(ocp, warm_start=sol.u_opt)    # each accepted step may rise by its allowance
+    assert again.value <= sol.value + max(1, again.iterations) * 1e-14 * max(1.0, sol.value)
 
 
 @pytest.mark.parametrize("plant,variant,N,kw", [
@@ -430,7 +511,7 @@ def test_residual_jacobian_of_a_linear_model_is_built_once(rng):
     ("academic", "look_ahead", 2, {"d": 3}),      # output weights 1 and 0
 ])
 def test_residuals_evaluate_outputs_in_one_stacked_call(plant, variant, N, kw):
-    """Ocp.residuals and Ocp.cost each call h once, on the (H, ·) stacks of the rollout.
+    """Ocp.cost, alone or with Ocp.jacobian, calls h once, on the (H, ·) stacks of the rollout.
 
     Every row of that call equals h at the single point, bitwise.
     """
@@ -453,7 +534,7 @@ def test_residuals_evaluate_outputs_in_one_stacked_call(plant, variant, N, kw):
     model = dataclasses.replace(base, h=recorded)
     cfg = MpcConfig(variant=variant, N=N, Q=np.eye(p), R=1e-2 * np.eye(base.m), **kw)
     ocp = assemble(model, cfg, x0, w, memory=u[0] if variant == "incremental_input" else None)
-    for evaluate in (ocp.residuals, ocp.cost):
+    for evaluate in (lambda u: residual_and_jacobian(ocp, u), ocp.cost):
         calls.clear()
         evaluate(u)
         (args, out), = calls
@@ -461,7 +542,7 @@ def test_residuals_evaluate_outputs_in_one_stacked_call(plant, variant, N, kw):
         assert out.shape == (ocp.H, p)
         for k, pt in enumerate(zip(*args)):
             assert np.array_equal(out[k], base.h(*pt))
-    r, _, _ = ocp.residuals(u)
+    _, r, _ = ocp.cost(u)
     assert r.size == p * ocp._out.size + ocp.E.shape[0]
 
 
@@ -471,7 +552,7 @@ def test_gradient_zero_at_unconstrained_optimum(rng):
     cfg = make_cfg("incremental_input", 6, T=1)
     ocp = assemble(model, cfg, rng.normal(size=2), np.zeros(0), memory=np.zeros(1))
     sol = solve(ocp)
-    r, Jr, _ = ocp.residuals(sol.u_opt)
+    r, Jr, _ = residual_and_jacobian(ocp, sol.u_opt)
     g = 2.0 * Jr.T @ r
     assert np.max(np.abs(g)) < 1e-7
 
@@ -526,7 +607,7 @@ def test_solution_invariants_box_and_value(rng):
     for k in range(cfg.N):
         xs.append(mill.f_p(xs[-1], sol.u_opt[k], w))
     assert np.max(np.abs(np.array(xs) - sol.x_pred)) < 1e-10
-    J, _ = ocp.cost(sol.u_opt)
+    J, _, _ = ocp.cost(sol.u_opt)
     assert sol.value == pytest.approx(J, rel=1e-10)
 
 
@@ -572,7 +653,7 @@ def test_canonical_tail_reuses_the_cost_of_an_unchanged_tail(monkeypatch):
     first = solve(ocp, warm_start=np.tile([115.0, 172.5], (cfg.N, 1)))
     assert np.array_equal(first.u_opt[-1], first.u_opt[-2])
     seen, orig = [], ocp.cost
-    monkeypatch.setattr(ocp, "cost", lambda u, xs=None: seen.append(np.ravel(u).copy()) or orig(u, xs))
+    monkeypatch.setattr(ocp, "cost", lambda u: seen.append(np.ravel(u).copy()) or orig(u))
     sol = solve(ocp, warm_start=first.u_opt)
     assert sum(np.array_equal(u, sol.u_opt.ravel()) for u in seen) <= 1
     assert sol.value == orig(sol.u_opt)[0]
@@ -596,7 +677,7 @@ def test_solve_runs_numpy_blas_on_one_thread_and_restores_the_count(monkeypatch)
             solve(ocp)
             assert get() == 1       # an inner extent leaves the outer one's count alone
         assert get() == 2
-        monkeypatch.setattr(ocp, "residuals", lambda *a, **k: 1 / 0)
+        monkeypatch.setattr(ocp, "cost", lambda *a, **k: 1 / 0)
         with pytest.raises(ZeroDivisionError):
             solve(ocp)
         assert get() == 2
@@ -787,7 +868,7 @@ def test_warm_start_resolve_never_increases_value(rng):
             sol = solve(ocp)
         else:
             warm = np.vstack([prev.u_opt[1:], prev.u_opt[-1:]])
-            J_warm, _ = ocp.cost(warm)
+            J_warm, _, _ = ocp.cost(warm)
             sol = solve(ocp, warm_start=warm)
             assert sol.value <= J_warm + 1e-12 * max(1.0, J_warm)
         prev = sol
@@ -884,7 +965,7 @@ def test_look_ahead_extension_and_degenerate_minimum(rng):
     ocp = assemble(model, cfg, x0, np.zeros(0))
     sol = solve(ocp)
     # J includes y_k and y_{k+d+1}; hand-check against direct evaluation
-    J, xs = ocp.cost(sol.u_opt)
+    J, _, xs = ocp.cost(sol.u_opt)
     ys = ocp.outputs(sol.u_opt, xs)
     want = sum(float(y @ y) for y in ys[:4]) + sum(float(ys[k + 2] @ ys[k + 2]) for k in range(4))
     assert J == pytest.approx(want, rel=1e-12)
