@@ -61,8 +61,9 @@ class SystemModel:
     where they are absent.  `h` takes one point or a stack of K points,
     (K, n_p), (K, m), (K, q), and returns (p,) or (K, p); `jac_f` and `jac_h`
     take such stacks and return (K, ...) arrays.  `linear` tags exactly
-    linear models: their OCP keeps J_r after its first `Ocp.jacobian` call,
-    and `Ocp.dense_matrices` gives their closed-form reference.
+    linear models, whose matrices are treated as constant: the OCP's J_r and
+    GN Hessian are built once per (linear, MpcConfig) and kept on the config.
+    `Ocp.dense_matrices` gives their closed-form reference.
     """
 
     n_p: int

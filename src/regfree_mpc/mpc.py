@@ -7,8 +7,8 @@ linearises.  Every model runs the same Gauss-Newton solver: each iteration
 minimises its model exactly over the input box with a primal active-set
 method, and a line search along the feasible segment accepts a trial by the
 model's predicted decrease.  It reports the projected-gradient
-stationarity residual.  `Ocp.dense_matrices` builds the output rows of an
-exactly linear model's residual in closed form, as an independent reference.
+stationarity residual.  An exactly linear model's J_r and GN Hessian are built
+once per (model, config); `Ocp.dense_matrices` gives its residual in closed form.
 """
 
 from dataclasses import dataclass, field
@@ -58,6 +58,8 @@ class MpcConfig:
         for name, M in (("Q", Q), ("R", R)):
             if M.size == 0:
                 raise ConfigError(f"{name} must be non-empty", key=name)
+            if not np.isfinite(M).all():
+                raise ConfigError(f"{name} must be finite", key=name)
             if not np.allclose(M, M.T):
                 raise ConfigError(f"{name} must be symmetric", key=name)
             if np.linalg.eigvalsh(M)[0] < -1e-12 * max(1.0, np.linalg.norm(M)):
@@ -77,10 +79,11 @@ class MpcConfig:
     def horizon(self):
         """Read-only data of every Ocp of this config, built once: (H, j, sw, out, Q^1/2, R^1/2, E).
 
-        The rollout length H (look_ahead needs d+1 extra outputs), the input
-        block j_k of step k, sqrt(w_k) of each output weight (look_ahead counts
-        y_{d+1}..y_{N-1}, where its two windows overlap, twice), the steps with
-        w_k > 0, and the map E of the input penalty E vec(u) - c.
+        The rollout length H (look_ahead needs d+1 extra outputs), the input block j_k of step
+        k, sqrt(w_k) of each output weight (look_ahead counts y_{d+1}..y_{N-1}, where its two
+        windows overlap, twice), the steps with w_k > 0, and the map E of the input penalty
+        E vec(u) - c.  Next to it, one slot `_linearised` holds (LinearSystem, J_r, H) of the last
+        linear system linearised under this config; holding it keeps its id from being reused.
         """
         N, m = self.N, self.R.shape[0]
         H = N + ((self.d + 1) if self.variant == "look_ahead" else 0)
@@ -121,16 +124,15 @@ class Ocp:
             raise ShapeError(f"Q and R must be {model.p} x {model.p} and {model.m} x {model.m}")
         self.model = model
         self.config = config
-        self.x0 = np.asarray(x0, dtype=float).reshape(model.n_p)
+        self.x0 = _sized(x0, model.n_p, "x0")
         self.N = config.N
         self.m = model.m
         self.H, self._j, self._sw, self._out, self._Qh, Rh, self.E = config.horizon
-        w = np.asarray(w0, dtype=float).reshape(model.q)
+        w = _sized(w0, model.q, "w0")
         ws = [w]
         for _ in range(self.H):
             ws.append(np.asarray(model.s(ws[-1]), dtype=float))
         self.w_traj = np.array(ws)   # (H+1, q): w_0..w_H
-        self._Jr = None     # J_r of a linear model, built on the first `jacobian` call
         N, m = self.N, self.m
         ref = ()    # ref_k of the penalty R^1/2 (u_k - ref_k) where it is not a decision variable
         if config.variant == "input_regularized":
@@ -185,20 +187,23 @@ class Ocp:
         return _squared_norm(r), r, xs
 
     def jacobian(self, useq, xs):
-        """Read-only J_r at u along its rollout xs, from one stacked call each of
-        the Jacobians of f and h.  A model tagged linear has constant Jacobians:
-        its J_r is built on the first call and kept.  Any other model's is not.
+        """Read-only J_r and GN Hessian 2 J_r'J_r at u along its rollout xs, from one stacked call
+        each of the Jacobians of f and h.  A linear model's pair depends only on the config and
+        the LinearSystem, so the config's slot keeps it (`MpcConfig.horizon`); others are not kept.
         """
-        if self._Jr is not None:
-            return self._Jr
+        lin, kept = self.model.linear, getattr(self.config, "_linearised", (None,))
+        if lin is not None and kept[0] is lin:
+            return kept[1:]
         H, W = self.H, self.w_traj
         X, U = xs[:H], np.reshape(useq, (self.N, self.m))[self._j]
         Hx, Hu, _ = self.model.jacobians_h(X, U, W[:H])
         Fx, Fu, _ = self.model.jacobians_f(X[:H - 1], U[:H - 1], W[:H - 1])
         Jr = self._residual_jacobian(Fx, Fu, Hx, Hu)
-        if self.model.linear is not None:
-            self._Jr = Jr
-        return Jr
+        hess = 2.0 * (Jr.T @ Jr)
+        hess.flags.writeable = False
+        if lin is not None:
+            object.__setattr__(self.config, "_linearised", (lin, Jr, hess))
+        return Jr, hess
 
     def _residual_jacobian(self, Fx, Fu, Hx, Hu):
         """J_r from the stacked Jacobians: a forward pass carries the sensitivity
@@ -252,6 +257,13 @@ def _squared_norm(r):
     if not np.isfinite(J):
         raise NumericalError("non-finite OCP cost")
     return J
+
+
+def _sized(a, n, name):
+    """a as a float vector of n entries, or ShapeError naming n."""
+    if np.size(a) != n:
+        raise ShapeError(f"{name} must have length {n}, got {np.size(a)}")
+    return np.asarray(a, dtype=float).ravel()
 
 
 def _psd_sqrt(M):
@@ -310,21 +322,18 @@ def solve(ocp: Ocp, warm_start=None) -> OcpSolution:
     N, m = ocp.N, ocp.m
     box = ocp.model.input_lo, ocp.model.input_hi
     lo, hi = (np.tile(b, N) for b in box)
-    if warm_start is None:
-        u0 = np.tile(_box_centre(*box), (N, 1))
-    else:
-        u0 = np.asarray(warm_start, dtype=float).reshape(N, m)
-
-    u = np.clip(u0.ravel(), lo, hi)
+    u0 = (np.tile(_box_centre(*box), N) if warm_start is None
+          else _sized(warm_start, N * m, "warm_start"))
+    u = np.clip(u0, lo, hi)
     J, r, xs = ocp.cost(u)
     it = 0
     while True:
-        Jr = ocp.jacobian(u, xs)
+        Jr, hess = ocp.jacobian(u, xs)
         g = 2.0 * (Jr.T @ r)
         stat = _stationarity(u, g, lo, hi)
         if (it > 0 and stat <= tol) or it >= _MAX_ITERATIONS:
             break
-        d = _box_gauss_newton_step(2.0 * (Jr.T @ Jr), g, lo - u, hi - u)
+        d = _box_gauss_newton_step(hess, g, lo - u, hi - u)
         Jd = Jr @ d
         slope, curv = float(g @ d), float(Jd @ Jd)
         allowance = 1e-14 * max(1.0, abs(J))

@@ -1,5 +1,8 @@
 import dataclasses
+import gc
+import pickle
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -23,7 +26,7 @@ def make_cfg(variant, N, p=1, m=1, **kw):
 def residual_and_jacobian(ocp, u):
     """(r, J_r, xs) at u from the OCP's two evaluator calls."""
     _, r, xs = ocp.cost(u)
-    return r, ocp.jacobian(u, xs), xs
+    return r, ocp.jacobian(u, xs)[0], xs
 
 
 def test_config_validation():
@@ -412,9 +415,10 @@ def test_residual_jacobian_is_rebuilt_whenever_the_linearisation_moves():
     assert seen[1] is not seen[0] and seen[2] is not seen[1]
 
 
-def test_residual_jacobian_of_a_linear_model_is_built_once(rng):
+def test_residual_jacobian_of_a_linear_model_is_built_once(rng, monkeypatch):
     """A linear model's Jacobian stacks never change, so the second pass returns the same
-    J_r object, and a box-constrained solve, which linearises once per iterate, builds J_r once."""
+    J_r object.  A box-constrained solve, which linearises once per iterate, on a second Ocp of
+    the same (model, config) builds J_r 0 times, and on a replaced config with another N once."""
     sys = random_linear(rng, n=4, m=2)
     model = sys.to_system_model(input_lo=-0.2 * np.ones(2), input_hi=0.2 * np.ones(2))
     cfg = make_cfg("incremental_input", 12, p=2, m=2, T=1)
@@ -422,11 +426,113 @@ def test_residual_jacobian_of_a_linear_model_is_built_once(rng):
     _, first, _ = residual_and_jacobian(ocp, np.zeros((12, 2)))
     _, second, _ = residual_and_jacobian(ocp, rng.uniform(-0.2, 0.2, (12, 2)))
     assert second is first
-    builds, orig = [], ocp._residual_jacobian
-    ocp = assemble(model, cfg, ocp.x0, np.zeros(0), memory=np.zeros(2))
-    ocp._residual_jacobian = lambda *a: builds.append(1) or orig.__func__(ocp, *a)
-    sol = solve(ocp)
-    assert sol.iterations >= 1 and builds == [1]
+    builds, orig = [], mpc.Ocp._residual_jacobian
+    monkeypatch.setattr(mpc.Ocp, "_residual_jacobian",
+                        lambda self, *a: builds.append(self.N) or orig(self, *a))
+    sol = solve(assemble(model, cfg, ocp.x0, np.zeros(0), memory=np.zeros(2)))
+    assert sol.iterations >= 1 and builds == []
+    longer = dataclasses.replace(cfg, N=16)
+    sol = solve(assemble(model, longer, ocp.x0, np.zeros(0), memory=np.zeros(2)))
+    assert sol.iterations >= 1 and builds == [16]
+
+
+def _pair(model, cfg, rng, reg=None):
+    """(J_r, H) of an Ocp of (model, cfg) at a random x0, w0, memory and input sequence."""
+    ocp = assemble(model, cfg, rng.normal(size=model.n_p), rng.normal(size=model.q),
+                   memory=rng.normal(size=(cfg.T or 1) * model.m), regulator=reg)
+    u = rng.normal(size=(cfg.N, model.m))
+    return ocp.jacobian(u, ocp.cost(u)[2])
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_linear_pair_is_kept_per_model_and_config(rng, variant):
+    """With an exosystem (q = 2, so w0 moves the w trajectory), a second Ocp of the same linear
+    model and config at another x0, w0 and memory reads the kept (J_r, H) of the first, bit for
+    bit the pair an equal fresh config builds; both arrays are read-only."""
+    model = random_linear(rng, n=3, m=2, p=2, q=2, T=2).to_system_model()
+    kw = {"look_ahead": {"d": 1}, "incremental_input": {"T": 2}}.get(variant, {})
+    cfg = make_cfg(variant, 5, p=2, m=2, **kw)
+    reg = RegulatorSolution(Pi=rng.normal(size=(3, 2)), Gamma=rng.normal(size=(2, 2)))
+    first = _pair(model, cfg, rng, reg)
+    second = _pair(model, cfg, rng, reg)
+    fresh = _pair(model, dataclasses.replace(cfg), rng, reg)
+    assert all(a is b for a, b in zip(first, second))
+    assert second[1].tobytes() == (2.0 * (second[0].T @ second[0])).tobytes()
+    for got, want in zip(second, fresh):
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable and not want.flags.writeable
+        with pytest.raises(ValueError):
+            got[0, 0] = 1.0
+
+
+def test_linear_models_that_alternate_on_one_config_are_never_stale(rng):
+    """Two linear models taking turns on one config each get their own (J_r, H)."""
+    a, b = (random_linear(rng, n=3, m=1).to_system_model() for _ in range(2))
+    cfg = make_cfg("output_only", 4)
+    want = {id(model): _pair(model, make_cfg("output_only", 4), rng) for model in (a, b)}
+    for model in (a, b, a, b, b, a):
+        got = _pair(model, cfg, rng)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want[id(model)]]
+        assert cfg._linearised[0] is model.linear
+
+
+def test_a_nonlinear_solve_leaves_nothing_on_the_config():
+    """Only a model tagged linear is kept: a mill solve adds nothing to its config but the
+    horizon data."""
+    w = np.array([110.0, 425.0])
+    cfg = MpcConfig(variant="incremental_input", N=6, Q=np.eye(2), R=1e-2 * np.eye(2), T=1)
+    solve(assemble(cement_mill(), cfg, np.array([120.0, 55.0, 450.0]), w,
+                   memory=np.array([115.0, 172.5])))
+    assert set(vars(cfg)) == {f.name for f in dataclasses.fields(cfg)} | {"horizon"}
+
+
+def test_kept_pair_holds_the_linear_system_so_models_die_and_the_config_pickles(rng):
+    """The slot holds the LinearSystem, not the SystemModel with its closures: after a solve the
+    config pickles and the model can be collected, and 50 fresh models solved on one config keep
+    one slot, so every earlier LinearSystem can be collected too."""
+    cfg = make_cfg("incremental_input", 6, p=2, m=2, T=1)
+
+    def solved():
+        model = random_linear(rng, n=3, m=2).to_system_model(-np.ones(2), np.ones(2))
+        solve(assemble(model, cfg, 3.0 * rng.normal(size=3), np.zeros(0), memory=np.zeros(2)))
+        return model
+
+    model = solved()
+    assert repr(pickle.loads(pickle.dumps(cfg))) == repr(cfg)
+    dead = weakref.ref(model)
+    del model
+    gc.collect()
+    assert dead() is None
+    systems = []
+    for _ in range(50):
+        model = solved()
+        systems.append(weakref.ref(model.linear))
+    gc.collect()
+    assert set(vars(cfg)) == {f.name for f in dataclasses.fields(cfg)} | {"horizon", "_linearised"}
+    assert cfg._linearised[0] is model.linear
+    assert [ref() is None for ref in systems] == [True] * 49 + [False]
+
+
+@pytest.mark.parametrize("name,value", [("Q", np.inf), ("R", -np.inf), ("Q", np.nan), ("R", np.nan)])
+def test_config_refuses_non_finite_weights(name, value):
+    """A non-finite weight is refused as such, before the symmetry and PSD tests (-inf < -inf
+    is false, so a PSD test alone lets R = -inf through)."""
+    weights = {"Q": [[1.0]], "R": [[1.0]]}
+    weights[name] = [[value]]
+    with pytest.raises(ConfigError, match=f"^{name} must be finite$") as err:
+        MpcConfig(variant="output_only", N=3, **weights)
+    assert err.value.key == name
+
+
+@pytest.mark.parametrize("where,length", [("x0", 1), ("w0", 0), ("warm_start", 3)])
+def test_vectors_of_the_wrong_size_raise_shape_error(where, length):
+    """A wrong-size x0 or w0 given to assemble, or warm start given to solve, raises ShapeError
+    naming the length it needs, not numpy's reshape error."""
+    model, cfg = academic_example(), make_cfg("output_only", 3)
+    args = {"x0": np.ones(1), "w0": np.zeros(0), "warm_start": np.zeros((3, 1))}
+    args[where] = np.ones(length + 1)
+    with pytest.raises(ShapeError, match=f"^{where} must have length {length}, got {length + 1}$"):
+        solve(assemble(model, cfg, args["x0"], args["w0"]), warm_start=args["warm_start"])
 
 
 def test_each_rollout_makes_one_stacked_h_call(monkeypatch):
@@ -460,6 +566,18 @@ def test_each_rollout_makes_one_stacked_h_call(monkeypatch):
     run(dataclasses.replace(spec, steps=10))
     assert counts["h"] == counts["rollout"] >= counts["iterates"] >= sol.iterations + 11
     assert counts["jacobians_f"] == counts["iterates"]
+
+
+@pytest.mark.parametrize("preset,steps", [("academic_incremental", 61), ("academic_output_only", 10)])
+def test_a_linear_preset_run_linearises_once(monkeypatch, preset, steps):
+    """Counted, not timed: every step of a linear preset's run solves under one (model, config),
+    so the whole run calls jacobians_f once, where building J_r per OCP called it once a step."""
+    calls, jac_f = [], SystemModel.jacobians_f
+    monkeypatch.setattr(SystemModel, "jacobians_f", lambda self, *a: calls.append(1) or jac_f(self, *a))
+    spec = config.parse_config(config.read_config_file(preset))
+    trace = run(spec)
+    assert spec.steps == steps and len(trace.u) == steps and not np.isnan(trace.value).any()
+    assert len(calls) == 1
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -497,7 +615,7 @@ def test_solver_invariants_on_random_systems(seed, variant, n, m, p, q, N, extra
     assert seen and all(np.all((lo <= u.reshape(N, m)) & (u.reshape(N, m) <= hi)) for u in seen)
     J, r, xs = cost(sol.u_opt)
     assert sol.value == J and np.array_equal(sol.x_pred, xs[:N + 1])
-    u, g = sol.u_opt.ravel(), 2.0 * (ocp.jacobian(sol.u_opt, xs).T @ r)
+    u, g = sol.u_opt.ravel(), 2.0 * (ocp.jacobian(sol.u_opt, xs)[0].T @ r)
     assert sol.kkt_residual == np.max(np.abs(u - np.clip(u - g, np.tile(lo, N), np.tile(hi, N))))
     again = solve(ocp, warm_start=sol.u_opt)    # each accepted step may rise by its allowance
     assert again.value <= sol.value + max(1, again.iterations) * 1e-14 * max(1.0, sol.value)
