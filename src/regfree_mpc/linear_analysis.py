@@ -91,12 +91,18 @@ def _closest_resonant_eigenvalue(sys):
 # ---------------------------------------------------------------------------
 # Rosenbrock matrix, nonresonance, PBH
 
+def _rosenbrock_pencil(sys: LinearSystem):
+    """(M0, M1) with G(lambda) = M0 - lambda M1: M0 = [[A, B], [C, D]], M1 = diag(I_n, 0)."""
+    M0 = np.vstack([np.hstack([sys.A, sys.B]), np.hstack([sys.C, sys.D])])
+    M1 = np.eye(*M0.shape)
+    M1[sys.n_p:, sys.n_p:] = 0.0
+    return M0, M1
+
+
 def rosenbrock(sys: LinearSystem, lam):
     """G(lambda) = [[A - lambda I, B], [C, D]]."""
-    n = sys.n_p
-    top = np.hstack([sys.A.astype(complex) - lam * np.eye(n), sys.B.astype(complex)])
-    bot = np.hstack([sys.C.astype(complex), sys.D.astype(complex)])
-    return np.vstack([top, bot])
+    M0, M1 = _rosenbrock_pencil(sys)
+    return M0 - lam * M1
 
 
 @dataclass(frozen=True)
@@ -127,29 +133,23 @@ def nonresonance(sys: LinearSystem, T: int) -> NonresonanceReport:
     return NonresonanceReport(entries=tuple(entries), passed=all(e.passed for e in entries))
 
 
-def _pbh(A, M, stack_rows):
+def pbh_stabilizable(A, B) -> bool:
+    """rank [A - lam I, B] = n at every eigenvalue with |lam| >= 1."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    M = np.atleast_2d(np.asarray(M, dtype=float))
+    B = np.atleast_2d(np.asarray(B, dtype=float))
     n = A.shape[0]
     for lam in np.linalg.eigvals(A):
         if abs(lam) < 1.0 - 1e-9:
             continue
-        shifted = A - lam * np.eye(n)
-        block = np.vstack([shifted, M.astype(complex)]) if stack_rows else np.hstack([shifted, M.astype(complex)])
-        smin, tol = _min_singular_value(block)
+        smin, tol = _min_singular_value(np.hstack([A - lam * np.eye(n), B]))
         if smin <= tol:
             return False
     return True
 
 
 def pbh_detectable(A, C) -> bool:
-    """rank [A - lam I; C] = n at every eigenvalue with |lam| >= 1."""
-    return _pbh(A, C, stack_rows=True)
-
-
-def pbh_stabilizable(A, B) -> bool:
-    """rank [A - lam I, B] = n at every eigenvalue with |lam| >= 1."""
-    return _pbh(A, B, stack_rows=False)
+    """rank [A - lam I; C] = n at every eigenvalue with |lam| >= 1: (A', C') is stabilizable."""
+    return pbh_stabilizable(*(np.atleast_2d(np.asarray(M, dtype=float)).T for M in (A, C)))
 
 
 def augmented_pair(sys: LinearSystem, T: int):
@@ -241,14 +241,11 @@ def dare(A, B, Q, R, S=None):
 
 def lqr_gain(A, B, Q, R, S=None):
     """(K, P) with u = Kx minimizing the (cross-term) quadratic cost."""
-    cert = dare(A, B, Q, R, S=S)
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
+    A, B, R = (np.atleast_2d(np.asarray(M, dtype=float)) for M in (A, B, R))
     n, m = B.shape
     S = np.zeros((n, m)) if S is None else np.atleast_2d(np.asarray(S, dtype=float))
-    R = np.atleast_2d(np.asarray(R, dtype=float))
-    P = cert.P
-    K = -np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A + S.T)
+    cert = dare(A, B, Q, R, S=S)
+    K = -np.linalg.solve(R + B.T @ cert.P @ B, B.T @ cert.P @ A + S.T)
     return K, cert
 
 
@@ -442,11 +439,7 @@ def relative_degree_and_zeros(sys: LinearSystem):
         if d is None:
             raise DegenerateSystemError("identically zero input-output map")
     from scipy import linalg as sla
-    n = sys.n_p
-    M0 = np.block([[sys.A, sys.B], [sys.C, sys.D]])
-    M1 = np.zeros_like(M0)
-    M1[:n, :n] = np.eye(n)
-    alphas, betas = sla.eigvals(M0, M1, homogeneous_eigvals=True)
+    alphas, betas = sla.eigvals(*_rosenbrock_pencil(sys), homogeneous_eigvals=True)
     zeros = []
     for a, b in zip(alphas, betas):
         if abs(b) > 1e-9 * max(1.0, abs(a)):
@@ -463,7 +456,6 @@ def relative_degree_and_zeros(sys: LinearSystem):
 class AnalysisReport:
     T: int
     N: int
-    regulator: RegulatorSolution
     residual_dynamics: float
     residual_output: float
     detectable: bool
@@ -471,7 +463,6 @@ class AnalysisReport:
     nonres: NonresonanceReport
     augmented_detectable: bool
     augmented_predicted: bool
-    sigma_metric: QuadraticCertificate
     bounds: BoundsReport
     relative_degree: Optional[int] = None
     zeros: Optional[tuple] = None
@@ -498,9 +489,7 @@ def analyze_linear(sys: LinearSystem, T: int, N: int, Q, R,
             zeros = tuple(zeros_list)
         except DegenerateSystemError:
             pass
-    return AnalysisReport(T=T, N=N, regulator=reg,
-                          residual_dynamics=r_dyn, residual_output=r_out,
+    return AnalysisReport(T=T, N=N, residual_dynamics=r_dyn, residual_output=r_out,
                           detectable=det, stabilizable=stab, nonres=nonres,
                           augmented_detectable=verdict, augmented_predicted=predicted,
-                          sigma_metric=sigma_metric, bounds=bounds,
-                          relative_degree=rd, zeros=zeros, minimum_phase=minphase)
+                          bounds=bounds, relative_degree=rd, zeros=zeros, minimum_phase=minphase)

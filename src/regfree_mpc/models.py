@@ -91,9 +91,6 @@ class SystemModel:
         object.__setattr__(self, "input_lo", lo)
         object.__setattr__(self, "input_hi", hi)
 
-    def clip_input(self, u):
-        return np.clip(u, self.input_lo, self.input_hi)
-
     def step(self, x, u, w):
         xn = np.asarray(self.f_p(x, u, w), dtype=float)
         if not np.isfinite(xn).all():

@@ -1,14 +1,14 @@
 """Finite-horizon OCP assembly and the receding-horizon control law.
 
 All four stage-cost variants share a single-shooting parameterization in the
-physical input sequence and one residual form, J(u) = ||r(u)||^2, written once
-in `Ocp.cost`, which returns J, r and the rollout that `Ocp.jacobian`
-linearises.  Every model runs the same Gauss-Newton solver: each iteration
-minimises its model exactly over the input box with a primal active-set
-method, and a line search along the feasible segment accepts a trial by the
-model's predicted decrease.  It reports the projected-gradient
-stationarity residual.  An exactly linear model's J_r and GN Hessian are built
-once per (model, config); `Ocp.dense_matrices` gives its residual in closed form.
+physical input sequence and one residual form, J(u) = ||r(u)||^2 with a row
+block per predicted output, written once in `Ocp.cost`, which returns J, r and
+the rollout that `Ocp.jacobian` linearises.  Every model runs the same
+Gauss-Newton solver: each iteration minimises its model exactly over the input
+box with a primal active-set method, and a line search along the feasible
+segment accepts a trial by the model's predicted decrease.  It reports the
+projected-gradient stationarity residual.  A linear model's J_r and GN Hessian
+are built once per (model, config); `Ocp.dense_matrices` writes r in closed form.
 """
 
 from dataclasses import dataclass, field
@@ -77,13 +77,14 @@ class MpcConfig:
 
     @cached_property
     def horizon(self):
-        """Read-only data of every Ocp of this config, built once: (H, j, sw, out, Q^1/2, R^1/2, E).
+        """Read-only data of every Ocp of this config, built once: (H, j, sw, Q^1/2, R^1/2, E).
 
         The rollout length H (look_ahead needs d+1 extra outputs), the input block j_k of step
         k, sqrt(w_k) of each output weight (look_ahead counts y_{d+1}..y_{N-1}, where its two
-        windows overlap, twice), the steps with w_k > 0, and the map E of the input penalty
-        E vec(u) - c.  Next to it, one slot `_linearised` holds (LinearSystem, J_r, H) of the last
-        linear system linearised under this config; holding it keeps its id from being reused.
+        windows overlap, twice, and y_N..y_d, the gap between them when d >= N, not at all),
+        and the map E of the input penalty E vec(u) - c.  Next to it, one slot `_linearised`
+        holds (LinearSystem, J_r, H) of the last linear system linearised under this config;
+        holding it keeps its id from being reused.
         """
         N, m = self.N, self.R.shape[0]
         H = N + ((self.d + 1) if self.variant == "look_ahead" else 0)
@@ -96,8 +97,7 @@ class MpcConfig:
         # rows R^1/2 (u_k - u_{k-T}); input_regularized's T = N shifts nothing in
         T = {"input_regularized": N, "incremental_input": self.T}.get(self.variant)
         E = np.zeros((0, N * m)) if T is None else np.kron(np.eye(N) - np.eye(N, k=-T), Rh)
-        arrays = (np.minimum(np.arange(H), N - 1), sw, np.flatnonzero(sw > 0.0),
-                  _psd_sqrt(self.Q), Rh, E)
+        arrays = (np.minimum(np.arange(H), N - 1), sw, _psd_sqrt(self.Q), Rh, E)
         for a in arrays:
             a.flags.writeable = False
         return (H,) + arrays
@@ -127,7 +127,7 @@ class Ocp:
         self.x0 = _sized(x0, model.n_p, "x0")
         self.N = config.N
         self.m = model.m
-        self.H, self._j, self._sw, self._out, self._Qh, Rh, self.E = config.horizon
+        self.H, self._j, self._sw, self._Qh, Rh, self.E = config.horizon
         w = _sized(w0, model.q, "w0")
         ws = [w]
         for _ in range(self.H):
@@ -174,15 +174,14 @@ class Ocp:
     def cost(self, useq):
         """J(u) = r @ r, the stacked residual r(u) and the rollout xs, as (J, r, xs).
 
-        r holds sqrt(w_k) Q^1/2 y_k for every output with weight w_k > 0
-        (look_ahead counts the overlap of its two windows twice), then the
-        variant's input penalty E vec(u) - c.  One rollout, one stacked h call.
+        r holds sqrt(w_k) Q^1/2 y_k for every predicted output y_0..y_{H-1} (w_k of
+        `MpcConfig.horizon`: 0 in look_ahead's gap when d >= N), then the variant's
+        input penalty E vec(u) - c.  One rollout, one stacked h call.
         """
         useq = np.asarray(useq, dtype=float).reshape(self.N, self.m)
         xs = self.rollout(useq)
-        k = self._out
         Y = self.outputs(useq, xs)
-        r = np.concatenate([((Y[k] @ self._Qh.T) * self._sw[k, None]).ravel(),
+        r = np.concatenate([((Y @ self._Qh.T) * self._sw[:, None]).ravel(),
                             self.E @ useq.ravel() - self.c])
         return _squared_norm(r), r, xs
 
@@ -208,14 +207,14 @@ class Ocp:
     def _residual_jacobian(self, Fx, Fu, Hx, Hu):
         """J_r from the stacked Jacobians: a forward pass carries the sensitivity
         S_k = dx_k/dvec(u), and the output rows come from one batched product Hx_k S_k."""
-        N, m, H, k = self.N, self.m, self.H, self._out
+        N, m, H = self.N, self.m, self.H
         S = np.zeros((H, self.model.n_p, N * m))
         for i, j in enumerate(self._j[:H - 1].tolist()):
             np.matmul(Fx[i], S[i], out=S[i + 1])
             S[i + 1, :, j * m:(j + 1) * m] += Fu[i]
-        rows = Hx[k] @ S[k]
-        rows.reshape(len(k), self.model.p, N, m)[np.arange(len(k)), :, self._j[k]] += Hu[k]
-        rows = (self._Qh @ rows) * self._sw[k, None, None]
+        rows = Hx @ S
+        rows.reshape(H, self.model.p, N, m)[np.arange(H), :, self._j] += Hu
+        rows = (self._Qh @ rows) * self._sw[:, None, None]
         Jr = np.vstack([rows.reshape(-1, N * m), self.E])
         Jr.flags.writeable = False
         return Jr
@@ -241,7 +240,7 @@ class Ocp:
             consts.append(lin.A @ consts[-1] + lin.P_x @ self.w_traj[k])
             Sx.append(Sk)
         rows, rhs = [], []
-        for k in self._out:
+        for k in range(H):
             row = lin.C @ Sx[k]
             row[:, self._j[k] * m:(self._j[k] + 1) * m] += lin.D
             cst = lin.C @ consts[k] - lin.P_y @ self.w_traj[k]
@@ -441,7 +440,8 @@ class MpcController:
         self._warm = None
         self._last_u = None
         if initial_input is not None:
-            self._last_u = model.clip_input(np.asarray(initial_input, dtype=float))
+            self._last_u = np.clip(_sized(initial_input, model.m, "initial_input"),
+                                   model.input_lo, model.input_hi)
         self.memory = (np.tile(self._cold_input(), config.T)
                        if config.variant == "incremental_input" else None)
 

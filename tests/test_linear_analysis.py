@@ -121,6 +121,58 @@ def test_pbh_examples():
     assert not pbh_stabilizable([[2.0]], [[0.0]])
 
 
+# distinct eigenvalues, so that each eigenspace is one vector: real ones (+-1 on the unit
+# circle) and complex pairs given as (modulus, angle), inside, on and outside the circle
+_PBH_REALS = (0.3, -0.6, 1.0, -1.0, 1.4, -1.25)
+_PBH_PAIRS = ((0.7, 0.9), (1.0, 2.0), (1.2, 1.1), (1.0, 0.6), (1.5, 2.6))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 5), p=st.integers(1, 3),
+       m=st.integers(1, 3), hide_from_c=st.integers(-1, 4), hide_from_b=st.integers(-1, 4))
+def test_pbh_tests_agree_with_eigenvectors(seed, n, p, m, hide_from_c, hide_from_b):
+    """Property: on random non-symmetric MIMO systems, pbh_detectable and pbh_stabilizable
+    agree with an eigenvector oracle.  A = V diag(blocks) V^-1 with a random V; C = Cm V^-1
+    and B = V Bm, with every entry of Cm and Bm at least 0.5 in size, except that the columns
+    of Cm (rows of Bm) of block hide_from_c (hide_from_b) are zero when it is >= 0, which
+    plants a mode that C does not see (B does not reach).  The oracle: every eigenvalue with
+    |lam| >= 1 needs C v != 0 for its right eigenvector v and w^H B != 0 for its left one w."""
+    rng = np.random.default_rng(seed)
+    reals, pairs = list(rng.permutation(_PBH_REALS)), list(rng.permutation(len(_PBH_PAIRS)))
+    blocks = []
+    while (size := sum(map(len, blocks))) < n:
+        if n - size >= 2 and pairs and rng.random() < 0.6:
+            r, th = _PBH_PAIRS[pairs.pop()]
+            blocks.append(r * np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]]))
+        else:
+            blocks.append(np.array([[reals.pop()]]))
+    start = np.cumsum([0] + [len(b) for b in blocks])
+    outside = [max(abs(np.linalg.eigvals(b))) >= 1.0 - 1e-9 for b in blocks]
+    Cm = rng.choice([-1.0, 1.0], (p, n)) * rng.uniform(0.5, 2.0, (p, n))
+    Bm = rng.choice([-1.0, 1.0], (n, m)) * rng.uniform(0.5, 2.0, (n, m))
+    k_c, k_b = hide_from_c % len(blocks), hide_from_b % len(blocks)
+    if hide_from_c >= 0:
+        Cm[:, start[k_c]:start[k_c + 1]] = 0.0
+    if hide_from_b >= 0:
+        Bm[start[k_b]:start[k_b + 1]] = 0.0
+    V = rng.normal(size=(n, n))
+    while np.linalg.cond(V) > 30.0:
+        V = rng.normal(size=(n, n))
+    Vi = np.linalg.inv(V)
+    A, C, B = V @ sla.block_diag(*blocks) @ Vi, Cm @ Vi, V @ Bm
+    assert not np.allclose(A, A.T)
+    lam, left, right = sla.eig(A, left=True, right=True)
+    unstable = np.abs(lam) >= 1.0 - 1e-6
+    detectable = all(np.linalg.norm(C @ right[:, i]) > 1e-8 for i in np.flatnonzero(unstable))
+    stabilizable = all(np.linalg.norm(left[:, i].conj() @ B) > 1e-8
+                       for i in np.flatnonzero(unstable))
+    # the planted mode is the only one the oracle can find
+    assert detectable == (hide_from_c < 0 or not outside[k_c])
+    assert stabilizable == (hide_from_b < 0 or not outside[k_b])
+    assert pbh_detectable(A, C) == detectable
+    assert pbh_stabilizable(A, B) == stabilizable
+
+
 def test_augmented_pair_academic():
     aug, verdict, predicted = augmented_pair(academic_example().linear, T=1)
     assert aug.A.shape == (2, 2) and aug.C.shape == (1, 2)   # (p, n + m*T)

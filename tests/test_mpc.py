@@ -70,7 +70,7 @@ def test_horizon_data_are_built_once_per_config_and_read_only():
     model, cfg = academic_example(), make_cfg("incremental_input", 5, T=2)
     a = assemble(model, cfg, np.array([1.0]), np.zeros(0), memory=np.zeros(2))
     b = assemble(model, cfg, np.array([-2.0]), np.zeros(0), memory=np.array([0.5, 1.0]))
-    for name in ("E", "_Qh", "_sw", "_out", "_j"):
+    for name in ("E", "_Qh", "_sw", "_j"):
         assert getattr(a, name) is getattr(b, name), name
         assert not getattr(a, name).flags.writeable, name
     with pytest.raises(ValueError):
@@ -535,6 +535,19 @@ def test_vectors_of_the_wrong_size_raise_shape_error(where, length):
         solve(assemble(model, cfg, args["x0"], args["w0"]), warm_start=args["warm_start"])
 
 
+def test_controller_refuses_an_initial_input_of_the_wrong_size():
+    """On the 2-input mill, a 1-entry initial_input is not broadcast into the warm start and
+    the memory, and a 3-entry one does not reach numpy's broadcast error: both raise
+    ShapeError.  An input of the right size is clipped to the box."""
+    mill = cement_mill()
+    cfg = MpcConfig(variant="incremental_input", N=4, Q=np.eye(2), R=1e-2 * np.eye(2), T=2)
+    for bad in ([100.0], [100.0, 170.0, 1.0]):
+        with pytest.raises(ShapeError, match=f"^initial_input must have length 2, got {len(bad)}$"):
+            MpcController(mill, cfg, initial_input=bad)
+    ctrl = MpcController(mill, cfg, initial_input=[[1e3], [0.0]])
+    assert np.array_equal(ctrl.memory, [150.0, 165.0, 150.0, 165.0])
+
+
 def test_each_rollout_makes_one_stacked_h_call(monkeypatch):
     """The solver evaluates every point once: a cold mill solve and a short nominal run call
     the stacked h exactly once per rollout, and linearise once per iterate."""
@@ -661,7 +674,7 @@ def test_residuals_evaluate_outputs_in_one_stacked_call(plant, variant, N, kw):
         for k, pt in enumerate(zip(*args)):
             assert np.array_equal(out[k], base.h(*pt))
     _, r, _ = ocp.cost(u)
-    assert r.size == p * ocp._out.size + ocp.E.shape[0]
+    assert r.size == p * ocp.H + ocp.E.shape[0]
 
 
 def test_gradient_zero_at_unconstrained_optimum(rng):
