@@ -62,7 +62,8 @@ class SystemModel:
     (K, n_p), (K, m), (K, q), and returns (p,) or (K, p); `jac_f` and `jac_h`
     take such stacks and return (K, ...) arrays.  `linear` tags exactly
     linear models, whose matrices are treated as constant: the OCP's J_r and
-    GN Hessian are built once per (linear, MpcConfig) and kept on the config.
+    GN Hessian are built once per (linear, MpcConfig) and kept on the config,
+    and from the second solve on, H^-1 with them.
     `Ocp.dense_matrices` gives their closed-form reference.
     """
 

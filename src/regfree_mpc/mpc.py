@@ -8,7 +8,9 @@ Gauss-Newton solver: each iteration minimises its model exactly over the input
 box with a primal active-set method, and a line search along the feasible
 segment accepts a trial by the model's predicted decrease.  It reports the
 projected-gradient stationarity residual.  A linear model's J_r and GN Hessian
-are built once per (model, config); `Ocp.dense_matrices` writes r in closed form.
+are built once per (model, config), and its second solve keeps H^-1 next to them,
+so a box step whose coordinates are all free is one product; `Ocp.dense_matrices`
+writes r in closed form.
 """
 
 from dataclasses import dataclass, field
@@ -84,7 +86,8 @@ class MpcConfig:
         windows overlap, twice, and y_N..y_d, the gap between them when d >= N, not at all),
         and the map E of the input penalty E vec(u) - c.  Next to it, one slot `_linearised`
         holds (LinearSystem, J_r, H) of the last linear system linearised under this config;
-        holding it keeps its id from being reused.
+        holding it keeps its id from being reused.  `Ocp.kept_inverse` appends H^-1, or None
+        when H is not positive definite, the first time a later solve asks for it.
         """
         N, m = self.N, self.R.shape[0]
         H = N + ((self.d + 1) if self.variant == "look_ahead" else 0)
@@ -138,7 +141,7 @@ class Ocp:
         if config.variant == "input_regularized":
             if regulator is None:
                 raise ConfigError("input_regularized needs a regulator solution for pi_u")
-            ref = [np.atleast_1d(regulator(w)[1]).reshape(m) for w in self.w_traj[:N]]
+            ref = [_sized(regulator(w)[1], m, "pi_u") for w in self.w_traj[:N]]
         elif config.variant == "incremental_input":
             if memory is None:
                 raise ConfigError("incremental_input needs the memory of applied inputs")
@@ -192,7 +195,7 @@ class Ocp:
         """
         lin, kept = self.model.linear, getattr(self.config, "_linearised", (None,))
         if lin is not None and kept[0] is lin:
-            return kept[1:]
+            return kept[1:3]
         H, W = self.H, self.w_traj
         X, U = xs[:H], np.reshape(useq, (self.N, self.m))[self._j]
         Hx, Hu, _ = self.model.jacobians_h(X, U, W[:H])
@@ -203,6 +206,27 @@ class Ocp:
         if lin is not None:
             object.__setattr__(self.config, "_linearised", (lin, Jr, hess))
         return Jr, hess
+
+    def kept_inverse(self):
+        """Read-only H^-1 of the kept GN Hessian of a linear model, or None.
+
+        Only a pair that is already kept is inverted, so a model's first solve forms nothing and
+        a one-shot model pays nothing; the first later solve forms H^-1 once per (model, config).
+        When H is not positive definite (a Cholesky test) None is kept, so the test runs once.
+        """
+        lin, kept = self.model.linear, getattr(self.config, "_linearised", (None,))
+        if lin is None or kept[0] is not lin:
+            return None
+        if len(kept) == 3:
+            try:
+                np.linalg.cholesky(kept[2])    # raises unless H is positive definite
+                inv = np.linalg.inv(kept[2])
+                inv.flags.writeable = False
+            except np.linalg.LinAlgError:
+                inv = None
+            kept += (inv,)
+            object.__setattr__(self.config, "_linearised", kept)
+        return kept[3]
 
     def _residual_jacobian(self, Fx, Fu, Hx, Hu):
         """J_r from the stacked Jacobians: a forward pass carries the sensitivity
@@ -324,6 +348,7 @@ def solve(ocp: Ocp, warm_start=None) -> OcpSolution:
     u0 = (np.tile(_box_centre(*box), N) if warm_start is None
           else _sized(warm_start, N * m, "warm_start"))
     u = np.clip(u0, lo, hi)
+    inv = ocp.kept_inverse()    # asked before linearising: a first solve keeps the pair, no H^-1
     J, r, xs = ocp.cost(u)
     it = 0
     while True:
@@ -332,7 +357,7 @@ def solve(ocp: Ocp, warm_start=None) -> OcpSolution:
         stat = _stationarity(u, g, lo, hi)
         if (it > 0 and stat <= tol) or it >= _MAX_ITERATIONS:
             break
-        d = _box_gauss_newton_step(hess, g, lo - u, hi - u)
+        d = _box_gauss_newton_step(hess, g, lo - u, hi - u, inv)
         Jd = Jr @ d
         slope, curv = float(g @ d), float(Jd @ Jd)
         allowance = 1e-14 * max(1.0, abs(J))
@@ -365,7 +390,7 @@ def solve(ocp: Ocp, warm_start=None) -> OcpSolution:
                        kkt_residual=stat)
 
 
-def _box_gauss_newton_step(H, g, lo, hi):
+def _box_gauss_newton_step(H, g, lo, hi, H_inv=None):
     """Exact minimiser of the model g'd + d'Hd/2 over the box lo <= d <= hi.
 
     A monotone primal active-set method (Nocedal & Wright, section 16.5)
@@ -378,7 +403,8 @@ def _box_gauss_newton_step(H, g, lo, hi):
     when none is negative.  A released coordinate must then move inward; if
     its step does not, the multiplier was round-off and d is returned.  Every
     pass lowers the model or grows the working set; after 4n + 10 passes the
-    current, feasible d is returned.
+    current, feasible d is returned.  Given H_inv = H^-1, a pass on which every
+    coordinate is free takes its Newton step as -H_inv grad, with no factorisation.
     """
     n = g.size
     d = np.zeros(n)
@@ -388,7 +414,9 @@ def _box_gauss_newton_step(H, g, lo, hi):
     for _ in range(4 * n + 10):
         free = side == 0.0
         p = np.zeros(n)
-        if free.any():
+        if H_inv is not None and free.all():
+            p = -(H_inv @ grad)
+        elif free.any():
             p[free] = _newton_step(H[np.ix_(free, free)], grad[free])
         if released is not None and p[released[0]] * released[1] <= 0.0:
             return d

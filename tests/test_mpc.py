@@ -53,6 +53,14 @@ def test_config_validation():
         assert err.value.key == "gradient_tolerance"
 
 
+def test_a_regulator_of_the_wrong_input_size_raises_shape_error():
+    """A regulator whose pi_u(w) has the wrong length raises ShapeError naming pi_u, as a
+    wrong-size x0 or w0 does, not numpy's reshape error."""
+    with pytest.raises(ShapeError, match="^pi_u must have length 1, got 2$"):
+        assemble(academic_example(), make_cfg("input_regularized", 3), np.ones(1), np.zeros(0),
+                 regulator=lambda w: (np.zeros(1), np.zeros(2)))
+
+
 def test_assemble_requires_variant_inputs():
     model = academic_example()
     with pytest.raises(ConfigError):
@@ -831,6 +839,122 @@ def test_unconstrained_solve_is_one_cholesky_and_one_solve(monkeypatch):
     assert counts == {"cholesky": 1, "solve": 1}
 
 
+def _count_linalg(monkeypatch):
+    """Live call counts of np.linalg's cholesky, solve and inv."""
+    counts = dict.fromkeys(("cholesky", "solve", "inv"), 0)
+    for name in counts:
+        orig = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, _n=name, _f=orig, **k:
+                            counts.__setitem__(_n, counts[_n] + 1) or _f(*a, **k))
+    return counts
+
+
+def test_a_re_solve_inverts_the_kept_hessian_once(monkeypatch):
+    """Counted, not timed: on one unconstrained (model, config) at N = 307 the first solve
+    factorises H, the second inverts the kept H once, and the third factorises nothing."""
+    counts = _count_linalg(monkeypatch)
+    cfg = MpcConfig(variant="incremental_input", N=307, Q=np.eye(1), R=np.eye(1), T=1)
+    model, seen = academic_example(), []
+    for x0 in (1.3, -0.7, 0.2):
+        for name in counts:
+            counts[name] = 0
+        sol = solve(assemble(model, cfg, np.array([x0]), np.zeros(0), memory=np.array([0.4])))
+        assert sol.iterations == 1 and sol.converged
+        seen.append(dict(counts))
+    assert seen == [{"cholesky": 1, "solve": 1, "inv": 0},
+                    {"cholesky": 1, "solve": 0, "inv": 1},
+                    {"cholesky": 0, "solve": 0, "inv": 0}]
+
+
+def test_kept_inverse_is_read_only_and_inverts_the_kept_hessian():
+    """The slot keeps H^-1 next to (J_r, H) after the second Ocp: read-only, H H^-1 = I."""
+    cfg = MpcConfig(variant="incremental_input", N=307, Q=np.eye(1), R=np.eye(1), T=1)
+    model = academic_example()
+    solve(assemble(model, cfg, np.array([1.3]), np.zeros(0), memory=np.array([0.4])))
+    assert len(cfg._linearised) == 3    # the pair alone until a later solve asks for H^-1
+    ocp = assemble(model, cfg, np.array([-0.7]), np.zeros(0), memory=np.array([0.4]))
+    solve(ocp)
+    lin, Jr, H, inv = cfg._linearised
+    assert lin is model.linear and ocp.kept_inverse() is inv
+    assert not inv.flags.writeable
+    with pytest.raises(ValueError):
+        inv[0, 0] = 1.0
+    assert np.max(np.abs(H @ inv - np.eye(307))) < 1e-12
+
+
+def test_a_singular_hessian_forms_no_inverse_and_is_tested_once(monkeypatch):
+    """output_only without feedthrough never sees the last input, so H is singular: no
+    inverse is formed, the Cholesky test of the kept H runs once per (model, config), and
+    every solve still meets the dense least-squares oracle."""
+    model = LinearSystem(A=[[0.5]], B=[[1.0]], C=[[1.0]], D=[[0.0]], P_x=np.zeros((1, 0)),
+                         P_y=np.zeros((1, 0)), S=np.zeros((0, 0))).to_system_model()
+    cfg = make_cfg("output_only", 8)
+    counts, seen = _count_linalg(monkeypatch), []
+    for _ in range(4):
+        for name in counts:
+            counts[name] = 0
+        ocp = assemble(model, cfg, np.array([1.7]), np.zeros(0))
+        sol = solve(ocp)
+        seen.append(dict(counts))
+        _, v_ref = dense_lstsq_oracle(ocp)
+        assert sol.value == pytest.approx(v_ref, rel=1e-6, abs=1e-9)
+    assert cfg._linearised[3] is None
+    first = seen[0]
+    assert first["inv"] == 0 and first["cholesky"] >= 1
+    assert seen[1:] == [dict(first, cholesky=first["cholesky"] + 1), first, first]
+
+
+def test_re_solves_that_reuse_the_kept_inverse_match_the_dense_oracle(rng):
+    """Five Ocps of one linear (model, config) at random x0, w0 and memory: every solve after
+    the first takes its steps with the kept H^-1 and meets the stacked least-squares oracle."""
+    settings = SolverSettings(gradient_tolerance=1e-10)
+    for variant in ("output_only", "incremental_input", "input_regularized"):
+        sys = random_linear(rng, n=3, m=2, q=2, T=2)
+        model = sys.to_system_model()
+        T = 2 if variant == "incremental_input" else None
+        cfg = MpcConfig(variant=variant, N=5, Q=np.eye(2), R=np.eye(2), T=T, solver=settings)
+        reg = solve_regulator(sys) if variant == "input_regularized" else None
+        for _ in range(5):
+            ocp = assemble(model, cfg, rng.normal(size=3), rng.normal(size=2),
+                           memory=rng.normal(size=2 * (T or 1)), regulator=reg)
+            _, v_ref = dense_lstsq_oracle(ocp)
+            sol = solve(ocp)
+            assert sol.value == pytest.approx(v_ref, rel=1e-6, abs=1e-9)
+        assert cfg._linearised[3] is not None
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_solve_with_the_kept_inverse_agrees_with_the_factorising_solve(rng, variant):
+    """The same OCP solved twice: the first solve factorises H, the second steps with the
+    kept H^-1; their inputs and values agree to 1e-12 relative.  Two outputs and one input
+    keep output_only's H well conditioned."""
+    sys = random_linear(rng, n=3, m=1, p=2, q=2, T=2)
+    kw = {"look_ahead": {"d": 2}, "incremental_input": {"T": 2}}.get(variant, {})
+    cfg = make_cfg(variant, 6, p=2, m=1, **kw)
+    reg = RegulatorSolution(Pi=rng.normal(size=(3, 2)), Gamma=rng.normal(size=(1, 2)))
+    ocp = assemble(sys.to_system_model(), cfg, rng.normal(size=3), rng.normal(size=2),
+                   memory=rng.normal(size=2), regulator=reg)
+    first = solve(ocp)
+    assert len(cfg._linearised) == 3
+    again = solve(ocp)
+    assert cfg._linearised[3] is not None
+    assert first.converged and again.converged
+    scale = np.max(np.abs(first.u_opt))
+    assert np.max(np.abs(again.u_opt - first.u_opt)) <= 1e-12 * scale
+    assert again.value == pytest.approx(first.value, rel=1e-12)
+
+
+@pytest.mark.parametrize("preset", ["academic_incremental", "academic_output_only"])
+def test_a_linear_preset_run_factorises_once_and_inverts_once(monkeypatch, preset):
+    """Counted, not timed: a linear preset's run solves with np.linalg.solve only at its first
+    step, and inverts the kept H once at its second; later steps factorise nothing."""
+    counts = _count_linalg(monkeypatch)
+    spec = config.parse_config(config.read_config_file(preset))
+    trace = run(spec)
+    assert not np.isnan(trace.value).any()
+    assert counts == {"cholesky": 2, "solve": 1, "inv": 1}
+
+
 def test_box_constrained_lti_solve_matches_bvls():
     """Instance 193 of `linear_certificates` seed 9301: N = 40 box LTI against BVLS."""
     from scipy.optimize import lsq_linear
@@ -852,6 +976,33 @@ def test_box_constrained_lti_solve_matches_bvls():
     assert sol.converged
     assert np.max(np.abs(sol.u_opt.ravel() - ref.x)) <= 1e-6
     assert sol.value == pytest.approx(float(r @ r), rel=1e-9)
+
+
+def test_box_constrained_re_solves_with_the_kept_inverse_match_bvls():
+    """The N = 40 box LTI of instance 193 solved from six x0 on one (model, config): the
+    all-free passes of every solve after the first step with the kept H^-1, and each solve
+    meets BVLS at the `linear_certificates` tolerances."""
+    from scipy.optimize import lsq_linear
+    rng = np.random.default_rng([9301, 2, 193])
+    A = rng.normal(size=(4, 4))
+    A *= 0.9 / max(abs(np.linalg.eigvals(A)))
+    sys = LinearSystem(A=A, B=rng.normal(size=(4, 2)), C=rng.normal(size=(2, 4)),
+                       D=0.3 * rng.normal(size=(2, 2)), P_x=np.zeros((4, 0)),
+                       P_y=np.zeros((2, 0)), S=np.zeros((0, 0)))
+    model = sys.to_system_model(input_lo=-np.ones(2), input_hi=np.ones(2))
+    cfg = MpcConfig(variant="incremental_input", N=40, Q=np.eye(2), R=0.1 * np.eye(2), T=1)
+    for scale in (3.0, 0.1, 3.0, 1.0, 0.01, 5.0):
+        ocp = assemble(model, cfg, scale * rng.normal(size=4), np.zeros(0),
+                       memory=rng.uniform(-1.0, 1.0, 2))
+        Aml, b = ocp.dense_matrices()
+        ref = lsq_linear(Aml, b, bounds=(-np.ones(80), np.ones(80)), method="bvls",
+                         tol=1e-12, max_iter=100 * Aml.shape[1])
+        r = Aml @ ref.x - b
+        sol = solve(ocp)
+        assert sol.converged
+        assert np.max(np.abs(sol.u_opt.ravel() - ref.x)) <= 1e-6
+        assert sol.value == pytest.approx(float(r @ r), rel=1e-9)
+    assert cfg._linearised[3] is not None
 
 
 def test_box_constrained_lti_sweep_matches_bvls():
@@ -956,6 +1107,28 @@ def test_box_step_matches_bvls_on_random_models(seed, n, rows, zero_cols, scale)
     hi[rng.random(n) < 0.2] = 1e-3         # and near some upper ones
     d = mpc._box_gauss_newton_step(2.0 * Jr.T @ Jr, 2.0 * Jr.T @ r, lo, hi)
     assert np.all((lo <= d) & (d <= hi))
+    ref = lsq_linear(Jr, -r, bounds=(lo, hi), method="bvls", tol=1e-14, max_iter=100 * n)
+    value, best = np.sum((r + Jr @ d) ** 2), np.sum((r + Jr @ ref.x) ** 2)
+    assert value <= best + 1e-10 * max(1.0, best)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 6), extra=st.integers(0, 6))
+def test_box_step_with_the_inverse_matches_the_factorising_step(seed, n, extra):
+    """Property: given H^-1, the box step returns the factorising step's d to 1e-9 and meets
+    BVLS.  Its all-free passes take -H^-1 grad, also those after a bound that d = 0 sat on is
+    released, where grad = g + H d."""
+    from scipy.optimize import lsq_linear
+    rng = np.random.default_rng(seed)
+    Jr = rng.normal(size=(n + extra, n))
+    r = 3.0 * rng.normal(size=n + extra)
+    lo, hi = -rng.uniform(0.0, 2.0, n), rng.uniform(0.0, 2.0, n)
+    lo[rng.random(n) < 0.3] = 0.0          # bounds that d = 0 sits on, released later
+    H, g = 2.0 * Jr.T @ Jr, 2.0 * Jr.T @ r
+    want = mpc._box_gauss_newton_step(H, g, lo, hi)
+    d = mpc._box_gauss_newton_step(H, g, lo, hi, np.linalg.inv(H))
+    assert np.all((lo <= d) & (d <= hi))
+    assert np.max(np.abs(d - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
     ref = lsq_linear(Jr, -r, bounds=(lo, hi), method="bvls", tol=1e-14, max_iter=100 * n)
     value, best = np.sum((r + Jr @ d) ** 2), np.sum((r + Jr @ ref.x) ** 2)
     assert value <= best + 1e-10 * max(1.0, best)
