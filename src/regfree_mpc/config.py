@@ -131,7 +131,7 @@ def _model_of(sections):
     name = _need(sections, "model", "name")
     try:
         model = resolve_model(name)
-    except (DomainError, ShapeError, OSError, ValueError) as exc:
+    except (DomainError, ShapeError, OSError) as exc:
         raise ConfigError(f"cannot load model {name!r}: {exc}", key="name") from exc
     nj = model.n_p + model.q
     for section, key, size in (("mpc", "Q", model.p), ("mpc", "R", model.m),

@@ -62,8 +62,8 @@ class SystemModel:
     (K, n_p), (K, m), (K, q), and returns (p,) or (K, p); `jac_f` and `jac_h`
     take such stacks and return (K, ...) arrays.  `linear` tags exactly
     linear models, whose matrices are treated as constant: the OCP's J_r and
-    GN Hessian are built once per (linear, MpcConfig) and kept on the config,
-    and from the second solve on, H^-1 with them.
+    GN Hessian are kept once per (linear, MpcConfig), and from the second solve
+    on, the all-free step operator M with them (`mpc._Linearisation`).
     `Ocp.dense_matrices` gives their closed-form reference.
     """
 
@@ -382,14 +382,23 @@ def cement_mill_regulator(w):
 # row-major, whitespace separated, every entry finite
 
 def load_lti(path):
-    with open(path) as fh:
+    """The LinearSystem in the file at path; ShapeError for a bad header, DomainError for a bad
+    entry, each naming the path and the token (a byte that is not UTF-8 reads as U+FFFD)."""
+    def parsed(part, kind, error, what):
+        for t in part:
+            try:
+                yield kind(t)
+            except ValueError:
+                raise error(f"{path}: " + what.format(t)) from None
+
+    with open(path, errors="replace") as fh:
         tokens = fh.read().split()
     if len(tokens) < 4:
         raise ShapeError(f"{path}: missing dimension header")
-    n, m, q, p = (int(t) for t in tokens[:4])
+    n, m, q, p = parsed(tokens[:4], int, ShapeError, "header token {!r} is not an integer")
     if min(n, m, q, p) < 0:
         raise ShapeError(f"{path}: dimension header {n} {m} {q} {p} has a negative entry")
-    vals = [float(t) for t in tokens[4:]]
+    vals = list(parsed(tokens[4:], float, DomainError, "matrix entry {!r} is not a number"))
     need = n * n + n * m + p * n + p * m + n * q + p * q + q * q
     if len(vals) != need:
         raise ShapeError(f"{path}: expected {need} matrix entries, found {len(vals)}")

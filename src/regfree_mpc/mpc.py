@@ -8,9 +8,9 @@ Gauss-Newton solver: each iteration minimises its model exactly over the input
 box with a primal active-set method, and a line search along the feasible
 segment accepts a trial by the model's predicted decrease.  It reports the
 projected-gradient stationarity residual.  A linear model's J_r and GN Hessian
-are built once per (model, config), and its second solve keeps H^-1 next to them,
-so a box step whose coordinates are all free is one product; `Ocp.dense_matrices`
-writes r in closed form.
+are built once per (model, config) into a `_Linearisation`, and its second solve
+forms the step operator M there, so a box step whose coordinates are all free is
+one product; `Ocp.dense_matrices` writes r in closed form.
 """
 
 from dataclasses import dataclass, field
@@ -21,7 +21,7 @@ import numpy as np
 
 from .blas import one_blas_thread
 from .errors import ConfigError, DomainError, NumericalError, ShapeError
-from .models import SystemModel
+from .models import LinearSystem, SystemModel
 
 VARIANTS = ("input_regularized", "output_only", "look_ahead", "incremental_input")
 
@@ -84,10 +84,7 @@ class MpcConfig:
         The rollout length H (look_ahead needs d+1 extra outputs), the input block j_k of step
         k, sqrt(w_k) of each output weight (look_ahead counts y_{d+1}..y_{N-1}, where its two
         windows overlap, twice, and y_N..y_d, the gap between them when d >= N, not at all),
-        and the map E of the input penalty E vec(u) - c.  Next to it, one slot `_linearised`
-        holds (LinearSystem, J_r, H) of the last linear system linearised under this config;
-        holding it keeps its id from being reused.  `Ocp.kept_inverse` appends H^-1, or None
-        when H is not positive definite, the first time a later solve asks for it.
+        and the map E of the input penalty E vec(u) - c.  `_linearisation` is built the same way.
         """
         N, m = self.N, self.R.shape[0]
         H = N + ((self.d + 1) if self.variant == "look_ahead" else 0)
@@ -104,6 +101,27 @@ class MpcConfig:
         for a in arrays:
             a.flags.writeable = False
         return (H,) + arrays
+
+    @cached_property
+    def _linearisation(self):
+        """[`_Linearisation` of the last linear system solved here]; only linear solves make it."""
+        return [None]
+
+
+@dataclass(frozen=True, eq=False)
+class _Linearisation:
+    """J_r and GN Hessian H of one LinearSystem under one config, and M of an all-free box pass
+    p = -M grad, formed on first use for every H (`_newton_step`), so that pass never factorises.
+    Holding the LinearSystem, not the SystemModel, keeps its id unused and the config picklable."""
+    system: LinearSystem
+    Jr: np.ndarray
+    H: np.ndarray
+
+    @cached_property
+    def M(self):
+        M = _newton_step(self.H)
+        M.flags.writeable = False
+        return M
 
 
 @dataclass(frozen=True)
@@ -145,10 +163,8 @@ class Ocp:
         elif config.variant == "incremental_input":
             if memory is None:
                 raise ConfigError("incremental_input needs the memory of applied inputs")
-            xi = np.asarray(memory, dtype=float)
-            if xi.size != config.T * m:
-                raise ConfigError(f"memory must hold exactly T = {config.T} inputs")
-            ref = xi.reshape(config.T, m)[::-1]     # u_{t-T}, ..., u_{t-1}
+            xi = _sized(memory, config.T * m, "memory").reshape(config.T, m)
+            ref = xi[::-1]     # u_{t-T}, ..., u_{t-1}
         self.c = np.zeros(len(self.E))
         self.c[:min(len(ref), N) * m] = np.ravel([Rh @ r for r in ref[:N]])
 
@@ -191,11 +207,11 @@ class Ocp:
     def jacobian(self, useq, xs):
         """Read-only J_r and GN Hessian 2 J_r'J_r at u along its rollout xs, from one stacked call
         each of the Jacobians of f and h.  A linear model's pair depends only on the config and
-        the LinearSystem, so the config's slot keeps it (`MpcConfig.horizon`); others are not kept.
+        the LinearSystem, so its first linearisation keeps it (`Ocp.kept`); others are not kept.
         """
-        lin, kept = self.model.linear, getattr(self.config, "_linearised", (None,))
-        if lin is not None and kept[0] is lin:
-            return kept[1:3]
+        kept = self.kept()
+        if kept is not None:
+            return kept.Jr, kept.H
         H, W = self.H, self.w_traj
         X, U = xs[:H], np.reshape(useq, (self.N, self.m))[self._j]
         Hx, Hu, _ = self.model.jacobians_h(X, U, W[:H])
@@ -203,30 +219,15 @@ class Ocp:
         Jr = self._residual_jacobian(Fx, Fu, Hx, Hu)
         hess = 2.0 * (Jr.T @ Jr)
         hess.flags.writeable = False
-        if lin is not None:
-            object.__setattr__(self.config, "_linearised", (lin, Jr, hess))
+        if self.model.linear is not None:
+            self.config._linearisation[0] = _Linearisation(self.model.linear, Jr, hess)
         return Jr, hess
 
-    def kept_inverse(self):
-        """Read-only H^-1 of the kept GN Hessian of a linear model, or None.
-
-        Only a pair that is already kept is inverted, so a model's first solve forms nothing and
-        a one-shot model pays nothing; the first later solve forms H^-1 once per (model, config).
-        When H is not positive definite (a Cholesky test) None is kept, so the test runs once.
-        """
-        lin, kept = self.model.linear, getattr(self.config, "_linearised", (None,))
-        if lin is None or kept[0] is not lin:
-            return None
-        if len(kept) == 3:
-            try:
-                np.linalg.cholesky(kept[2])    # raises unless H is positive definite
-                inv = np.linalg.inv(kept[2])
-                inv.flags.writeable = False
-            except np.linalg.LinAlgError:
-                inv = None
-            kept += (inv,)
-            object.__setattr__(self.config, "_linearised", kept)
-        return kept[3]
+    def kept(self):
+        """The `_Linearisation` kept for this Ocp's linear model under its config, or None."""
+        lin = self.model.linear
+        kept = None if lin is None else self.config._linearisation[0]
+        return kept if kept is not None and kept.system is lin else None
 
     def _residual_jacobian(self, Fx, Fu, Hx, Hu):
         """J_r from the stacked Jacobians: a forward pass carries the sensitivity
@@ -311,10 +312,6 @@ def _box_centre(lo, hi):
 # ---------------------------------------------------------------------------
 # solver
 
-def _stationarity(u, g, lo, hi):
-    return float(np.max(np.abs(u - np.clip(u - g, lo, hi)))) if u.size else 0.0
-
-
 @one_blas_thread()
 def solve(ocp: Ocp, warm_start=None) -> OcpSolution:
     """Minimize the OCP over the input box.
@@ -348,16 +345,17 @@ def solve(ocp: Ocp, warm_start=None) -> OcpSolution:
     u0 = (np.tile(_box_centre(*box), N) if warm_start is None
           else _sized(warm_start, N * m, "warm_start"))
     u = np.clip(u0, lo, hi)
-    inv = ocp.kept_inverse()    # asked before linearising: a first solve keeps the pair, no H^-1
+    kept = ocp.kept()    # asked before linearising: a first solve keeps (J_r, H) and forms no M
+    M = None if kept is None else kept.M
     J, r, xs = ocp.cost(u)
     it = 0
     while True:
         Jr, hess = ocp.jacobian(u, xs)
         g = 2.0 * (Jr.T @ r)
-        stat = _stationarity(u, g, lo, hi)
+        stat = float(np.max(np.abs(u - np.clip(u - g, lo, hi)))) if u.size else 0.0
         if (it > 0 and stat <= tol) or it >= _MAX_ITERATIONS:
             break
-        d = _box_gauss_newton_step(hess, g, lo - u, hi - u, inv)
+        d = _box_gauss_newton_step(hess, g, lo - u, hi - u, M)
         Jd = Jr @ d
         slope, curv = float(g @ d), float(Jd @ Jd)
         allowance = 1e-14 * max(1.0, abs(J))
@@ -390,7 +388,7 @@ def solve(ocp: Ocp, warm_start=None) -> OcpSolution:
                        kkt_residual=stat)
 
 
-def _box_gauss_newton_step(H, g, lo, hi, H_inv=None):
+def _box_gauss_newton_step(H, g, lo, hi, M=None):
     """Exact minimiser of the model g'd + d'Hd/2 over the box lo <= d <= hi.
 
     A monotone primal active-set method (Nocedal & Wright, section 16.5)
@@ -403,8 +401,8 @@ def _box_gauss_newton_step(H, g, lo, hi, H_inv=None):
     when none is negative.  A released coordinate must then move inward; if
     its step does not, the multiplier was round-off and d is returned.  Every
     pass lowers the model or grows the working set; after 4n + 10 passes the
-    current, feasible d is returned.  Given H_inv = H^-1, a pass on which every
-    coordinate is free takes its Newton step as -H_inv grad, with no factorisation.
+    current, feasible d is returned.  Given M (`_Linearisation.M`), a pass on which
+    every coordinate is free takes its Newton step as -M grad, with no factorisation.
     """
     n = g.size
     d = np.zeros(n)
@@ -414,8 +412,8 @@ def _box_gauss_newton_step(H, g, lo, hi, H_inv=None):
     for _ in range(4 * n + 10):
         free = side == 0.0
         p = np.zeros(n)
-        if H_inv is not None and free.all():
-            p = -(H_inv @ grad)
+        if M is not None and free.all():
+            p = -(M @ grad)
         elif free.any():
             p[free] = _newton_step(H[np.ix_(free, free)], grad[free])
         if released is not None and p[released[0]] * released[1] <= 0.0:
@@ -444,15 +442,17 @@ def _box_gauss_newton_step(H, g, lo, hi, H_inv=None):
     return d
 
 
-def _newton_step(H, g):
-    """-H^-1 g, or if H is not positive definite -(H/ss' + 1e-10 I)^-1 (g/s)/s, s = sqrt(diag H)."""
+def _newton_step(H, g=None):
+    """-H^-1 g, or with no g its operator M = H^-1.  If H is not positive definite, or its solve
+    fails, S K S stands in for H: K = H/ss' + 1e-10 I, S = diag(s), s = sqrt(diag H) or 1 if 0."""
     try:
         np.linalg.cholesky(H)   # raises unless H is positive definite
-        return -np.linalg.solve(H, g)
+        return np.linalg.inv(H) if g is None else -np.linalg.solve(H, g)
     except np.linalg.LinAlgError:
         s = np.sqrt(np.diag(H))
         s[s == 0.0] = 1.0
-        return -np.linalg.solve(H / np.outer(s, s) + 1e-10 * np.eye(g.size), g / s) / s
+        K = H / np.outer(s, s) + 1e-10 * np.eye(s.size)
+        return np.linalg.inv(K) / np.outer(s, s) if g is None else -np.linalg.solve(K, g / s) / s
 
 
 # ---------------------------------------------------------------------------

@@ -387,7 +387,7 @@ def test_empty_weight_is_a_config_error_at_its_line(dims, key, entries, tmp_path
 
 
 @pytest.mark.parametrize("case", ("unknown_name", "missing_file", "non_numeric", "short_file",
-                                  "non_finite"))
+                                  "non_finite", "non_integer_header", "not_utf8"))
 def test_model_that_cannot_be_loaded_is_a_config_error(case, tmp_path, capsys):
     """Every failure to load [model] name exits 1 at its line, for both kinds of config."""
     mfile = tmp_path / "plant.txt"
@@ -397,6 +397,10 @@ def test_model_that_cannot_be_loaded_is_a_config_error(case, tmp_path, capsys):
         mfile.write_text("1 1 1 1\n0.5 1 1 0\n")
     elif case == "non_finite":
         mfile.write_text("1 1 1 1\n0.5 1 1 0 nan 1 1\n")
+    elif case == "non_integer_header":
+        mfile.write_text("1.5 1 1 1\n0.5 1 1 0 0 1 1\n")
+    elif case == "not_utf8":
+        mfile.write_bytes(b"1 1 1 1\n0.5 1 \xff 0 0 1 1\n")
     name = "foo" if case == "unknown_name" else f"lti:{mfile}"
     design = "[mpc]\nvariant = incremental_input\nN = 8\nQ = 1\nR = 1\nT = 1\n"
     for command, tail in (("analyze", "[analyze]\ngamma_s = 1\n"),

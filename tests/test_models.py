@@ -293,6 +293,15 @@ def test_lti_file_errors(tmp_path):
         path.write_text(text)
         with pytest.raises(ShapeError, match="dimension header .* has a negative entry"):
             load_lti(path)
+    path.write_text("1.5 1 0 1\n0.5 1 1 0\n")
+    with pytest.raises(ShapeError, match=r"bad\.txt: header token '1\.5' is not an integer$"):
+        load_lti(path)
+    path.write_text("1 1 0 1\nabc 1 1 0\n")
+    with pytest.raises(DomainError, match=r"bad\.txt: matrix entry 'abc' is not a number$"):
+        load_lti(path)
+    path.write_bytes(b"1 1 0 1\n0.5 \xff 1 0\n")   # not UTF-8
+    with pytest.raises(DomainError, match=r"bad\.txt: matrix entry '\ufffd' is not a number$"):
+        load_lti(path)
     with pytest.raises(ShapeError, match="B has shape"):
         LinearSystem(A=np.eye(2), B=[[1.0]], C=[[1.0, 0.0]], D=[[0.0]],
                      P_x=np.zeros((2, 0)), P_y=np.zeros((1, 0)), S=np.zeros((0, 0)))

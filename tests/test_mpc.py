@@ -67,7 +67,7 @@ def test_assemble_requires_variant_inputs():
         assemble(model, make_cfg("input_regularized", 3), np.ones(1), np.zeros(0))
     with pytest.raises(ConfigError):
         assemble(model, make_cfg("incremental_input", 3, T=1), np.ones(1), np.zeros(0))
-    with pytest.raises(ConfigError, match="memory must hold exactly T = 2 inputs"):
+    with pytest.raises(ShapeError, match="memory must have length 2, got 1"):
         assemble(model, make_cfg("incremental_input", 3, T=2), np.ones(1), np.zeros(0),
                  memory=np.zeros(1))
 
@@ -481,7 +481,7 @@ def test_linear_models_that_alternate_on_one_config_are_never_stale(rng):
     for model in (a, b, a, b, b, a):
         got = _pair(model, cfg, rng)
         assert [x.tobytes() for x in got] == [x.tobytes() for x in want[id(model)]]
-        assert cfg._linearised[0] is model.linear
+        assert cfg._linearisation[0].system is model.linear
 
 
 def test_a_nonlinear_solve_leaves_nothing_on_the_config():
@@ -516,8 +516,9 @@ def test_kept_pair_holds_the_linear_system_so_models_die_and_the_config_pickles(
         model = solved()
         systems.append(weakref.ref(model.linear))
     gc.collect()
-    assert set(vars(cfg)) == {f.name for f in dataclasses.fields(cfg)} | {"horizon", "_linearised"}
-    assert cfg._linearised[0] is model.linear
+    assert set(vars(cfg)) == ({f.name for f in dataclasses.fields(cfg)}
+                              | {"horizon", "_linearisation"})
+    assert cfg._linearisation[0].system is model.linear
     assert [ref() is None for ref in systems] == [True] * 49 + [False]
 
 
@@ -866,26 +867,33 @@ def test_a_re_solve_inverts_the_kept_hessian_once(monkeypatch):
                     {"cholesky": 0, "solve": 0, "inv": 0}]
 
 
+def _formed_M(cfg):
+    """Whether the kept `_Linearisation` of cfg has formed its step operator M."""
+    return "M" in vars(cfg._linearisation[0])
+
+
 def test_kept_inverse_is_read_only_and_inverts_the_kept_hessian():
-    """The slot keeps H^-1 next to (J_r, H) after the second Ocp: read-only, H H^-1 = I."""
+    """The record keeps M = H^-1 next to (J_r, H) after the second Ocp: read-only, H M = I."""
     cfg = MpcConfig(variant="incremental_input", N=307, Q=np.eye(1), R=np.eye(1), T=1)
     model = academic_example()
     solve(assemble(model, cfg, np.array([1.3]), np.zeros(0), memory=np.array([0.4])))
-    assert len(cfg._linearised) == 3    # the pair alone until a later solve asks for H^-1
+    kept = cfg._linearisation[0]
+    assert not _formed_M(cfg)    # J_r and H alone until a later solve asks for M
     ocp = assemble(model, cfg, np.array([-0.7]), np.zeros(0), memory=np.array([0.4]))
     solve(ocp)
-    lin, Jr, H, inv = cfg._linearised
-    assert lin is model.linear and ocp.kept_inverse() is inv
-    assert not inv.flags.writeable
+    assert cfg._linearisation[0] is kept and ocp.kept() is kept and _formed_M(cfg)
+    assert kept.system is model.linear
+    M = kept.M
+    assert not M.flags.writeable
     with pytest.raises(ValueError):
-        inv[0, 0] = 1.0
-    assert np.max(np.abs(H @ inv - np.eye(307))) < 1e-12
+        M[0, 0] = 1.0
+    assert np.max(np.abs(kept.H @ M - np.eye(307))) < 1e-12
 
 
-def test_a_singular_hessian_forms_no_inverse_and_is_tested_once(monkeypatch):
-    """output_only without feedthrough never sees the last input, so H is singular: no
-    inverse is formed, the Cholesky test of the kept H runs once per (model, config), and
-    every solve still meets the dense least-squares oracle."""
+def test_a_singular_hessian_keeps_the_regularised_operator_and_factorises_once(monkeypatch):
+    """output_only without feedthrough never sees the last input, so H is singular.  The second
+    solve keeps the inverse M of `_newton_step`'s regularised system in place of H^-1, later
+    solves factorise nothing, and every solve still meets the dense least-squares oracle."""
     model = LinearSystem(A=[[0.5]], B=[[1.0]], C=[[1.0]], D=[[0.0]], P_x=np.zeros((1, 0)),
                          P_y=np.zeros((1, 0)), S=np.zeros((0, 0))).to_system_model()
     cfg = make_cfg("output_only", 8)
@@ -898,10 +906,33 @@ def test_a_singular_hessian_forms_no_inverse_and_is_tested_once(monkeypatch):
         seen.append(dict(counts))
         _, v_ref = dense_lstsq_oracle(ocp)
         assert sol.value == pytest.approx(v_ref, rel=1e-6, abs=1e-9)
-    assert cfg._linearised[3] is None
     first = seen[0]
-    assert first["inv"] == 0 and first["cholesky"] >= 1
-    assert seen[1:] == [dict(first, cholesky=first["cholesky"] + 1), first, first]
+    assert first["inv"] == 0 and first["cholesky"] >= 1 and first["solve"] >= 1
+    assert seen[1:] == [{"cholesky": 1, "solve": 0, "inv": 1}] + 2 * [dict.fromkeys(counts, 0)]
+    kept = cfg._linearisation[0]
+    assert not kept.M.flags.writeable
+    g = np.random.default_rng(5).normal(size=8)
+    assert np.allclose(-(kept.M @ g), mpc._newton_step(kept.H, g), rtol=1e-12, atol=0.0)
+
+
+def test_an_indefinite_kept_hessian_factorises_nothing_from_the_third_solve(monkeypatch):
+    """Counted, not timed: the academic plant's zero at 1.5 leaves output_only's H at N = 307,
+    R = 0 not positive definite.  The second Ocp keeps the regularised M; from the third on a
+    solve makes no cholesky, solve or inv call and still meets the dense least-squares oracle."""
+    counts = _count_linalg(monkeypatch)
+    cfg = MpcConfig(variant="output_only", N=307, Q=np.eye(1), R=np.zeros((1, 1)))
+    model, seen = academic_example(), []
+    for x0 in (1.7, 1.7, 1.7, -0.4):
+        for name in counts:
+            counts[name] = 0
+        ocp = assemble(model, cfg, np.array([x0]), np.zeros(0))
+        sol = solve(ocp)
+        seen.append(dict(counts))
+        _, v_ref = dense_lstsq_oracle(ocp)
+        assert sol.value == pytest.approx(v_ref, rel=1e-6, abs=1e-9)
+    assert seen[1]["inv"] == 1 and seen[2:] == 2 * [dict.fromkeys(counts, 0)]
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(cfg._linearisation[0].H)
 
 
 def test_re_solves_that_reuse_the_kept_inverse_match_the_dense_oracle(rng):
@@ -920,7 +951,7 @@ def test_re_solves_that_reuse_the_kept_inverse_match_the_dense_oracle(rng):
             _, v_ref = dense_lstsq_oracle(ocp)
             sol = solve(ocp)
             assert sol.value == pytest.approx(v_ref, rel=1e-6, abs=1e-9)
-        assert cfg._linearised[3] is not None
+        assert _formed_M(cfg)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -935,9 +966,9 @@ def test_a_solve_with_the_kept_inverse_agrees_with_the_factorising_solve(rng, va
     ocp = assemble(sys.to_system_model(), cfg, rng.normal(size=3), rng.normal(size=2),
                    memory=rng.normal(size=2), regulator=reg)
     first = solve(ocp)
-    assert len(cfg._linearised) == 3
+    assert not _formed_M(cfg)
     again = solve(ocp)
-    assert cfg._linearised[3] is not None
+    assert _formed_M(cfg)
     assert first.converged and again.converged
     scale = np.max(np.abs(first.u_opt))
     assert np.max(np.abs(again.u_opt - first.u_opt)) <= 1e-12 * scale
@@ -1002,7 +1033,7 @@ def test_box_constrained_re_solves_with_the_kept_inverse_match_bvls():
         assert sol.converged
         assert np.max(np.abs(sol.u_opt.ravel() - ref.x)) <= 1e-6
         assert sol.value == pytest.approx(float(r @ r), rel=1e-9)
-    assert cfg._linearised[3] is not None
+    assert _formed_M(cfg)
 
 
 def test_box_constrained_lti_sweep_matches_bvls():
@@ -1113,24 +1144,35 @@ def test_box_step_matches_bvls_on_random_models(seed, n, rows, zero_cols, scale)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 6), extra=st.integers(0, 6))
-def test_box_step_with_the_inverse_matches_the_factorising_step(seed, n, extra):
-    """Property: given H^-1, the box step returns the factorising step's d to 1e-9 and meets
-    BVLS.  Its all-free passes take -H^-1 grad, also those after a bound that d = 0 sat on is
-    released, where grad = g + H d."""
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 6), extra=st.integers(0, 6),
+       kind=st.sampled_from(("full_rank", "zero_columns", "wide")))
+def test_box_step_with_the_inverse_matches_the_factorising_step(seed, n, extra, kind):
+    """Property: given the M that `_Linearisation` forms, the box step meets the factorising
+    step and BVLS.  Its all-free passes take -M grad, also those after a bound that d = 0 sat
+    on is released, where grad = g + H d.  Where H is positive definite, M = H^-1 and d matches
+    to 1e-9.  Where zero columns or a wide J_r make H singular, M is the inverse of the
+    regularised system S K S and the model values match to 1e-9 relative; K^-1 S^-2, which
+    scales columns where S^-1 K^-1 S^-1 scales rows and columns, fails this."""
     from scipy.optimize import lsq_linear
     rng = np.random.default_rng(seed)
-    Jr = rng.normal(size=(n + extra, n))
-    r = 3.0 * rng.normal(size=n + extra)
+    rows = max(1, n - 1 - extra % n) if kind == "wide" else n + extra
+    Jr = rng.normal(size=(rows, n))
+    if kind == "zero_columns":
+        Jr[:, (rng.random(n) < 0.3) | (np.arange(n) == rng.integers(n))] = 0.0
+    r = 3.0 * rng.normal(size=rows)
     lo, hi = -rng.uniform(0.0, 2.0, n), rng.uniform(0.0, 2.0, n)
     lo[rng.random(n) < 0.3] = 0.0          # bounds that d = 0 sits on, released later
     H, g = 2.0 * Jr.T @ Jr, 2.0 * Jr.T @ r
     want = mpc._box_gauss_newton_step(H, g, lo, hi)
-    d = mpc._box_gauss_newton_step(H, g, lo, hi, np.linalg.inv(H))
+    d = mpc._box_gauss_newton_step(H, g, lo, hi, mpc._Linearisation(None, Jr, H).M)
     assert np.all((lo <= d) & (d <= hi))
-    assert np.max(np.abs(d - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
+    value, best = np.sum((r + Jr @ d) ** 2), np.sum((r + Jr @ want) ** 2)
+    if kind == "full_rank":
+        assert np.max(np.abs(d - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
+    else:
+        assert abs(value - best) <= 1e-9 * max(1.0, best)
     ref = lsq_linear(Jr, -r, bounds=(lo, hi), method="bvls", tol=1e-14, max_iter=100 * n)
-    value, best = np.sum((r + Jr @ d) ** 2), np.sum((r + Jr @ ref.x) ** 2)
+    best = np.sum((r + Jr @ ref.x) ** 2)
     assert value <= best + 1e-10 * max(1.0, best)
 
 
