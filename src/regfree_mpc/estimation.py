@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DetectabilityError, DomainError, NumericalError
+from .errors import ConfigError, DetectabilityError, DomainError, NumericalError, ShapeError
 from .models import SystemModel
 
 Array = np.ndarray
@@ -48,7 +48,10 @@ class ObserverConfig:
                               key="noise_lo" if self.noise_hi is None else "noise_hi")
         if self.noise_lo is not None:
             lo, hi = (np.atleast_1d(np.asarray(b, dtype=float)) for b in (self.noise_lo, self.noise_hi))
-            if lo.shape != hi.shape or np.any(lo > hi):
+            if lo.shape != hi.shape:
+                raise ShapeError(f"noise bounds have shapes {lo.shape} and {hi.shape}",
+                                 key="noise_hi")
+            if not np.all(lo <= hi):    # NaN fails it
                 raise DomainError("noise bounds must satisfy lo <= hi componentwise",
                                   key="noise_hi")
             object.__setattr__(self, "noise_lo", lo)

@@ -61,10 +61,10 @@ class SystemModel:
     where they are absent.  `h` takes one point or a stack of K points,
     (K, n_p), (K, m), (K, q), and returns (p,) or (K, p); `jac_f` and `jac_h`
     take such stacks and return (K, ...) arrays.  `linear` tags exactly
-    linear models, whose matrices are treated as constant: the OCP's J_r and
-    GN Hessian are kept once per (linear, MpcConfig), and from the second solve
-    on, the all-free step operator M with them (`mpc._Linearisation`).
-    `Ocp.dense_matrices` gives their closed-form reference.
+    linear models, whose matrices are treated as constant: the OCP's J_r, GN
+    Hessian and all-free step operator M are formed together and kept once per
+    (linear, MpcConfig) (`mpc._Linearisation`).  `Ocp.dense_matrices` gives
+    their closed-form reference.
     """
 
     n_p: int
@@ -85,9 +85,12 @@ class SystemModel:
     def __post_init__(self):
         lo = self.input_lo if self.input_lo is not None else np.full(self.m, -np.inf)
         hi = self.input_hi if self.input_hi is not None else np.full(self.m, np.inf)
+        for name, b in (("input_lo", lo), ("input_hi", hi)):
+            if np.size(b) != self.m:
+                raise ShapeError(f"{name} must have length {self.m}, got {np.size(b)}")
         lo = np.asarray(lo, dtype=float).reshape(self.m)
         hi = np.asarray(hi, dtype=float).reshape(self.m)
-        if np.any(lo > hi):
+        if not np.all(lo <= hi):    # NaN fails it
             raise DomainError("input box must satisfy lo <= hi componentwise")
         object.__setattr__(self, "input_lo", lo)
         object.__setattr__(self, "input_hi", hi)
@@ -114,7 +117,7 @@ class SystemModel:
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Matrices of x+ = Ax + Bu + P_x w, w+ = Sw, y = Cx + Du - P_y w."""
+    """Matrices of x+ = Ax + Bu + P_x w, w+ = Sw, y = Cx + Du - P_y w, as read-only copies."""
 
     A: Array
     B: Array
@@ -126,7 +129,9 @@ class LinearSystem:
 
     def __post_init__(self):
         for name in ("A", "B", "C", "D", "P_x", "P_y", "S"):
-            object.__setattr__(self, name, np.atleast_2d(np.asarray(getattr(self, name), dtype=float)))
+            M = np.array(getattr(self, name), dtype=float, ndmin=2)
+            M.flags.writeable = False
+            object.__setattr__(self, name, M)
         n, m, p, q = self.n_p, self.m, self.p, self.q
         shapes = {"A": (n, n), "B": (n, m), "C": (p, n), "D": (p, m),
                   "P_x": (n, q), "P_y": (p, q), "S": (q, q)}
@@ -240,7 +245,7 @@ def rk4_discretize(ode, dt, *, n_p, m, q, p, h, input_lo=None, input_hi=None,
     stacked stages of `jac_f`.  `ode_jac` and `jac_h`, if given, take (K, ·)
     stacks (see `SystemModel`); `ode_jac` returns (Gx, Gu, Gw), as `jac_f` does.
     """
-    if dt <= 0:
+    if not dt > 0:      # NaN fails it
         raise DomainError("dt must be positive")
 
     def f_p(x, u, w):

@@ -7,10 +7,10 @@ the rollout that `Ocp.jacobian` linearises.  Every model runs the same
 Gauss-Newton solver: each iteration minimises its model exactly over the input
 box with a primal active-set method, and a line search along the feasible
 segment accepts a trial by the model's predicted decrease.  It reports the
-projected-gradient stationarity residual.  A linear model's J_r and GN Hessian
-are built once per (model, config) into a `_Linearisation`, and its second solve
-forms the step operator M there, so a box step whose coordinates are all free is
-one product; `Ocp.dense_matrices` writes r in closed form.
+projected-gradient stationarity residual.  A linear model's J_r, GN Hessian and
+all-free step operator M are built once per (model, config) into a
+`_Linearisation`, so a box step whose coordinates are all free is one product;
+`Ocp.dense_matrices` writes r in closed form.
 """
 
 from dataclasses import dataclass, field
@@ -53,11 +53,16 @@ class MpcConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}", key="variant")
+        for key in ("N", "d", "T"):     # a float, bool or str would reach numpy as a shape
+            value = getattr(self, key)
+            if (key == "N" or value is not None) and (isinstance(value, bool) or
+                                                      not isinstance(value, (int, np.integer))):
+                raise ConfigError(f"{key} must be an integer, got {value!r}", key=key)
         if self.N < 1:
             raise ConfigError("horizon N must be >= 1", key="N")
-        Q = np.atleast_2d(np.asarray(self.Q, dtype=float))
-        R = np.atleast_2d(np.asarray(self.R, dtype=float))
+        Q, R = (np.array(M, dtype=float, ndmin=2) for M in (self.Q, self.R))  # private copies
         for name, M in (("Q", Q), ("R", R)):
+            M.flags.writeable = False
             if M.size == 0:
                 raise ConfigError(f"{name} must be non-empty", key=name)
             if not np.isfinite(M).all():
@@ -110,18 +115,13 @@ class MpcConfig:
 
 @dataclass(frozen=True, eq=False)
 class _Linearisation:
-    """J_r and GN Hessian H of one LinearSystem under one config, and M of an all-free box pass
-    p = -M grad, formed on first use for every H (`_newton_step`), so that pass never factorises.
-    Holding the LinearSystem, not the SystemModel, keeps its id unused and the config picklable."""
+    """Read-only J_r, GN Hessian H and all-free box step operator M = `_newton_step(H)`, so
+    p = -M grad, of one LinearSystem under one config; M exists for every H.  Holding the
+    LinearSystem, not the SystemModel, keeps its id unused and the config picklable."""
     system: LinearSystem
     Jr: np.ndarray
     H: np.ndarray
-
-    @cached_property
-    def M(self):
-        M = _newton_step(self.H)
-        M.flags.writeable = False
-        return M
+    M: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -205,13 +205,13 @@ class Ocp:
         return _squared_norm(r), r, xs
 
     def jacobian(self, useq, xs):
-        """Read-only J_r and GN Hessian 2 J_r'J_r at u along its rollout xs, from one stacked call
-        each of the Jacobians of f and h.  A linear model's pair depends only on the config and
-        the LinearSystem, so its first linearisation keeps it (`Ocp.kept`); others are not kept.
+        """Read-only J_r, GN Hessian H = 2 J_r'J_r and all-free step operator M at u along xs, from
+        one stacked call each of the Jacobians of f and h.  A linear model's three depend only on
+        its LinearSystem and the config, which keeps them (`_Linearisation`); else M is None.
         """
-        kept = self.kept()
-        if kept is not None:
-            return kept.Jr, kept.H
+        lin = self.model.linear
+        if lin is not None and (kept := self.config._linearisation[0]) and kept.system is lin:
+            return kept.Jr, kept.H, kept.M
         H, W = self.H, self.w_traj
         X, U = xs[:H], np.reshape(useq, (self.N, self.m))[self._j]
         Hx, Hu, _ = self.model.jacobians_h(X, U, W[:H])
@@ -219,15 +219,12 @@ class Ocp:
         Jr = self._residual_jacobian(Fx, Fu, Hx, Hu)
         hess = 2.0 * (Jr.T @ Jr)
         hess.flags.writeable = False
-        if self.model.linear is not None:
-            self.config._linearisation[0] = _Linearisation(self.model.linear, Jr, hess)
-        return Jr, hess
-
-    def kept(self):
-        """The `_Linearisation` kept for this Ocp's linear model under its config, or None."""
-        lin = self.model.linear
-        kept = None if lin is None else self.config._linearisation[0]
-        return kept if kept is not None and kept.system is lin else None
+        M = None
+        if lin is not None:
+            M = _newton_step(hess)
+            M.flags.writeable = False
+            self.config._linearisation[0] = _Linearisation(lin, Jr, hess, M)
+        return Jr, hess, M
 
     def _residual_jacobian(self, Fx, Fu, Hx, Hu):
         """J_r from the stacked Jacobians: a forward pass carries the sensitivity
@@ -317,13 +314,13 @@ def solve(ocp: Ocp, warm_start=None) -> OcpSolution:
     """Minimize the OCP over the input box.
 
     Linear and nonlinear models take the same Gauss-Newton path from the
-    (box-projected) warm start.  Each iteration solves its model exactly over
-    the box, d = argmin ||r + J_r d||^2 subject to lo - u <= d <= hi - u
-    (`_box_gauss_newton_step`), and searches along the feasible segment
-    u + t d, halving t from 1.  A trial is accepted when the cost falls by at
-    least 1e-4 times the model's predicted decrease
-    pred(t) = -(2t r'J_r d + t^2 ||J_r d||^2), less a round-off allowance of
-    1e-14 max(1, |J|); a trial whose rollout or cost is not finite is
+    (box-projected) warm start.  Each iteration takes (J_r, H, M) from
+    `Ocp.jacobian`, solves its model exactly over the box, d = argmin
+    ||r + J_r d||^2 subject to lo - u <= d <= hi - u (`_box_gauss_newton_step`),
+    and searches along the feasible segment u + t d, halving t from 1.  A trial
+    is accepted when the cost falls by at least 1e-4 times the model's predicted
+    decrease pred(t) = -(2t r'J_r d + t^2 ||J_r d||^2), less a round-off allowance
+    of 1e-14 max(1, |J|); a trial whose rollout or cost is not finite is
     rejected, and an accepted one's (J, r, rollout) from `Ocp.cost` is the
     next iterate as it stands, so each point is evaluated once.  t is halved
     only while the trial still moves u, t ||d||_inf > 1e-13 max(1, ||u||_inf).
@@ -345,14 +342,12 @@ def solve(ocp: Ocp, warm_start=None) -> OcpSolution:
     u0 = (np.tile(_box_centre(*box), N) if warm_start is None
           else _sized(warm_start, N * m, "warm_start"))
     u = np.clip(u0, lo, hi)
-    kept = ocp.kept()    # asked before linearising: a first solve keeps (J_r, H) and forms no M
-    M = None if kept is None else kept.M
     J, r, xs = ocp.cost(u)
     it = 0
     while True:
-        Jr, hess = ocp.jacobian(u, xs)
+        Jr, hess, M = ocp.jacobian(u, xs)
         g = 2.0 * (Jr.T @ r)
-        stat = float(np.max(np.abs(u - np.clip(u - g, lo, hi)))) if u.size else 0.0
+        stat = float(np.max(np.abs(u - np.clip(u - g, lo, hi))))
         if (it > 0 and stat <= tol) or it >= _MAX_ITERATIONS:
             break
         d = _box_gauss_newton_step(hess, g, lo - u, hi - u, M)

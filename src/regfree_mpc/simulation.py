@@ -33,6 +33,8 @@ class ScenarioSpec:
     u_init: Optional[Array] = None
 
     def __post_init__(self):
+        if isinstance(self.steps, bool) or not isinstance(self.steps, (int, np.integer)):
+            raise ConfigError(f"steps must be an integer, got {self.steps!r}", key="steps")
         if self.steps < 1:
             raise ConfigError("simulation length must be >= 1", key="steps")
         model, ob = self.model, self.observer

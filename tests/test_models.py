@@ -40,9 +40,10 @@ def test_rk4_point_step_reads_nan_where_floats_turn_complex():
 
 
 def test_rk4_rejects_nonpositive_dt():
-    with pytest.raises(DomainError):
-        rk4_discretize(lambda x, u, w: x, dt=0.0, n_p=1, m=0, q=0, p=1,
-                       h=lambda x, u, w: x)
+    for dt in (0.0, np.nan):
+        with pytest.raises(DomainError):
+            rk4_discretize(lambda x, u, w: x, dt=dt, n_p=1, m=0, q=0, p=1,
+                           h=lambda x, u, w: x)
 
 
 def test_rk4_order_on_mill_model():
@@ -131,8 +132,16 @@ def test_mill_dimensions_and_box():
     assert mill.input_hi == pytest.approx([150.0, 180.0])
     w = np.array([107.0, 423.0])
     assert mill.s(w) == pytest.approx(w)
+    for lo in (mill.input_hi + 1.0, np.array([np.nan, 165.0])):     # NaN passes "lo > hi"
+        with pytest.raises(DomainError, match="lo <= hi"):
+            dataclasses.replace(mill, input_lo=lo)
     with pytest.raises(DomainError, match="lo <= hi"):
-        dataclasses.replace(mill, input_lo=mill.input_hi + 1.0)
+        dataclasses.replace(mill, input_hi=np.array([150.0, np.nan]))
+    for bound in ("input_lo", "input_hi"):
+        with pytest.raises(ShapeError, match=f"^{bound} must have length 2, got 3$"):
+            dataclasses.replace(mill, **{bound: np.zeros(3)})
+    free = dataclasses.replace(mill, input_lo=np.full(2, -np.inf), input_hi=np.full(2, np.inf))
+    assert np.isinf(free.input_lo).all() and np.isinf(free.input_hi).all()
 
 
 def test_mill_regulator_is_exact_fixed_point():

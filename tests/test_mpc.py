@@ -47,6 +47,16 @@ def test_config_validation():
         with pytest.raises(ConfigError, match=f"'{key}' is read only by the") as err:
             MpcConfig(variant=variant, N=3, Q=np.eye(1), R=np.eye(1), **kw)
         assert err.value.key == key
+    for kw, key in (({"N": 2.5}, "N"), ({"N": True}, "N"), ({"N": "3"}, "N"),
+                    ({"variant": "look_ahead", "d": 0.5}, "d"),
+                    ({"variant": "incremental_input", "T": 1.5}, "T")):
+        with pytest.raises(ConfigError, match="must be an integer, got") as err:
+            MpcConfig(**{"variant": "output_only", "N": 3, "Q": np.eye(1), "R": np.eye(1), **kw})
+        assert err.value.key == key
+    cfg = MpcConfig(variant="incremental_input", N=np.int64(3), Q=np.eye(1), R=np.eye(1),
+                    T=np.int32(1))
+    assert solve(assemble(academic_example(), cfg, np.ones(1), np.zeros(0),
+                          memory=np.zeros(1))).converged
     for tol in (0.0, -1.0, np.nan, np.inf):     # NaN passes a plain "<= 0" test
         with pytest.raises(DomainError) as err:
             SolverSettings(gradient_tolerance=tol)
@@ -522,6 +532,26 @@ def test_kept_pair_holds_the_linear_system_so_models_die_and_the_config_pickles(
     assert [ref() is None for ref in systems] == [True] * 49 + [False]
 
 
+def test_an_in_place_edit_of_a_callers_array_reaches_no_kept_data():
+    """LinearSystem's matrices and MpcConfig's Q and R are private read-only copies: writing to
+    them raises, and editing the caller's arrays after a solve leaves a re-solve on the same
+    config, which reads the kept J_r, H, M and Q^1/2, bitwise the first."""
+    B, Q = np.array([[1.0]]), np.eye(1)
+    lin = LinearSystem(A=[[0.5]], B=B, C=[[1.0]], D=[[-1.0]], P_x=np.zeros((1, 0)),
+                       P_y=np.zeros((1, 0)), S=np.zeros((0, 0)))
+    model = lin.to_system_model(input_lo=-np.ones(1), input_hi=np.ones(1))
+    cfg = MpcConfig(variant="output_only", N=4, Q=Q, R=0.1 * np.eye(1))
+    first = solve(assemble(model, cfg, np.ones(1), np.zeros(0)))
+    for a in (lin.B, cfg.Q, cfg.R):
+        with pytest.raises(ValueError):
+            a[0, 0] = 2.0
+    B[0, 0], Q[0, 0] = 2.0, 5.0
+    assert not np.shares_memory(B, lin.B) and not np.shares_memory(Q, cfg.Q)
+    again = solve(assemble(model, cfg, np.ones(1), np.zeros(0)))
+    assert first.converged and again.converged
+    assert again.u_opt.tobytes() == first.u_opt.tobytes() and again.value == first.value
+
+
 @pytest.mark.parametrize("name,value", [("Q", np.inf), ("R", -np.inf), ("Q", np.nan), ("R", np.nan)])
 def test_config_refuses_non_finite_weights(name, value):
     """A non-finite weight is refused as such, before the symmetry and PSD tests (-inf < -inf
@@ -826,20 +856,6 @@ def test_solve_runs_numpy_blas_on_one_thread_and_restores_the_count(monkeypatch)
     assert sol.iterations > 0
 
 
-def test_unconstrained_solve_is_one_cholesky_and_one_solve(monkeypatch):
-    """Without finite bounds the box step is the plain Newton step: no extra factorisation."""
-    counts = {"cholesky": 0, "solve": 0}
-    for name in counts:
-        orig = getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name, lambda *a, _n=name, _f=orig, **k:
-                            counts.__setitem__(_n, counts[_n] + 1) or _f(*a, **k))
-    cfg = MpcConfig(variant="incremental_input", N=307, Q=np.eye(1), R=np.eye(1), T=1)
-    ocp = assemble(academic_example(), cfg, np.array([1.3]), np.zeros(0), memory=np.array([0.4]))
-    sol = solve(ocp)
-    assert sol.iterations == 1 and sol.converged
-    assert counts == {"cholesky": 1, "solve": 1}
-
-
 def _count_linalg(monkeypatch):
     """Live call counts of np.linalg's cholesky, solve and inv."""
     counts = dict.fromkeys(("cholesky", "solve", "inv"), 0)
@@ -850,9 +866,24 @@ def _count_linalg(monkeypatch):
     return counts
 
 
+def test_unconstrained_solve_is_one_cholesky_and_one_solve(monkeypatch):
+    """Without finite bounds the box step is the plain Newton step: one GN iteration, one
+    Cholesky factorisation that tests H and one solve of H, which forms M = H^-1 with
+    np.linalg.inv and makes no np.linalg.solve call.  The value meets the dense oracle."""
+    counts = _count_linalg(monkeypatch)
+    cfg = MpcConfig(variant="incremental_input", N=307, Q=np.eye(1), R=np.eye(1), T=1)
+    ocp = assemble(academic_example(), cfg, np.array([1.3]), np.zeros(0), memory=np.array([0.4]))
+    sol = solve(ocp)
+    assert sol.iterations == 1 and sol.converged
+    assert counts == {"cholesky": 1, "solve": 0, "inv": 1}
+    _, v_ref = dense_lstsq_oracle(ocp)
+    assert sol.value == pytest.approx(v_ref, rel=1e-6, abs=1e-9)
+
+
 def test_a_re_solve_inverts_the_kept_hessian_once(monkeypatch):
-    """Counted, not timed: on one unconstrained (model, config) at N = 307 the first solve
-    factorises H, the second inverts the kept H once, and the third factorises nothing."""
+    """Counted, not timed: on one unconstrained (model, config) at N = 307 the kept H is
+    inverted once over three solves.  The first solve tests H with one Cholesky factorisation
+    and inverts it, in one GN iteration; the re-solves factorise nothing."""
     counts = _count_linalg(monkeypatch)
     cfg = MpcConfig(variant="incremental_input", N=307, Q=np.eye(1), R=np.eye(1), T=1)
     model, seen = academic_example(), []
@@ -862,26 +893,21 @@ def test_a_re_solve_inverts_the_kept_hessian_once(monkeypatch):
         sol = solve(assemble(model, cfg, np.array([x0]), np.zeros(0), memory=np.array([0.4])))
         assert sol.iterations == 1 and sol.converged
         seen.append(dict(counts))
-    assert seen == [{"cholesky": 1, "solve": 1, "inv": 0},
-                    {"cholesky": 1, "solve": 0, "inv": 1},
-                    {"cholesky": 0, "solve": 0, "inv": 0}]
-
-
-def _formed_M(cfg):
-    """Whether the kept `_Linearisation` of cfg has formed its step operator M."""
-    return "M" in vars(cfg._linearisation[0])
+    assert seen == [{"cholesky": 1, "solve": 0, "inv": 1}] + 2 * [dict.fromkeys(counts, 0)]
 
 
 def test_kept_inverse_is_read_only_and_inverts_the_kept_hessian():
-    """The record keeps M = H^-1 next to (J_r, H) after the second Ocp: read-only, H M = I."""
+    """The first solve keeps M = H^-1 next to (J_r, H), and a second Ocp linearises to the same
+    three arrays: M is read-only and H M = I."""
     cfg = MpcConfig(variant="incremental_input", N=307, Q=np.eye(1), R=np.eye(1), T=1)
     model = academic_example()
     solve(assemble(model, cfg, np.array([1.3]), np.zeros(0), memory=np.array([0.4])))
     kept = cfg._linearisation[0]
-    assert not _formed_M(cfg)    # J_r and H alone until a later solve asks for M
     ocp = assemble(model, cfg, np.array([-0.7]), np.zeros(0), memory=np.array([0.4]))
     solve(ocp)
-    assert cfg._linearisation[0] is kept and ocp.kept() is kept and _formed_M(cfg)
+    u = np.zeros(307)
+    assert cfg._linearisation[0] is kept
+    assert all(a is b for a, b in zip(ocp.jacobian(u, ocp.cost(u)[2]), (kept.Jr, kept.H, kept.M)))
     assert kept.system is model.linear
     M = kept.M
     assert not M.flags.writeable
@@ -891,7 +917,7 @@ def test_kept_inverse_is_read_only_and_inverts_the_kept_hessian():
 
 
 def test_a_singular_hessian_keeps_the_regularised_operator_and_factorises_once(monkeypatch):
-    """output_only without feedthrough never sees the last input, so H is singular.  The second
+    """output_only without feedthrough never sees the last input, so H is singular.  The first
     solve keeps the inverse M of `_newton_step`'s regularised system in place of H^-1, later
     solves factorise nothing, and every solve still meets the dense least-squares oracle."""
     model = LinearSystem(A=[[0.5]], B=[[1.0]], C=[[1.0]], D=[[0.0]], P_x=np.zeros((1, 0)),
@@ -906,9 +932,7 @@ def test_a_singular_hessian_keeps_the_regularised_operator_and_factorises_once(m
         seen.append(dict(counts))
         _, v_ref = dense_lstsq_oracle(ocp)
         assert sol.value == pytest.approx(v_ref, rel=1e-6, abs=1e-9)
-    first = seen[0]
-    assert first["inv"] == 0 and first["cholesky"] >= 1 and first["solve"] >= 1
-    assert seen[1:] == [{"cholesky": 1, "solve": 0, "inv": 1}] + 2 * [dict.fromkeys(counts, 0)]
+    assert seen == [{"cholesky": 1, "solve": 0, "inv": 1}] + 3 * [dict.fromkeys(counts, 0)]
     kept = cfg._linearisation[0]
     assert not kept.M.flags.writeable
     g = np.random.default_rng(5).normal(size=8)
@@ -917,7 +941,7 @@ def test_a_singular_hessian_keeps_the_regularised_operator_and_factorises_once(m
 
 def test_an_indefinite_kept_hessian_factorises_nothing_from_the_third_solve(monkeypatch):
     """Counted, not timed: the academic plant's zero at 1.5 leaves output_only's H at N = 307,
-    R = 0 not positive definite.  The second Ocp keeps the regularised M; from the third on a
+    R = 0 not positive definite.  The first Ocp keeps the regularised M; from the second on a
     solve makes no cholesky, solve or inv call and still meets the dense least-squares oracle."""
     counts = _count_linalg(monkeypatch)
     cfg = MpcConfig(variant="output_only", N=307, Q=np.eye(1), R=np.zeros((1, 1)))
@@ -930,14 +954,14 @@ def test_an_indefinite_kept_hessian_factorises_nothing_from_the_third_solve(monk
         seen.append(dict(counts))
         _, v_ref = dense_lstsq_oracle(ocp)
         assert sol.value == pytest.approx(v_ref, rel=1e-6, abs=1e-9)
-    assert seen[1]["inv"] == 1 and seen[2:] == 2 * [dict.fromkeys(counts, 0)]
+    assert seen == [{"cholesky": 1, "solve": 0, "inv": 1}] + 3 * [dict.fromkeys(counts, 0)]
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(cfg._linearisation[0].H)
 
 
 def test_re_solves_that_reuse_the_kept_inverse_match_the_dense_oracle(rng):
-    """Five Ocps of one linear (model, config) at random x0, w0 and memory: every solve after
-    the first takes its steps with the kept H^-1 and meets the stacked least-squares oracle."""
+    """Five Ocps of one linear (model, config) at random x0, w0 and memory: every solve takes
+    its steps with the kept H^-1 and meets the stacked least-squares oracle."""
     settings = SolverSettings(gradient_tolerance=1e-10)
     for variant in ("output_only", "incremental_input", "input_regularized"):
         sys = random_linear(rng, n=3, m=2, q=2, T=2)
@@ -951,24 +975,27 @@ def test_re_solves_that_reuse_the_kept_inverse_match_the_dense_oracle(rng):
             _, v_ref = dense_lstsq_oracle(ocp)
             sol = solve(ocp)
             assert sol.value == pytest.approx(v_ref, rel=1e-6, abs=1e-9)
-        assert _formed_M(cfg)
+        assert cfg._linearisation[0].system is sys
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_a_solve_with_the_kept_inverse_agrees_with_the_factorising_solve(rng, variant):
-    """The same OCP solved twice: the first solve factorises H, the second steps with the
-    kept H^-1; their inputs and values agree to 1e-12 relative.  Two outputs and one input
-    keep output_only's H well conditioned."""
+    """One OCP solved with its model untagged, which factorises H on every pass, and tagged,
+    which steps with the kept H^-1: both linearise to the same J_r, and their inputs and values
+    agree to 1e-12 relative.  Two outputs and one input keep output_only's H well conditioned."""
     sys = random_linear(rng, n=3, m=1, p=2, q=2, T=2)
     kw = {"look_ahead": {"d": 2}, "incremental_input": {"T": 2}}.get(variant, {})
     cfg = make_cfg(variant, 6, p=2, m=1, **kw)
     reg = RegulatorSolution(Pi=rng.normal(size=(3, 2)), Gamma=rng.normal(size=(1, 2)))
-    ocp = assemble(sys.to_system_model(), cfg, rng.normal(size=3), rng.normal(size=2),
-                   memory=rng.normal(size=2), regulator=reg)
-    first = solve(ocp)
-    assert not _formed_M(cfg)
+    model = sys.to_system_model()
+    x0, w0, memory = rng.normal(size=3), rng.normal(size=2), rng.normal(size=2)
+    ocp, untagged = (assemble(m, cfg, x0, w0, memory=memory, regulator=reg)
+                     for m in (model, dataclasses.replace(model, linear=None)))
+    first = solve(untagged)
     again = solve(ocp)
-    assert _formed_M(cfg)
+    u = np.zeros(6)
+    (Jr_f, _, M_f), (Jr, _, M) = (o.jacobian(u, o.cost(u)[2]) for o in (untagged, ocp))
+    assert Jr_f.tobytes() == Jr.tobytes() and M_f is None and M is cfg._linearisation[0].M
     assert first.converged and again.converged
     scale = np.max(np.abs(first.u_opt))
     assert np.max(np.abs(again.u_opt - first.u_opt)) <= 1e-12 * scale
@@ -977,13 +1004,13 @@ def test_a_solve_with_the_kept_inverse_agrees_with_the_factorising_solve(rng, va
 
 @pytest.mark.parametrize("preset", ["academic_incremental", "academic_output_only"])
 def test_a_linear_preset_run_factorises_once_and_inverts_once(monkeypatch, preset):
-    """Counted, not timed: a linear preset's run solves with np.linalg.solve only at its first
-    step, and inverts the kept H once at its second; later steps factorise nothing."""
+    """Counted, not timed: a linear preset's run tests H with one Cholesky factorisation and
+    inverts it once, at its first step; later steps factorise nothing."""
     counts = _count_linalg(monkeypatch)
     spec = config.parse_config(config.read_config_file(preset))
     trace = run(spec)
     assert not np.isnan(trace.value).any()
-    assert counts == {"cholesky": 2, "solve": 1, "inv": 1}
+    assert counts == {"cholesky": 1, "solve": 0, "inv": 1}
 
 
 def test_box_constrained_lti_solve_matches_bvls():
@@ -1011,8 +1038,8 @@ def test_box_constrained_lti_solve_matches_bvls():
 
 def test_box_constrained_re_solves_with_the_kept_inverse_match_bvls():
     """The N = 40 box LTI of instance 193 solved from six x0 on one (model, config): the
-    all-free passes of every solve after the first step with the kept H^-1, and each solve
-    meets BVLS at the `linear_certificates` tolerances."""
+    all-free passes of every solve step with the kept H^-1, and each solve meets BVLS at the
+    `linear_certificates` tolerances."""
     from scipy.optimize import lsq_linear
     rng = np.random.default_rng([9301, 2, 193])
     A = rng.normal(size=(4, 4))
@@ -1033,7 +1060,7 @@ def test_box_constrained_re_solves_with_the_kept_inverse_match_bvls():
         assert sol.converged
         assert np.max(np.abs(sol.u_opt.ravel() - ref.x)) <= 1e-6
         assert sol.value == pytest.approx(float(r @ r), rel=1e-9)
-    assert _formed_M(cfg)
+    assert cfg._linearisation[0].system is sys
 
 
 def test_box_constrained_lti_sweep_matches_bvls():
@@ -1147,12 +1174,12 @@ def test_box_step_matches_bvls_on_random_models(seed, n, rows, zero_cols, scale)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 6), extra=st.integers(0, 6),
        kind=st.sampled_from(("full_rank", "zero_columns", "wide")))
 def test_box_step_with_the_inverse_matches_the_factorising_step(seed, n, extra, kind):
-    """Property: given the M that `_Linearisation` forms, the box step meets the factorising
-    step and BVLS.  Its all-free passes take -M grad, also those after a bound that d = 0 sat
-    on is released, where grad = g + H d.  Where H is positive definite, M = H^-1 and d matches
-    to 1e-9.  Where zero columns or a wide J_r make H singular, M is the inverse of the
-    regularised system S K S and the model values match to 1e-9 relative; K^-1 S^-2, which
-    scales columns where S^-1 K^-1 S^-1 scales rows and columns, fails this."""
+    """Property: given M = `_newton_step(H)`, as `_Linearisation` keeps it, the box step meets
+    the factorising step and BVLS.  Its all-free passes take -M grad, also those after a bound
+    that d = 0 sat on is released, where grad = g + H d.  Where H is positive definite,
+    M = H^-1 and d matches to 1e-9.  Where zero columns or a wide J_r make H singular, M is the
+    inverse of the regularised system S K S and the model values match to 1e-9 relative;
+    K^-1 S^-2, which scales columns where S^-1 K^-1 S^-1 scales rows and columns, fails this."""
     from scipy.optimize import lsq_linear
     rng = np.random.default_rng(seed)
     rows = max(1, n - 1 - extra % n) if kind == "wide" else n + extra
@@ -1164,7 +1191,7 @@ def test_box_step_with_the_inverse_matches_the_factorising_step(seed, n, extra, 
     lo[rng.random(n) < 0.3] = 0.0          # bounds that d = 0 sits on, released later
     H, g = 2.0 * Jr.T @ Jr, 2.0 * Jr.T @ r
     want = mpc._box_gauss_newton_step(H, g, lo, hi)
-    d = mpc._box_gauss_newton_step(H, g, lo, hi, mpc._Linearisation(None, Jr, H).M)
+    d = mpc._box_gauss_newton_step(H, g, lo, hi, mpc._newton_step(H))
     assert np.all((lo <= d) & (d <= hi))
     value, best = np.sum((r + Jr @ d) ** 2), np.sum((r + Jr @ want) ** 2)
     if kind == "full_rank":

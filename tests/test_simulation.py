@@ -41,8 +41,12 @@ def test_mill_loop_imports_no_scipy():
 def test_scenario_validation():
     model = academic_example()
     mpc = MpcConfig(variant="output_only", N=3, Q=np.eye(1), R=np.eye(1))
-    with pytest.raises(ConfigError):
-        ScenarioSpec(model=model, mpc=mpc, x0=[1.0], w0=np.zeros(0), steps=0)
+    for steps in (0, 2.5, True, "3"):
+        with pytest.raises(ConfigError) as err:
+            ScenarioSpec(model=model, mpc=mpc, x0=[1.0], w0=np.zeros(0), steps=steps)
+        assert err.value.key == "steps"
+    spec = ScenarioSpec(model=model, mpc=mpc, x0=[1.0], w0=np.zeros(0), steps=np.int64(2))
+    assert len(run(spec).u) == 2
 
 
 def test_scenario_spec_refuses_vectors_of_the_wrong_shape():
@@ -66,9 +70,11 @@ def test_noise_is_uniform_exactly_when_both_bounds_are_given():
     quiet = dataclasses.replace(spec.observer, noise_lo=None, noise_hi=None)
     assert not run(dataclasses.replace(spec, steps=2, observer=quiet)).eta.any()
     assert run(dataclasses.replace(spec, steps=2)).eta.all()
-    for bounds in ({"noise_lo": [-1.0]}, {"noise_hi": [1.0]},
-                   {"noise_lo": [1.0], "noise_hi": [-1.0]}):
-        with pytest.raises(DomainError):
+    for bounds, error in (({"noise_lo": [-1.0]}, DomainError), ({"noise_hi": [1.0]}, DomainError),
+                          ({"noise_lo": [1.0], "noise_hi": [-1.0]}, DomainError),
+                          ({"noise_lo": [np.nan], "noise_hi": [1.0]}, DomainError),
+                          ({"noise_lo": [-1.0], "noise_hi": [1.0, 1.0]}, ShapeError)):
+        with pytest.raises(error):
             ObserverConfig("ekf", np.zeros(5), **bounds)
 
 
