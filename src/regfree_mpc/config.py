@@ -13,7 +13,7 @@ import numpy as np
 from .errors import ConfigError, DomainError, RegfreeMpcError, ResonanceError, ShapeError
 from .estimation import ObserverConfig
 from .linear_analysis import horizon_bounds, solve_regulator
-from .models import LinearSystem, cement_mill_regulator, resolve_model
+from .models import LinearSystem, _sized, cement_mill_regulator, resolve_model
 from .mpc import MpcConfig, SolverSettings
 from .simulation import ScenarioSpec
 
@@ -139,9 +139,8 @@ def _model_of(sections):
                                ("observer", "noise_lo", model.p),
                                ("observer", "noise_hi", model.p)):
         value = _opt(sections, section, key)
-        if value is not None and value.size != size:
-            raise ConfigError(f"{key!r} needs {size} entries for model {model.name!r}, "
-                              f"got {value.size}", key=key)
+        if value is not None:
+            _sized(value, size, key)
     return model
 
 
@@ -207,7 +206,7 @@ def parse_config(text, seed_override=None):
         lines = {key: line for keys in sections.values() for key, (_, line) in keys.items()}
         if exc.key not in lines:
             raise
-        raise ConfigError(str(exc), line=lines[exc.key]) from exc
+        raise ConfigError(f"{exc} (key {exc.key!r})", line=lines[exc.key]) from exc
     raise ConfigError("config needs a [sim] or an [analyze] section")
 
 

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DetectabilityError, DomainError, NumericalError, ShapeError
-from .models import SystemModel
+from .models import SystemModel, _frozen
 
 Array = np.ndarray
 
@@ -25,7 +25,8 @@ _SIGMA0_SCALE = 100.0
 @dataclass(frozen=True)
 class ObserverConfig:
     """The [observer] section: the estimator, and the additive noise on the outputs it
-    reads, uniform on [noise_lo, noise_hi] when both bounds are given, else none."""
+    reads, uniform on [noise_lo, noise_hi] when both bounds are given, else none.  It keeps
+    read-only copies of its arrays (`models._frozen`), sized against the model by ScenarioSpec."""
 
     kind: str                       # "luenberger" | "ekf"
     xhat0: Array
@@ -36,26 +37,24 @@ class ObserverConfig:
     def __post_init__(self):
         if self.kind not in ("luenberger", "ekf"):
             raise ConfigError(f"unknown observer kind {self.kind!r}", key="kind")
-        object.__setattr__(self, "xhat0", np.asarray(self.xhat0, dtype=float))
         if self.kind == "luenberger" and self.L is None:
             raise ConfigError("luenberger observer needs a gain L", key="kind")
         if self.kind == "ekf" and self.L is not None:
             raise ConfigError("'L' is read only by the luenberger observer, not by 'ekf'", key="L")
-        if self.L is not None:
-            object.__setattr__(self, "L", np.atleast_2d(np.asarray(self.L, dtype=float)))
         if (self.noise_lo is None) != (self.noise_hi is None):
             raise DomainError("uniform noise needs both bounds lo and hi",
                               key="noise_lo" if self.noise_hi is None else "noise_hi")
-        if self.noise_lo is not None:
-            lo, hi = (np.atleast_1d(np.asarray(b, dtype=float)) for b in (self.noise_lo, self.noise_hi))
+        for name, ndmin in (("xhat0", 1), ("L", 2), ("noise_lo", 1), ("noise_hi", 1)):
+            if (value := getattr(self, name)) is not None:
+                object.__setattr__(self, name, _frozen(value, ndmin))
+        lo, hi = self.noise_lo, self.noise_hi
+        if lo is not None:
             if lo.shape != hi.shape:
                 raise ShapeError(f"noise bounds have shapes {lo.shape} and {hi.shape}",
                                  key="noise_hi")
             if not np.all(lo <= hi):    # NaN fails it
                 raise DomainError("noise bounds must satisfy lo <= hi componentwise",
                                   key="noise_hi")
-            object.__setattr__(self, "noise_lo", lo)
-            object.__setattr__(self, "noise_hi", hi)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import numpy as np
 from .augmentation import augment_linear
 from .errors import (DegenerateSystemError, DomainError, NumericalError,
                      ObservabilityError, ResonanceError, ShapeError)
-from .models import LinearSystem
+from .models import LinearSystem, _frozen
 
 Array = np.ndarray
 
@@ -35,14 +35,14 @@ def _min_singular_value(M):
 
 @dataclass(frozen=True)
 class RegulatorSolution:
-    """Pi, Gamma with Pi S = A Pi + B Gamma + P_x and C Pi + D Gamma = P_y."""
+    """Pi, Gamma with Pi S = A Pi + B Gamma + P_x and C Pi + D Gamma = P_y, kept read-only."""
 
     Pi: Array
     Gamma: Array
 
     def __post_init__(self):
-        object.__setattr__(self, "Pi", np.atleast_2d(np.asarray(self.Pi, dtype=float)))
-        object.__setattr__(self, "Gamma", np.atleast_2d(np.asarray(self.Gamma, dtype=float)))
+        for name in ("Pi", "Gamma"):
+            object.__setattr__(self, name, _frozen(getattr(self, name), ndmin=2))
 
     def __call__(self, w):
         """The regulator map w -> (pi_x(w), pi_u(w)) = (Pi w, Gamma w)."""
@@ -171,8 +171,8 @@ class QuadraticCertificate:
     P: Array
 
     def __post_init__(self):
-        P = np.atleast_2d(np.asarray(self.P, dtype=float))
-        P = 0.5 * (P + P.T)
+        P = _frozen(self.P, ndmin=2)
+        P = _frozen(0.5 * (P + P.T))
         object.__setattr__(self, "P", P)
         lam_min = float(np.linalg.eigvalsh(P)[0]) if P.size else 0.0
         if lam_min < -1e-9 * max(1.0, float(np.linalg.norm(P))):

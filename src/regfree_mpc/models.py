@@ -32,6 +32,21 @@ def fd_jacobian(fun, x):
     return J
 
 
+def _frozen(a, ndmin=1):
+    """a as a private, read-only float copy of at least ndmin dimensions: how every library
+    record keeps an array it is given, so no later edit of the caller's array reaches it."""
+    a = np.array(a, dtype=float, ndmin=ndmin)
+    a.flags.writeable = False
+    return a
+
+
+def _sized(a, n, name):
+    """a as a `_frozen` vector of n entries, or ShapeError naming n, with key `name`."""
+    if np.size(a) != n:
+        raise ShapeError(f"{name} must have length {n}, got {np.size(a)}", key=name)
+    return _frozen(a).ravel()
+
+
 def _constant_jacobians(*blocks):
     """jac_f/jac_h callable that returns the same matrices at every point of a stack."""
     return lambda x, u, w: tuple(np.broadcast_to(M, (len(x),) + M.shape) for M in blocks)
@@ -60,11 +75,11 @@ class SystemModel:
     Jacobian callables are optional; central finite differences are used
     where they are absent.  `h` takes one point or a stack of K points,
     (K, n_p), (K, m), (K, q), and returns (p,) or (K, p); `jac_f` and `jac_h`
-    take such stacks and return (K, ...) arrays.  `linear` tags exactly
-    linear models, whose matrices are treated as constant: the OCP's J_r, GN
-    Hessian and all-free step operator M are formed together and kept once per
-    (linear, MpcConfig) (`mpc._Linearisation`).  `Ocp.dense_matrices` gives
-    their closed-form reference.
+    take such stacks and return (K, ...) arrays.  The input box is a read-only
+    copy (`_sized`).  `linear` tags exactly linear models, whose matrices are
+    treated as constant: the OCP's J_r, GN Hessian and all-free step operator M
+    are formed together and kept once per (linear, MpcConfig)
+    (`mpc._Linearisation`).  `Ocp.dense_matrices` gives their closed-form reference.
     """
 
     n_p: int
@@ -83,17 +98,12 @@ class SystemModel:
     name: str = "model"
 
     def __post_init__(self):
-        lo = self.input_lo if self.input_lo is not None else np.full(self.m, -np.inf)
-        hi = self.input_hi if self.input_hi is not None else np.full(self.m, np.inf)
-        for name, b in (("input_lo", lo), ("input_hi", hi)):
-            if np.size(b) != self.m:
-                raise ShapeError(f"{name} must have length {self.m}, got {np.size(b)}")
-        lo = np.asarray(lo, dtype=float).reshape(self.m)
-        hi = np.asarray(hi, dtype=float).reshape(self.m)
-        if not np.all(lo <= hi):    # NaN fails it
+        for name, free in (("input_lo", -np.inf), ("input_hi", np.inf)):
+            b = getattr(self, name)
+            object.__setattr__(self, name, _sized(np.full(self.m, free) if b is None else b,
+                                                  self.m, name))
+        if not np.all(self.input_lo <= self.input_hi):    # NaN fails it
             raise DomainError("input box must satisfy lo <= hi componentwise")
-        object.__setattr__(self, "input_lo", lo)
-        object.__setattr__(self, "input_hi", hi)
 
     def step(self, x, u, w):
         xn = np.asarray(self.f_p(x, u, w), dtype=float)
@@ -129,9 +139,7 @@ class LinearSystem:
 
     def __post_init__(self):
         for name in ("A", "B", "C", "D", "P_x", "P_y", "S"):
-            M = np.array(getattr(self, name), dtype=float, ndmin=2)
-            M.flags.writeable = False
-            object.__setattr__(self, name, M)
+            object.__setattr__(self, name, _frozen(getattr(self, name), ndmin=2))
         n, m, p, q = self.n_p, self.m, self.p, self.q
         shapes = {"A": (n, n), "B": (n, m), "C": (p, n), "D": (p, m),
                   "P_x": (n, q), "P_y": (p, q), "S": (q, q)}
@@ -245,8 +253,8 @@ def rk4_discretize(ode, dt, *, n_p, m, q, p, h, input_lo=None, input_hi=None,
     stacked stages of `jac_f`.  `ode_jac` and `jac_h`, if given, take (K, ·)
     stacks (see `SystemModel`); `ode_jac` returns (Gx, Gu, Gw), as `jac_f` does.
     """
-    if not dt > 0:      # NaN fails it
-        raise DomainError("dt must be positive")
+    if not 0.0 < dt < np.inf:      # NaN fails it
+        raise DomainError("dt must be positive and finite")
 
     def f_p(x, u, w):
         return rk4_step(ode, np.asarray(x, dtype=float), u, w, dt)
@@ -371,6 +379,8 @@ def cement_mill_regulator(w):
     rising branch of the grinding curve and u2 inverts the recycle fraction.
     """
     w = np.asarray(w, dtype=float)
+    if not (w[0] > 0.0 and w[1] >= 0.0):     # NaN fails it
+        raise DomainError(f"reference {w.tolist()} needs w1 > 0 and w2 >= 0")
     ssum = w[0] + w[1]
     disc = MILL_PHI_B ** 2 + 4.0 * MILL_PHI_A * ssum
     if disc <= 0.0:

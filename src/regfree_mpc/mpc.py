@@ -21,7 +21,7 @@ import numpy as np
 
 from .blas import one_blas_thread
 from .errors import ConfigError, DomainError, NumericalError, ShapeError
-from .models import LinearSystem, SystemModel
+from .models import LinearSystem, SystemModel, _frozen, _sized
 
 VARIANTS = ("input_regularized", "output_only", "look_ahead", "incremental_input")
 
@@ -60,9 +60,8 @@ class MpcConfig:
                 raise ConfigError(f"{key} must be an integer, got {value!r}", key=key)
         if self.N < 1:
             raise ConfigError("horizon N must be >= 1", key="N")
-        Q, R = (np.array(M, dtype=float, ndmin=2) for M in (self.Q, self.R))  # private copies
+        Q, R = (_frozen(M, ndmin=2) for M in (self.Q, self.R))
         for name, M in (("Q", Q), ("R", R)):
-            M.flags.writeable = False
             if M.size == 0:
                 raise ConfigError(f"{name} must be non-empty", key=name)
             if not np.isfinite(M).all():
@@ -280,15 +279,7 @@ def _squared_norm(r):
     return J
 
 
-def _sized(a, n, name):
-    """a as a float vector of n entries, or ShapeError naming n."""
-    if np.size(a) != n:
-        raise ShapeError(f"{name} must have length {n}, got {np.size(a)}")
-    return np.asarray(a, dtype=float).ravel()
-
-
 def _psd_sqrt(M):
-    M = np.atleast_2d(np.asarray(M, dtype=float))
     w, V = np.linalg.eigh(M)
     return V @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ V.T
 

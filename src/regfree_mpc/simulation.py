@@ -14,7 +14,7 @@ import numpy as np
 from .augmentation import memory_reference
 from .errors import ConfigError, NumericalError, ShapeError
 from .estimation import ObserverConfig, make_observer_state, observer_step
-from .models import SystemModel
+from .models import SystemModel, _sized
 from .mpc import MpcConfig, MpcController
 
 Array = np.ndarray
@@ -22,6 +22,9 @@ Array = np.ndarray
 
 @dataclass(frozen=True)
 class ScenarioSpec:
+    """One closed-loop run: x0, w0 and u_init are kept as read-only copies of the model's
+    sizes (`models._sized`), and the observer's own copies are checked against them."""
+
     model: SystemModel
     mpc: MpcConfig
     x0: Array
@@ -39,17 +42,16 @@ class ScenarioSpec:
             raise ConfigError("simulation length must be >= 1", key="steps")
         model, ob = self.model, self.observer
         nj, p = model.n_p + model.q, model.p
-        xhat0, L, lo, hi = (None,) * 4 if ob is None else (ob.xhat0, ob.L, ob.noise_lo, ob.noise_hi)
-        for name, value, size in (("x0", self.x0, model.n_p), ("w0", self.w0, model.q),
-                                  ("u_init", self.u_init, model.m), ("xhat0", xhat0, nj),
-                                  ("noise_lo", lo, p), ("noise_hi", hi, p)):
-            if value is not None and np.size(value) != size:
-                raise ShapeError(f"{name!r} needs {size} entries for model {model.name!r}, "
-                                 f"got {np.size(value)}", key=name)
-        if L is not None and L.shape != (nj, p):
-            raise ShapeError(f"L needs shape ({nj}, {p}) for model {model.name!r}")
-        object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float).reshape(model.n_p))
-        object.__setattr__(self, "w0", np.asarray(self.w0, dtype=float).reshape(model.q))
+        object.__setattr__(self, "x0", _sized(self.x0, model.n_p, "x0"))
+        object.__setattr__(self, "w0", _sized(self.w0, model.q, "w0"))
+        if self.u_init is not None:
+            object.__setattr__(self, "u_init", _sized(self.u_init, model.m, "u_init"))
+        if ob is not None:
+            for name, size in (("xhat0", nj), ("noise_lo", p), ("noise_hi", p)):
+                if getattr(ob, name) is not None:
+                    _sized(getattr(ob, name), size, name)
+            if ob.L is not None and ob.L.shape != (nj, p):
+                raise ShapeError(f"L needs shape ({nj}, {p}) for model {model.name!r}")
 
 
 def atomic_write(path, text):
@@ -146,8 +148,7 @@ def run(spec: ScenarioSpec) -> SimTrace:
     ETA = np.zeros((K, p)) if observing else None
     MEM = np.zeros((K, controller.memory.size)) if controller.memory is not None else None
 
-    x = spec.x0.copy()
-    w = spec.w0.copy()
+    x, w = spec.x0, spec.w0     # read-only, and rebound at each step
     for t in range(K):
         if observing:
             XH[t] = obs_state.xhat

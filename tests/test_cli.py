@@ -173,6 +173,11 @@ def test_library_errors_exit_2_named_by_kind(tmp_path, capsys, monkeypatch):
     cfg_file.write_text(text)
     assert main(["analyze", "--config", str(cfg_file)]) == 2
     assert capsys.readouterr().err.startswith("DomainError: no stage-cost margin")
+    # a mill reference with w1 = 0 has no steady state (u2 would be inf): refused, not traced
+    cfg_file.write_text(cfg.read_config_file("cement_mill_nominal").replace(
+        "w0 = 110.0 425.0", "w0 = 0.0 425.0"))
+    assert main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "t.csv")]) == 2
+    assert capsys.readouterr().err.startswith("DomainError: reference")
 
     def fail(*args, **kwargs):
         raise NumericalError("singular")

@@ -12,8 +12,9 @@ from regfree_mpc.augmentation import augment_linear
 from regfree_mpc.errors import (DegenerateSystemError, DetectabilityError,
                                 DomainError, NumericalError, ResonanceError,
                                 ShapeError)
-from regfree_mpc.linear_analysis import (alpha_s_of_horizon, analyze_linear,
-                                         augmented_pair, dare, epsilon_o_generalized_eig,
+from regfree_mpc.linear_analysis import (QuadraticCertificate, alpha_s_of_horizon,
+                                         analyze_linear, augmented_pair, dare,
+                                         epsilon_o_generalized_eig,
                                          horizon_bounds, lqr_gain,
                                          nonresonance, observability_constant,
                                          pbh_detectable, pbh_stabilizable,
@@ -236,6 +237,11 @@ def test_dare_trivial_cases():
     # no usable control: Lyapunov limit 1/(1 - 0.25)
     P = dare([[0.5]], [[0.0]], [[1.0]], [[1.0]]).P
     assert np.allclose(P, [[4.0 / 3.0]], rtol=1e-10)
+    with pytest.raises(ValueError):     # the certificate cannot be edited past its PSD check
+        P[0, 0] = -1.0
+    # Q = -1 makes the first doubling step's I + G H singular
+    with pytest.raises(NumericalError, match="singular doubling step"):
+        dare([[0.0]], [[1.0]], [[-1.0]], [[1.0]])
 
 
 def test_dare_rejects_unstabilizable_pair_at_once():
@@ -414,13 +420,19 @@ def test_epsilon_o_homogeneity(academic_augmented):
     assert epsilon_o_generalized_eig(aug, Q, R, half_metric) == pytest.approx(2.0 * base, rel=1e-10)
     with pytest.raises(NumericalError, match="metric is not positive definite"):
         epsilon_o_generalized_eig(aug, Q, R, QuadraticCertificate(P=0.0 * metric.P))
+    with pytest.raises(DomainError, match="not PSD"):
+        QuadraticCertificate(P=[[-1.0]])
 
 
 def test_singular_stage_cost_form_has_no_margin():
-    """n + T m > p + m: the closed-loop cost form is singular, so no round-off epsilon_o."""
+    """n + T m > p + m: the closed-loop cost form is singular, so no round-off epsilon_o; nor
+    is there one when D = 0 and R = 0 leave the input block of the stage cost singular."""
     sys = random_linear(np.random.default_rng(0), n=2, m=1)
     with pytest.raises(DomainError, match="state dimension n = 3"):
         analyze_linear(sys, T=1, N=12, Q=np.eye(1), R=np.eye(1))
+    with pytest.raises(NumericalError, match="input block of the stage cost is singular"):
+        epsilon_o_generalized_eig(scalar_sys(0.5, 1.0, 1.0, 0.0, S=0.0), np.eye(1),
+                                  np.zeros((1, 1)), QuadraticCertificate(P=np.eye(1)))
 
 
 def test_observability_window_academic(academic_augmented):
@@ -432,6 +444,10 @@ def test_observability_window_academic(academic_augmented):
     nu, c_o = smallest_observability_window(aug, Q, R, metric)
     assert nu == 2
     assert c_o == pytest.approx(32.8159040498, rel=1e-6)   # frozen
+    # C = D = 0 and R = 0: every stage cost is zero while x_nu still moves, at every window
+    blind, unit = scalar_sys(0.5, 1.0, 0.0, 0.0, S=0.0), QuadraticCertificate(P=np.eye(1))
+    with pytest.raises(ObservabilityError, match="no finite observability constant up to nu = 12"):
+        smallest_observability_window(blind, np.eye(1), np.zeros((1, 1)), unit)
 
 
 def test_observability_constant_pointwise_cost():
@@ -445,6 +461,9 @@ def test_observability_constant_pointwise_cost():
     metric = QuadraticCertificate(P=np.eye(1))
     c_o = observability_constant(sys, np.eye(1), np.eye(1), metric, nu=1)
     assert c_o <= 1.0 + 1e-12
+    zero = scalar_sys(0.0, 0.0, 0.0, 0.0, S=0.0)     # and R = 0: no stage cost at all
+    with pytest.raises(ObservabilityError, match="stage-cost form is identically zero"):
+        observability_constant(zero, np.eye(1), np.zeros((1, 1)), metric, nu=1)
 
 
 def test_observability_constant_homogeneity(academic_augmented):

@@ -6,9 +6,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracles import rk4_step_arrays
 from regfree_mpc.errors import DomainError, NumericalError, ShapeError
+from regfree_mpc.estimation import ObserverConfig
+from regfree_mpc.linear_analysis import QuadraticCertificate, RegulatorSolution
 from regfree_mpc.models import (MILL_DT, LinearSystem, SystemModel, _mill_ode, _recycle,
                                 academic_example, cement_mill, cement_mill_regulator,
                                 fd_jacobian, load_lti, mill_phi, rk4_discretize, rk4_step)
+from regfree_mpc.mpc import MpcConfig
+from regfree_mpc.simulation import ScenarioSpec
 
 
 def test_rk4_identity_vector_field():
@@ -40,7 +44,7 @@ def test_rk4_point_step_reads_nan_where_floats_turn_complex():
 
 
 def test_rk4_rejects_nonpositive_dt():
-    for dt in (0.0, np.nan):
+    for dt in (0.0, np.nan, np.inf):
         with pytest.raises(DomainError):
             rk4_discretize(lambda x, u, w: x, dt=dt, n_p=1, m=0, q=0, p=1,
                            h=lambda x, u, w: x)
@@ -166,8 +170,14 @@ def test_mill_regulator_reference_point():
 
 
 def test_mill_regulator_domain_error():
-    with pytest.raises(DomainError):
-        cement_mill_regulator([400.0, 400.0])
+    """The peak check, and w1 > 0, w2 >= 0 tested so that NaN fails them: before, w1 = 0 gave
+    u2 = inf and a negative or NaN reference gave u2 = NaN, each with a RuntimeWarning."""
+    for w in ([400.0, 400.0], [0.0, 425.0], [-1.0, 425.0], [110.0, -1.0],
+              [np.nan, 425.0], [110.0, np.nan]):
+        with pytest.raises(DomainError):
+            cement_mill_regulator(w)
+    x_ref, u_ref = cement_mill_regulator([110.0, 0.0])     # w2 = 0 is a steady state
+    assert u_ref[1] == 0.0 and np.isfinite(x_ref).all()
 
 
 def test_model_maps_finite_on_samples(rng):
@@ -334,3 +344,41 @@ def test_linear_to_system_model_consistency(rng):
     assert Y.shape == (4, sys.p)
     for y, x, u, w in zip(Y, X, U, W):
         assert y == pytest.approx(sys.C @ x + sys.D @ u - sys.P_y @ w)
+
+
+@pytest.mark.parametrize("make, arguments", [
+    pytest.param(LinearSystem, lambda: dict(
+        A=np.full((1, 1), 0.5), B=np.ones((1, 1)), C=np.ones((1, 1)), D=-np.ones((1, 1)),
+        P_x=np.ones((1, 1)), P_y=np.ones((1, 1)), S=np.ones((1, 1))), id="LinearSystem"),
+    pytest.param(MpcConfig, lambda: dict(variant="output_only", N=2, Q=np.eye(2),
+                                         R=0.1 * np.eye(2)), id="MpcConfig"),
+    pytest.param(lambda **box: dataclasses.replace(academic_example(), **box),
+                 lambda: dict(input_lo=np.array([-1.0]), input_hi=np.array([1.0])),
+                 id="SystemModel"),
+    pytest.param(ObserverConfig, lambda: dict(kind="luenberger", xhat0=np.zeros(5),
+                                              L=np.zeros((5, 2)), noise_lo=-np.ones(2),
+                                              noise_hi=np.ones(2)), id="ObserverConfig"),
+    pytest.param(ScenarioSpec, lambda: dict(
+        model=cement_mill(), mpc=MpcConfig(variant="output_only", N=2, Q=np.eye(2), R=np.eye(2)),
+        x0=np.array([120.0, 55.0, 450.0]), w0=np.array([110.0, 425.0]), steps=1,
+        u_init=[115, 172]), id="ScenarioSpec"),
+    pytest.param(RegulatorSolution, lambda: dict(Pi=np.ones((3, 2)), Gamma=np.ones((2, 2))),
+                 id="RegulatorSolution"),
+    pytest.param(QuadraticCertificate, lambda: dict(P=np.eye(2)), id="QuadraticCertificate")])
+def test_every_record_keeps_private_read_only_copies(make, arguments):
+    """Every array or list a library record is given is kept as its own read-only float array:
+    an in-place write to it raises, and an edit of the caller's value after construction (a box
+    bound raised above its upper bound, say) leaves the record as it was checked."""
+    given = arguments()
+    record = make(**given)
+    for name, value in given.items():
+        if not isinstance(value, (np.ndarray, list)):
+            continue
+        kept = getattr(record, name)
+        before = kept.copy()
+        assert kept.dtype == float and not kept.flags.writeable, name
+        assert not np.shares_memory(kept, value), name
+        value[0] = 5.0 if isinstance(value, list) else value[0] + 5.0
+        assert np.array_equal(kept, before), name
+        with pytest.raises(ValueError):
+            kept[0] = 0.0
