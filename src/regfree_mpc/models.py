@@ -102,8 +102,9 @@ class SystemModel:
             b = getattr(self, name)
             object.__setattr__(self, name, _sized(np.full(self.m, free) if b is None else b,
                                                   self.m, name))
-        if not np.all(self.input_lo <= self.input_hi):    # NaN fails it
-            raise DomainError("input box must satisfy lo <= hi componentwise")
+        lo, hi = self.input_lo, self.input_hi
+        if not np.all((lo <= hi) & (lo < np.inf) & (hi > -np.inf)):    # NaN fails it
+            raise DomainError("input box must satisfy lo <= hi, lo < inf and hi > -inf")
 
     def step(self, x, u, w):
         xn = np.asarray(self.f_p(x, u, w), dtype=float)
@@ -214,34 +215,26 @@ def rk4_step_jacobians(ode_jac, ode, x, u, w, dt):
 
     x, u, w are (K, n), (K, m), (K, q).  `ode` gets the stages as coordinate
     rows of K values; `ode_jac` returns (Gx, Gu, Gw) and is evaluated once, on
-    the 4K stacked stage points.  [Gu Gw] is chained as one block.
+    the 4K stacked stage points.  One stage derivative D_i = dk_i/d(x, u, w) is
+    chained: D_i = Gx_i (E + c_i D_{i-1}) + [0 Gu Gw]_i from D_1 = [Gx Gu Gw]_1, with
+    E = [I 0 0] and c = (dt/2, dt/2, dt); [Fx Fu Fw] = E + dt/6 (D_1 + 2 D_2 + 2 D_3 + D_4).
     """
     K, n = x.shape
-    m = u.shape[1]
-    I = np.eye(n)
-
-    def stage(xs):   # the coordinate-form ode on a stack, as a (K, n) array
-        return np.array(ode(xs.T, u.T, w.T)).T
-
-    k1 = stage(x)
-    x2 = x + 0.5 * dt * k1
-    k2 = stage(x2)
-    x3 = x + 0.5 * dt * k2
-    k3 = stage(x3)
-    x4 = x + dt * k3
-    Gx, Gu, Gw = ode_jac(np.concatenate([x, x2, x3, x4]), np.tile(u, (4, 1)), np.tile(w, (4, 1)))
-    A1, A2, A3, A4 = Gx.reshape(4, K, n, n)
-    B1, B2, B3, B4 = np.concatenate([Gu, Gw], axis=-1).reshape(4, K, n, m + w.shape[1])
-    K1x, K1u = A1, B1
-    K2x = A2 @ (I + 0.5 * dt * K1x)
-    K2u = A2 @ (0.5 * dt * K1u) + B2
-    K3x = A3 @ (I + 0.5 * dt * K2x)
-    K3u = A3 @ (0.5 * dt * K2u) + B3
-    K4x = A4 @ (I + dt * K3x)
-    K4u = A4 @ (dt * K3u) + B4
-    Fx = I + dt / 6.0 * (K1x + 2.0 * K2x + 2.0 * K3x + K4x)
-    Fuw = dt / 6.0 * (K1u + 2.0 * K2u + 2.0 * K3u + K4u)
-    return Fx, Fuw[..., :m], Fuw[..., m:]
+    m, nz = u.shape[1], n + u.shape[1] + w.shape[1]
+    c = (0.5 * dt, 0.5 * dt, dt)
+    xs = [x]
+    for ci in c:
+        xs.append(x + ci * np.array(ode(xs[-1].T, u.T, w.T)).T)
+    G = np.concatenate(ode_jac(np.concatenate(xs), np.tile(u, (4, 1)), np.tile(w, (4, 1))),
+                       axis=-1).reshape(4, K, n, nz)
+    E = np.eye(n, nz)
+    D = [G[0]]
+    for ci, Gi in zip(c, G[1:]):
+        Di = Gi[..., :n] @ (E + ci * D[-1])
+        Di[..., n:] += Gi[..., n:]
+        D.append(Di)
+    F = E + dt / 6.0 * (D[0] + 2.0 * D[1] + 2.0 * D[2] + D[3])
+    return F[..., :n], F[..., n:n + m], F[..., n + m:]
 
 
 def rk4_discretize(ode, dt, *, n_p, m, q, p, h, input_lo=None, input_hi=None,
@@ -319,6 +312,8 @@ def _mill_ode(x, u, w):
 
 
 def _mill_ode_jac(x, u, w):
+    """(Gx, Gu, Gw) of `_mill_ode` on a stack, filled as one (K, 3, 7) array [Gx Gu Gw] that is
+    divided by MILL_SCALE once: the three column views `rk4_step_jacobians` chains as one."""
     x2, u2 = x.T[1], u.T[1]
     parg = MILL_PHI_A * x2 * x2 + MILL_PHI_B * x2
     on = parg > 0.0
@@ -335,18 +330,18 @@ def _mill_ode_jac(x, u, w):
     den2 = den ** 2
     da_dx2 = MILL_ALPHA_C / den2 * dg_dx2
     da_du2 = MILL_ALPHA_C / den2 * dg_du2
-    Gx = np.zeros(x.shape[:-1] + (3, 3))
-    Gu = np.zeros(x.shape[:-1] + (3, 2))
-    Gx[..., 0, 0] = -1.0
-    Gx[..., 0, 1] = (1.0 - a) * dp - p * da_dx2
-    Gu[..., 0, 1] = -p * da_du2
-    Gx[..., 1, 1] = -dp
-    Gx[..., 1, 2] = 1.0
-    Gu[..., 1, 0] = 1.0
-    Gx[..., 2, 1] = a * dp + p * da_dx2
-    Gx[..., 2, 2] = -1.0
-    Gu[..., 2, 1] = p * da_du2
-    return Gx / MILL_SCALE[:, None], Gu / MILL_SCALE[:, None], np.zeros(x.shape[:-1] + (3, 2))
+    G = np.zeros(x.shape[:-1] + (3, 7))    # Gw = 0: w enters only the output
+    G[..., 0, 0] = -1.0
+    G[..., 0, 1] = (1.0 - a) * dp - p * da_dx2
+    G[..., 0, 4] = -p * da_du2
+    G[..., 1, 1] = -dp
+    G[..., 1, 2] = 1.0
+    G[..., 1, 3] = 1.0
+    G[..., 2, 1] = a * dp + p * da_dx2
+    G[..., 2, 2] = -1.0
+    G[..., 2, 4] = p * da_du2
+    G /= MILL_SCALE[:, None]
+    return G[..., :3], G[..., 3:5], G[..., 5:]
 
 
 def _mill_h(x, u, w):

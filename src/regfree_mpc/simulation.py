@@ -12,7 +12,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .augmentation import memory_reference
-from .errors import ConfigError, NumericalError, ShapeError
+from .errors import ConfigError, DomainError, NumericalError, ShapeError
 from .estimation import ObserverConfig, make_observer_state, observer_step
 from .models import SystemModel, _sized
 from .mpc import MpcConfig, MpcController
@@ -22,8 +22,8 @@ Array = np.ndarray
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """One closed-loop run: x0, w0 and u_init are kept as read-only copies of the model's
-    sizes (`models._sized`), and the observer's own copies are checked against them."""
+    """One closed-loop run: x0, w0 and u_init are kept as finite read-only copies of the
+    model's sizes (`models._sized`), and the observer's own copies are checked against them."""
 
     model: SystemModel
     mpc: MpcConfig
@@ -42,10 +42,12 @@ class ScenarioSpec:
             raise ConfigError("simulation length must be >= 1", key="steps")
         model, ob = self.model, self.observer
         nj, p = model.n_p + model.q, model.p
-        object.__setattr__(self, "x0", _sized(self.x0, model.n_p, "x0"))
-        object.__setattr__(self, "w0", _sized(self.w0, model.q, "w0"))
-        if self.u_init is not None:
-            object.__setattr__(self, "u_init", _sized(self.u_init, model.m, "u_init"))
+        for name, size in (("x0", model.n_p), ("w0", model.q), ("u_init", model.m)):
+            if name != "u_init" or self.u_init is not None:
+                value = _sized(getattr(self, name), size, name)
+                if not np.isfinite(value).all():     # x0 = None on one state reads [nan]
+                    raise DomainError(f"{name} must be finite, got {value.tolist()}", key=name)
+                object.__setattr__(self, name, value)
         if ob is not None:
             for name, size in (("xhat0", nj), ("noise_lo", p), ("noise_hi", p)):
                 if getattr(ob, name) is not None:

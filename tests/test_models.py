@@ -146,6 +146,11 @@ def test_mill_dimensions_and_box():
             dataclasses.replace(mill, **{bound: np.zeros(3)})
     free = dataclasses.replace(mill, input_lo=np.full(2, -np.inf), input_hi=np.full(2, np.inf))
     assert np.isinf(free.input_lo).all() and np.isinf(free.input_hi).all()
+    for model, bounds in ((mill, {"input_lo": [np.inf, 165.0], "input_hi": [np.inf, 180.0]}),
+                          (mill, {"input_lo": [80.0, -np.inf], "input_hi": [150.0, -np.inf]}),
+                          (academic_example(), {"input_lo": [np.inf], "input_hi": [np.inf]})):
+        with pytest.raises(DomainError, match="lo < inf and hi > -inf"):
+            dataclasses.replace(model, **bounds)
 
 
 def test_mill_regulator_is_exact_fixed_point():
@@ -218,13 +223,14 @@ def test_mill_jacobians_match_finite_differences(rng):
 
 
 def test_stacked_rk4_jacobian_of_a_coordinate_form_ode(rng):
-    """A 2-state coordinate-form ode that reads w, with its three-block Jacobian: the stacked
-    jacobians_f, chained through the stages on coordinate rows, match central differences
-    of the float f_p in x, u and w."""
-    def ode(x, u, w):
+    """Two 2-state coordinate-form odes that read w, with their three-block Jacobians: the
+    stacked jacobians_f, chained through the stages as one (x, u, w) derivative on coordinate
+    rows, match central differences of the float f_p in x, u and w.  The second has m = q = 2
+    and no zero column in Gu or Gw, so swapped or misplaced u and w columns fail it."""
+    def ode1(x, u, w):
         return [x[1], -x[0] - 0.5 * x[1] * (x[0] * x[0] - 1.0) + u[0] + w[0] * x[0]]
 
-    def ode_jac(x, u, w):
+    def ode1_jac(x, u, w):
         x0, x1 = x.T
         A = np.zeros((len(x), 2, 2))
         A[:, 0, 1] = 1.0
@@ -234,19 +240,35 @@ def test_stacked_rk4_jacobian_of_a_coordinate_form_ode(rng):
         Gw[:, 1, 0] = x0
         return A, np.broadcast_to([[0.0], [1.0]], (len(x), 2, 1)), Gw
 
-    model = rk4_discretize(ode, dt=0.1, n_p=2, m=1, q=1, p=1, h=lambda x, u, w: x[..., :1],
-                           ode_jac=ode_jac)
-    X, U, W = rng.normal(size=(6, 2)), rng.normal(size=(6, 1)), rng.normal(size=(6, 1))
-    Fx, Fu, Fw = model.jacobians_f(X, U, W)
-    assert (Fx.shape, Fu.shape, Fw.shape) == ((6, 2, 2), (6, 2, 1), (6, 2, 1))
-    for k, (x, u, w) in enumerate(zip(X, U, W)):
-        np.testing.assert_allclose(Fx[k], fd_jacobian(lambda z: model.f_p(z, u, w), x),
-                                   rtol=1e-7, atol=1e-9)
-        np.testing.assert_allclose(Fu[k], fd_jacobian(lambda z: model.f_p(x, z, w), u),
-                                   rtol=1e-7, atol=1e-9)
-        np.testing.assert_allclose(Fw[k], fd_jacobian(lambda z: model.f_p(x, u, z), w),
-                                   rtol=1e-7, atol=1e-9)
-        assert np.abs(Fw[k]).max() > 1e-3
+    def ode2(x, u, w):
+        return [x[1] + u[0] * x[0] + 2.0 * u[1] + w[1] * x[1] + 0.5 * w[0],
+                -x[0] - 0.5 * x[1] * (x[0] * x[0] - 1.0) + u[0] - u[1] * x[1] + w[0] * x[0]
+                + 3.0 * w[1]]
+
+    def ode2_jac(x, u, w):
+        (x0, x1), (u0, u1), (w0, w1) = x.T, u.T, w.T
+        one = np.ones(len(x))
+        return (np.moveaxis([[u0, 1.0 + w1], [-1.0 - x1 * x0 + w0, -0.5 * (x0 * x0 - 1.0) - u1]],
+                            -1, 0),
+                np.moveaxis([[x0, 2.0 * one], [one, -x1]], -1, 0),
+                np.moveaxis([[0.5 * one, x1], [x0, 3.0 * one]], -1, 0))
+
+    for ode, ode_jac, m, q in ((ode1, ode1_jac, 1, 1), (ode2, ode2_jac, 2, 2)):
+        model = rk4_discretize(ode, dt=0.1, n_p=2, m=m, q=q, p=1,
+                               h=lambda x, u, w: x[..., :1], ode_jac=ode_jac)
+        X, U, W = rng.normal(size=(6, 2)), rng.normal(size=(6, m)), rng.normal(size=(6, q))
+        Fx, Fu, Fw = model.jacobians_f(X, U, W)
+        assert (Fx.shape, Fu.shape, Fw.shape) == ((6, 2, 2), (6, 2, m), (6, 2, q))
+        for k, (x, u, w) in enumerate(zip(X, U, W)):
+            np.testing.assert_allclose(Fx[k], fd_jacobian(lambda z: model.f_p(z, u, w), x),
+                                       rtol=1e-7, atol=1e-9)
+            np.testing.assert_allclose(Fu[k], fd_jacobian(lambda z: model.f_p(x, z, w), u),
+                                       rtol=1e-7, atol=1e-9)
+            np.testing.assert_allclose(Fw[k], fd_jacobian(lambda z: model.f_p(x, u, z), w),
+                                       rtol=1e-7, atol=1e-9)
+            assert np.abs(Fw[k]).max() > 1e-3
+        if m == 2:
+            assert np.abs(Fu).max(axis=1).min() > 1e-3 and np.abs(Fw).max(axis=1).min() > 1e-3
 
 
 def assert_stack_matches_points(model, pts):

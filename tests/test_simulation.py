@@ -50,7 +50,9 @@ def test_scenario_validation():
 
 
 def test_scenario_spec_refuses_vectors_of_the_wrong_shape():
-    """Library callers get a ShapeError, not numpy broadcasting or a numpy traceback."""
+    """Library callers get a ShapeError, not numpy broadcasting or a numpy traceback, and a
+    DomainError keyed by the field for a non-finite x0, w0 or u_init (x0 = None on a one-state
+    model reads [nan])."""
     spec = cfg.parse_config(cfg.read_config_file("cement_mill_error_feedback"))   # m = p = 2
     ob = spec.observer                                                            # n_p + q = 5
     for field_name, value in (("u_init", np.array([100.0])), ("x0", np.ones(2)),
@@ -63,6 +65,13 @@ def test_scenario_spec_refuses_vectors_of_the_wrong_shape():
                                                                L=np.ones((2, 5))))):
         with pytest.raises(ShapeError):
             dataclasses.replace(spec, **{field_name: value})
+    for base, field_name, value in ((spec, "x0", [np.nan, 1.0, 1.0]),
+                                    (spec, "w0", [np.inf, 425.0]),
+                                    (spec, "u_init", [100.0, -np.inf]),
+                                    (academic_scenario("output_only", 3, 2), "x0", None)):
+        with pytest.raises(DomainError, match=f"^{field_name} must be finite") as err:
+            dataclasses.replace(base, **{field_name: value})
+        assert err.value.key == field_name
 
 
 def test_noise_is_uniform_exactly_when_both_bounds_are_given():
